@@ -78,16 +78,6 @@ class Advertiser:
             return None
         return self._next_event_true if self._next_event_true > after_ns else None
 
-    @property
-    def cluster_addr(self) -> int:
-        """Dispatch-cluster owner of advertising timers.
-
-        Every scanner this advertiser can reach is a spatial neighbor, so
-        the whole advertising exchange stays inside the advertiser's
-        cluster (geometry components seed the ClusterMap).
-        """
-        return self.controller.identity
-
     # -- control ----------------------------------------------------------
     def start(self) -> None:
         """Begin advertising (first event after a random initial delay)."""
@@ -161,14 +151,10 @@ class Advertiser:
             # the event covers all three, so channel match is guaranteed --
             # only air loss can break it.
             channel = scanner.current_channel(now)
-            if medium.packet_lost(
-                channel, 16 + self.payload_len, self.controller.identity
-            ):
+            if medium.packet_lost(channel, 16 + self.payload_len):
                 continue
             # CONNECT_IND back to us, one IFS later, same channel.
-            if medium.packet_lost(
-                channel, CONNECT_IND_PAYLOAD, self.controller.identity
-            ):
+            if medium.packet_lost(channel, CONNECT_IND_PAYLOAD):
                 continue
             conn = scanner.complete_connection(self, now)
             if conn is not None:
@@ -205,11 +191,6 @@ class Scanner:
         self.on_connected = on_connected
         self.accept = accept
         self.active = False
-
-    @property
-    def cluster_addr(self) -> int:
-        """Dispatch-cluster owner of this scanner's work."""
-        return self.controller.identity
 
     def start(self) -> None:
         """Begin scanning (registers with the shared medium)."""

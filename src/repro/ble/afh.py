@@ -62,11 +62,6 @@ class AfhManager:
         self.map_updates = 0
         self.paroles = 0
 
-    @property
-    def cluster_addr(self) -> int:
-        """Dispatch-cluster owner (evaluation rides the connection)."""
-        return self.conn.cluster_addr
-
     def start(self) -> None:
         """Begin periodic evaluation (coordinator side)."""
         if self._running:

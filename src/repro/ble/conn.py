@@ -144,12 +144,6 @@ class Endpoint:
         """Whether this endpoint has PDUs waiting (drives the MD flag)."""
         return bool(self.tx_queue)
 
-    @property
-    def cluster_addr(self) -> int:
-        """Dispatch-cluster owner: the connection's cluster (both ends share
-        one cluster from establishment, see :meth:`Connection.cluster_addr`)."""
-        return self.conn.cluster_addr
-
     def enqueue(self, pdu: DataPdu) -> bool:
         """Queue a PDU for transfer, charging the controller's buffer pool.
 
@@ -363,7 +357,6 @@ class Connection:
         #: Called once on teardown: ``on_closed(conn, reason)``.
         self.on_closed: Optional[Callable[["Connection", DisconnectReason], None]] = None
 
-        self.medium.note_link(coordinator.identity, subordinate.identity)
         coordinator.attach_connection(self, self._coord_activity)
         subordinate.attach_connection(self, self._sub_activity)
         self._timer = sim.at(anchor0_true, self._run_event)
@@ -388,16 +381,6 @@ class Connection:
     def interval_ns(self) -> int:
         """Nominal connection interval (local clock nanoseconds)."""
         return self.params.interval_ns
-
-    @property
-    def cluster_addr(self) -> int:
-        """Dispatch-cluster owner of this connection's timers.
-
-        Both endpoints share one cluster from establishment (the runner's
-        ``note_edge`` hook merges them before any event runs), so either
-        identity resolves to the same root; the coordinator's is used.
-        """
-        return self.coord.controller.identity
 
     def endpoint_of(self, controller: "BleController") -> Endpoint:
         """The endpoint owned by ``controller``."""
@@ -831,12 +814,6 @@ class Connection:
         air = ble_air_time_table(phy)
         abort_on_crc = coord_ctrl.config.abort_event_on_crc_error
         packet_lost = medium.packet_lost
-        # Loss draws are charged to the connection's cluster stream: under
-        # sharded media (attach_clusters) each cluster owns its own RNG so
-        # lane order cannot change which stream a draw comes from; without
-        # sharding loss_rng()/packet_lost(addr=...) fall back to the one
-        # legacy stream and the draw sequence is unchanged.
-        cluster_addr = coord_ctrl.identity
         llid_cont = Llid.DATA_CONT
         coord_chan_row = coord.stats.per_channel[channel]
         sub_chan_row = sub.stats.per_channel[channel]
@@ -857,7 +834,7 @@ class Connection:
         if fast_phy:
             interf = medium.interference
             per_of = interf.packet_error_rate
-            rng_random = medium.loss_rng(cluster_addr).random
+            rng_random = medium.rng.random
             sim_now = self.sim.now
             if interf.bursts:
                 # Bursts make PER time-dependent: memoize within this
@@ -915,7 +892,7 @@ class Connection:
                     if lost_c:
                         medium.packets_lost += 1
             else:
-                lost_c = packet_lost(channel, len_c + 10, cluster_addr)
+                lost_c = packet_lost(channel, len_c + 10)
             t += air[len_c]
             if spans_on:
                 tag = pdu_c.tag
@@ -986,7 +963,7 @@ class Connection:
                     if lost_s:
                         medium.packets_lost += 1
             else:
-                lost_s = packet_lost(channel, len_s + 10, cluster_addr)
+                lost_s = packet_lost(channel, len_s + 10)
             t += air[len_s]
             if spans_on:
                 tag = pdu_s.tag

@@ -81,18 +81,6 @@ class BleController:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<BleController {self.name} conns={len(self.connections)}>"
 
-    @property
-    def cluster_addr(self) -> int:
-        """Dispatch-cluster owner of this node's timers (see repro.sim.cluster).
-
-        The *identity* address, not the rotating on-air address: cluster
-        membership must be stable across RPA rotation, and the ClusterMap is
-        seeded with identity addresses (initial on-air addresses) while
-        :meth:`repro.sim.cluster.ClusterMap.note_alias` keeps rotated on-air
-        addresses merged into the same cluster.
-        """
-        return self.identity
-
     # -- connection lifecycle (called by Connection) ----------------------
 
     def attach_connection(self, conn: Connection, activity) -> None:

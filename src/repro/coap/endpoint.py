@@ -88,11 +88,6 @@ class CoapEndpoint:
         self.decode_errors = 0
         node.udp.bind(port, self._on_datagram)
 
-    @property
-    def cluster_addr(self) -> int:
-        """Dispatch-cluster owner (retransmission timers run on the node)."""
-        return self.node.node_id
-
     # -- server side ------------------------------------------------------------
 
     def add_resource(self, path: str, handler: ResourceHandler) -> None:

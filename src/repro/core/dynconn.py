@@ -109,11 +109,6 @@ class Dynconn:
         node.controller.conn_close_listeners.append(self._on_conn_close)
         rpl.on_parent_change = self._on_parent_change
 
-    @property
-    def cluster_addr(self) -> int:
-        """Dispatch-cluster owner (orphan timers run on the node)."""
-        return self.node.node_id
-
     # -- lifecycle --------------------------------------------------------------
 
     def start(self) -> None:

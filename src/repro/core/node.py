@@ -86,12 +86,6 @@ class Node:
         self.statconn = Statconn(self, statconn_config)
 
     @property
-    def cluster_addr(self) -> int:
-        """Dispatch-cluster owner of this node's timers (the identity
-        address; see :mod:`repro.sim.cluster`)."""
-        return self.node_id
-
-    @property
     def link_local(self) -> Ipv6Address:
         """This node's link-local address."""
         return self.ip.link_local

@@ -109,11 +109,6 @@ class Statconn:
         controller.conn_open_listeners.append(self._on_conn_open)
         controller.conn_close_listeners.append(self._on_conn_close)
 
-    @property
-    def cluster_addr(self) -> int:
-        """Dispatch-cluster owner (establishment timers run on the node)."""
-        return self.node.node_id
-
     # -- configuration -------------------------------------------------------
 
     def add_link(self, peer_addr: int, role: Role) -> None:

@@ -66,10 +66,13 @@ def _coerce(config: ExperimentConfig, key: str, raw: str) -> object:
     current = getattr(config, key)
     if isinstance(current, bool):
         return raw.lower() in ("1", "true", "yes", "on")
-    if isinstance(current, int) and not isinstance(current, bool):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
+    try:
+        if isinstance(current, int):
+            return int(raw)
+        if isinstance(current, float):
+            return float(raw)
+    except ValueError:
+        raise ValueError(f"{key}={raw!r} is not a valid {type(current).__name__}") from None
     return raw
 
 
@@ -86,6 +89,24 @@ def _apply_overrides(config: ExperimentConfig, overrides: list[str]) -> Experime
     from dataclasses import asdict
 
     return ExperimentConfig(**{**asdict(config), **values})
+
+
+def _load_config(
+    description: str | None,
+    overrides: list[str],
+    example: Callable[[], ExperimentConfig] = ExperimentConfig,
+) -> ExperimentConfig:
+    """The YAML ``description`` (or ``example()`` without one) with the
+    ``--set`` overrides applied.  Bad input -- a key an older version
+    wrote, a mistyped value -- exits with one line, not a traceback."""
+    try:
+        if description:
+            config = ExperimentConfig.from_yaml(Path(description).read_text())
+        else:
+            config = example()
+        return _apply_overrides(config, overrides)
+    except ValueError as exc:
+        raise SystemExit(f"invalid config: {exc}") from None
 
 
 def _parse_grid(config: ExperimentConfig, items: list[str]) -> dict:
@@ -166,10 +187,6 @@ def main(argv: list[str] | None = None) -> int:
                      help="write Appendix-A artifacts here")
     run.add_argument("--set", dest="overrides", action="append", default=[],
                      metavar="KEY=VALUE", help="override a config field")
-    run.add_argument("--dispatch", choices=("serial", "lookahead"), default=None,
-                     help="kernel dispatch mode (overrides the kernel: block)")
-    run.add_argument("--workers", dest="dispatch_workers", type=int, default=None,
-                     help="lookahead dispatch lane workers (>= 1)")
     run.add_argument("--metrics", action="store_true",
                      help="collect runtime metrics; writes metrics.json "
                           "with the artifacts")
@@ -295,13 +312,7 @@ def main(argv: list[str] | None = None) -> int:
             run_metrics,
         )
 
-        if args.description:
-            config = ExperimentConfig.from_yaml(
-                Path(args.description).read_text()
-            )
-        else:
-            config = example_config()
-        config = _apply_overrides(config, args.overrides)
+        config = _load_config(args.description, args.overrides, example_config)
         if args.repetitions < 1:
             raise SystemExit("--repetitions must be >= 1")
         if args.workers < 1:
@@ -327,13 +338,7 @@ def main(argv: list[str] | None = None) -> int:
             run_traced,
         )
 
-        if args.description:
-            config = ExperimentConfig.from_yaml(
-                Path(args.description).read_text()
-            )
-        else:
-            config = example_config()
-        config = _apply_overrides(config, args.overrides)
+        config = _load_config(args.description, args.overrides, example_config)
         print(f"tracing {config.name!r}: {config.topology} topology, "
               f"{config.n_nodes} nodes, {config.duration_s:.0f}s ...",
               file=sys.stderr)
@@ -358,13 +363,7 @@ def main(argv: list[str] | None = None) -> int:
             check = run_ab_check(repeats=args.repeats, bar=args.bar)
             print(render_ab_summary(check))
             return 0 if check["ok"] else 1
-        if args.description:
-            config = ExperimentConfig.from_yaml(
-                Path(args.description).read_text()
-            )
-        else:
-            config = example_config()
-        config = _apply_overrides(config, args.overrides)
+        config = _load_config(args.description, args.overrides, example_config)
         print(f"spanning {config.name!r}: {config.topology} topology, "
               f"{config.n_nodes} nodes, {config.duration_s:.0f}s ...",
               file=sys.stderr)
@@ -377,8 +376,7 @@ def main(argv: list[str] | None = None) -> int:
 
         return run_workload_cli(args)
 
-    config = ExperimentConfig.from_yaml(Path(args.description).read_text())
-    config = _apply_overrides(config, args.overrides)
+    config = _load_config(args.description, args.overrides)
 
     if getattr(args, "metrics", False):
         from dataclasses import replace
@@ -386,15 +384,6 @@ def main(argv: list[str] | None = None) -> int:
         config = replace(config, metrics=True)
 
     if args.command == "run":
-        if getattr(args, "dispatch", None) or getattr(args, "dispatch_workers", None):
-            from dataclasses import replace
-
-            kernel = dict(config.kernel)
-            if args.dispatch:
-                kernel["dispatch"] = args.dispatch
-            if args.dispatch_workers:
-                kernel["workers"] = args.dispatch_workers
-            config = replace(config, kernel=kernel)
         print(f"running {config.name!r}: {config.topology} topology, "
               f"{config.link_layer}, conn interval {config.conn_interval}, "
               f"{config.duration_s:.0f}s ...", file=sys.stderr)

@@ -13,7 +13,7 @@ import hashlib
 import json
 import random
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Optional
 
 import yaml
@@ -25,11 +25,9 @@ import yaml
 #: v4: spatial scale tier -- geometry/radio-range/spatial-index fields.
 #: v5: scenario dynamics -- churn/mobility/mac_rotation workload blocks.
 #: v6: packet-journey spans -- the ``spans`` collection flag.
-#: v7: kernel dispatch -- the ``kernel:`` block (serial | lookahead).
-CONFIG_SCHEMA_VERSION = 7
-
-#: Valid ``kernel.dispatch`` modes (see :mod:`repro.sim.parallel`).
-DISPATCH_MODES = ("serial", "lookahead")
+#: v7: a ``kernel:`` dispatch-mode block.
+#: v8: the ``kernel:`` block removed again (one dispatch mode).
+CONFIG_SCHEMA_VERSION = 8
 
 #: Topology kinds that generate node positions and run statconn over the
 #: BFS spanning tree of the radio graph (see :mod:`repro.topo`).  ``line``
@@ -197,13 +195,6 @@ class ExperimentConfig:
     churn: dict = field(default_factory=dict)
     mobility: dict = field(default_factory=dict)
     mac_rotation: dict = field(default_factory=dict)
-    #: Kernel dispatch block (see :mod:`repro.sim.parallel`): ``dispatch``
-    #: (``"serial"`` | ``"lookahead"``), ``workers`` (lane seam threads,
-    #: >= 1), ``horizon_ns`` (conservative lookahead window; 0 = derive
-    #: from the scenario's minimum connection interval).  Empty dict =
-    #: serial, the seed behaviour.  Observable outputs (trace, metrics)
-    #: are byte-identical across modes by design.
-    kernel: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.drift_ppms is not None:
@@ -252,23 +243,6 @@ class ExperimentConfig:
                 )
         if self.mobility and self.geometry == "none":
             raise ValueError("mobility requires a geometry (geometry != 'none')")
-        if not isinstance(self.kernel, dict):
-            raise ValueError("kernel must be a mapping")
-        unknown = set(self.kernel) - {"dispatch", "workers", "horizon_ns"}
-        if unknown:
-            raise ValueError(f"unknown kernel keys: {sorted(unknown)}")
-        dispatch = self.kernel.get("dispatch", "serial")
-        if dispatch not in DISPATCH_MODES:
-            raise ValueError(
-                f"kernel.dispatch must be one of {DISPATCH_MODES}, "
-                f"got {dispatch!r}"
-            )
-        workers = self.kernel.get("workers", 1)
-        if not isinstance(workers, int) or workers < 1:
-            raise ValueError("kernel.workers must be an integer >= 1")
-        horizon = self.kernel.get("horizon_ns", 0)
-        if not isinstance(horizon, int) or horizon < 0:
-            raise ValueError("kernel.horizon_ns must be an integer >= 0")
         # Eager validation of the block contents (raises on bad keys/values).
         from repro.workload.spec import (
             ChurnSpec,
@@ -330,8 +304,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_yaml(cls, text: str) -> "ExperimentConfig":
-        """Parse a description produced by :meth:`to_yaml`."""
+        """Parse a description produced by :meth:`to_yaml`.
+
+        Keys that are not config fields -- typically from a description an
+        older version wrote -- raise :class:`ValueError` naming them.
+        """
         data = yaml.safe_load(text)
         if not isinstance(data, dict) or "experiment" not in data:
             raise ValueError("missing top-level 'experiment' key")
-        return cls(**data["experiment"])
+        values = data["experiment"]
+        if not isinstance(values, dict):
+            raise ValueError("'experiment' must be a mapping of config fields")
+        names = {f.name for f in fields(cls)}
+        unknown = [str(key) for key in values if key not in names]
+        if unknown:
+            raise ValueError(f"unknown experiment key(s): {', '.join(unknown)}")
+        return cls(**values)

@@ -342,19 +342,6 @@ class ExperimentRunner:
             net = self._build_ble()
         else:
             net = self._build_802154()
-        self._configure_dispatch(net, is_ble)
-        try:
-            return self._drive(net, ring, is_ble)
-        finally:
-            if net.sim.dispatch != "serial":
-                # joins lane worker threads (ThreadSeam) so repeated runs
-                # in one process (bench, sweeps) never accumulate pools
-                net.sim.configure_dispatch("serial")
-
-    def _drive(
-        self, net: Any, ring: Optional[RingBufferSink], is_ble: bool
-    ) -> ExperimentResult:
-        cfg = self.config
         if TRACE.enabled:
             TRACE.attach_sim(net.sim)
         if SPANS.enabled:
@@ -453,45 +440,6 @@ class ExperimentRunner:
             metrics=metrics_payload,
             workload=driver.summary() if driver is not None else None,
             spans=spans_payload,
-        )
-
-    def _configure_dispatch(self, net: Any, is_ble: bool) -> None:
-        """Arm the kernel's dispatch mode from the ``kernel:`` config block.
-
-        ``lookahead`` builds the cluster partition (geometry components, or
-        one world cluster on a geometry-less medium), shards the medium's
-        loss streams over it, and derives the conservative horizon from the
-        scenario's minimum connection interval -- the fastest path by which
-        one cluster's packet can influence another is a connection event,
-        and those are at least one interval apart.
-        """
-        kernel_cfg = self.config.kernel
-        mode = kernel_cfg.get("dispatch", "serial")
-        if mode == "serial":
-            return
-        if not is_ble:
-            raise ValueError(
-                "kernel.dispatch='lookahead' requires the BLE link layer"
-            )
-        from repro.sim.cluster import ClusterMap, components_of
-
-        medium = net.medium
-        geometry = medium.geometry
-        if geometry is not None:
-            clusters = ClusterMap(components_of(geometry.adjacency()))
-        else:
-            # The paper's single-room plane: every node hears every other.
-            clusters = ClusterMap([sorted(medium.nodes)])
-        medium.attach_clusters(clusters, self.config.seed)
-        horizon = kernel_cfg.get("horizon_ns", 0)
-        if not horizon:
-            probe = parse_interval_spec(self.config.conn_interval, random.Random(0))
-            horizon = getattr(probe, "lo_ns", None) or probe.interval_ns
-        net.sim.configure_dispatch(
-            "lookahead",
-            workers=kernel_cfg.get("workers", 1),
-            clusters=clusters,
-            horizon_ns=horizon,
         )
 
     def _hook_losses(self, node: Any, events: EventLog) -> None:

@@ -21,7 +21,7 @@ Public surface:
 
 * :func:`lint_source` / :func:`lint_path` / :func:`lint_paths` -- the engine
 * :class:`Finding` -- one diagnostic
-* :func:`default_rules` / :data:`RULES` -- the rule registry (SL001..SL006)
+* :func:`default_rules` / :data:`RULES` -- the rule registry (SL001..SL008)
 """
 
 from __future__ import annotations

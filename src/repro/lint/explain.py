@@ -185,29 +185,6 @@ _E: Dict[str, Explanation] = {
             "Escape hatch: # simlint: allow-instr-guard -- <reason>"
         ),
     ),
-    "SL009": Explanation(
-        rationale=(
-            "A lookahead-parallel kernel dispatches independent connection\n"
-            "clusters concurrently; any module-level mutable object reachable\n"
-            "from Simulator dispatch is shared state and a data race in\n"
-            "waiting.  Every such global must be made immutable, moved into\n"
-            "per-run state, or explicitly sanctioned -- the sanction\n"
-            "inventory is the parallel-kernel PR's work list, and\n"
-            "--shared-state-report emits the full machine-readable survey\n"
-            "(including per-class mutable instance state in repro.sim.kernel\n"
-            "and repro.ble)."
-        ),
-        example=(
-            "    _CACHE = {}                # SL009 if dispatch-reachable\n"
-            "    def lookup(k):\n"
-            "        return _CACHE.get(k)"
-        ),
-        fix=(
-            "Prefer immutability (tuple/frozenset/Mapping) or per-run state;\n"
-            "otherwise sanction with the mandatory reason:\n"
-            "    # simlint: allow-shared-state -- <sharding/locking plan>"
-        ),
-    ),
 }
 
 

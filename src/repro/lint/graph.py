@@ -14,9 +14,10 @@ edges it can resolve with high confidence --
 * ``functools.partial`` wrapping (a ``partial(f, ...)`` counts as an edge
   to ``f``: the wrapped callable runs with the creator's data flow), and
 * bare function references passed as call arguments (``sim.at(when, cb)``)
-  as weaker ``ref`` edges -- used for reachability (SL009) but not for
-  taint, since a registered callback executes in the dispatcher's context,
-  not the registrar's.
+  as weaker ``ref`` edges.  Taint does not flow along them, since a
+  registered callback executes in the dispatcher's context, not the
+  registrar's; for the same reason a ``ref`` edge voids an SL008 guard
+  proof (the callback later runs unguarded).
 
 Everything is keyed by dotted *qualnames* (``repro.ble.conn.Connection.
 _tick``) and iterated in sorted order, so downstream fixpoints -- the

@@ -1,6 +1,6 @@
-"""Instrumentation-guard proof (SL008) and shared-state inventory (SL009).
+"""Instrumentation-guard proof (SL008).
 
-**SL008** makes the <2% disabled-overhead bar a *static* invariant.  The
+SL008 makes the <2% disabled-overhead bar a *static* invariant.  The
 hot-path contract (DESIGN.md) is: every ``METRICS``/``TRACE``/``SPANS``
 hub call on the kernel/BLE/L2CAP/IP dispatch path sits behind its
 ``.enabled`` predicate, so a disabled subsystem costs one attribute load
@@ -15,24 +15,13 @@ analysis accepts the idioms the codebase actually uses:
   a greatest fixpoint over the call graph (assume every called helper is
   always-guarded, discard any with an unguarded hot call site, repeat),
   so guard delegation composes through chains of helpers.
-
-**SL009** inventories the state a lookahead-parallel kernel would share
-across concurrently-dispatched connection clusters: module-level mutable
-globals (and mutable class attributes) referenced by functions reachable
-from ``Simulator`` dispatch.  Hub singletons are exactly such state --
-they stay sanctioned via ``# simlint: allow-shared-state -- <reason>``
-suppressions, which double as the greppable inventory.  The full machine-
-readable report (including per-class mutable *instance* state in
-``repro.sim.kernel`` and ``repro.ble``, the dispatch path's own caches)
-is emitted by ``python -m repro lint --shared-state-report`` for the
-parallel-kernel PR to consume.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 from repro.lint.graph import EDGE_REF, FunctionInfo, Project, terminal_name
 
@@ -41,15 +30,6 @@ HUB_NAMES = ("METRICS", "SPANS", "TRACE")
 
 #: Module prefixes that constitute the hot dispatch path for SL008.
 HOT_PREFIXES = ("repro.sim.kernel", "repro.ble", "repro.l2cap", "repro.net")
-
-#: Dispatch roots for SL009 reachability.
-DISPATCH_MODULE = "repro.sim.kernel"
-
-#: Constructors whose results are mutable containers.
-_MUTABLE_CTORS = frozenset(
-    {"list", "dict", "set", "bytearray", "deque", "defaultdict", "Counter", "OrderedDict"}
-)
-_IMMUTABLE_CTORS = frozenset({"tuple", "frozenset", "frozenset", "bytes", "int", "float", "str"})
 
 
 def is_hot_module(module: str) -> bool:
@@ -363,277 +343,3 @@ class GuardAnalysis:
 
 def compute_guards(project: Project) -> GuardAnalysis:
     return project.analysis("guards", lambda: GuardAnalysis(project))  # type: ignore[return-value]
-
-
-# ---------------------------------------------------------------------------
-# SL009: shared mutable state
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SharedStateEntry:
-    """One piece of statically-visible shared mutable state."""
-
-    #: ``module-global`` | ``class-attr`` | ``instance-attr``.
-    kind: str
-    module: str
-    qualname: str
-    line: int
-    #: best-effort description of the value (``dict literal``, ``Tracer()``).
-    value_type: str
-    #: reachable from Simulator dispatch (module-global/class-attr only).
-    dispatch_reachable: bool = False
-    #: sanctioned via an inline allow-shared-state suppression.
-    sanctioned: bool = False
-    reason: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "module": self.module,
-            "qualname": self.qualname,
-            "line": self.line,
-            "value_type": self.value_type,
-            "dispatch_reachable": self.dispatch_reachable,
-            "sanctioned": self.sanctioned,
-            "reason": self.reason,
-        }
-
-
-def _mutable_value_type(node: ast.expr) -> Optional[str]:
-    """Describe ``node`` if it constructs a mutable object, else None."""
-    if isinstance(node, (ast.List, ast.ListComp)):
-        return "list literal"
-    if isinstance(node, (ast.Dict, ast.DictComp)):
-        return "dict literal"
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return "set literal"
-    if isinstance(node, ast.Call):
-        name = terminal_name(node.func)
-        if name in _MUTABLE_CTORS:
-            return f"{name}()"
-        if name in _IMMUTABLE_CTORS:
-            return None
-        if name and name[0].isupper():
-            return f"{name}() instance"
-    return None
-
-
-class SharedStateAnalysis:
-    """Project-wide SL009 facts and the shared-state report."""
-
-    #: Instance-attribute inventory scope (the parallel-kernel dispatch path).
-    INSTANCE_SCOPE = ("repro.sim.kernel", "repro.ble")
-
-    def __init__(self, project: Project) -> None:
-        self.project = project
-        self.globals: List[SharedStateEntry] = []
-        self.instance_attrs: List[SharedStateEntry] = []
-        self._names_cache: Dict[str, Set[str]] = {}
-        self._reachable_functions = self._compute_reachable()
-        self._suppression_reasons = self._collect_suppression_reasons()
-        self._collect_globals()
-        self._collect_instance_attrs()
-
-    # -- reachability ---------------------------------------------------
-
-    def _compute_reachable(self) -> Set[str]:
-        """Functions reachable from Simulator dispatch (call+partial+ref).
-
-        When the linted set has no ``repro.sim.kernel``, the fallback
-        depends on what *is* there: for ad-hoc/fixture files (no ``repro``
-        modules at all) every function counts as reachable -- the local,
-        conservative reading -- while a partial slice of the repro tree
-        (a pre-commit run on changed files) stays silent rather than
-        pretending it can see the dispatch path.
-        """
-        roots = [
-            q
-            for q, fn in self.project.functions.items()
-            if fn.module == DISPATCH_MODULE
-        ]
-        if not roots:
-            if any(m.startswith("repro") for m in self.project.modules):
-                return set()
-            return set(self.project.functions)
-        seen: Set[str] = set()
-        stack = sorted(roots)
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            fn = self.project.functions.get(current)
-            if fn is None:
-                continue
-            for site in fn.calls:
-                if site.callee in self.project.functions and site.callee not in seen:
-                    stack.append(site.callee)
-                elif site.callee in self.project.classes:
-                    init = self.project.resolve_method(site.callee, "__init__")
-                    if init and init not in seen:
-                        stack.append(init)
-        return seen
-
-    def _collect_suppression_reasons(self) -> Dict[str, Dict[int, str]]:
-        from repro.lint.core import parse_suppressions
-        from repro.lint.taint import _suppression_alias_map
-
-        out: Dict[str, Dict[int, str]] = {}
-        alias_map = _suppression_alias_map()
-        for module in sorted(self.project.modules):
-            ctx = self.project.modules[module].ctx
-            sup = parse_suppressions(ctx, alias_map)
-            out[module] = {
-                line: sup.reasons.get(line, "")
-                for line, codes in sup.by_line.items()
-                if "SL009" in codes
-            }
-        return out
-
-    # -- collection -----------------------------------------------------
-
-    def _collect_globals(self) -> None:
-        for module in sorted(self.project.modules):
-            info = self.project.modules[module]
-            for stmt in info.ctx.tree.body:
-                self._note_global(module, stmt, class_prefix=None)
-                if isinstance(stmt, ast.ClassDef):
-                    for child in stmt.body:
-                        self._note_global(module, child, class_prefix=stmt.name)
-        self.globals.sort(key=lambda e: (e.module, e.line, e.qualname))
-
-    def _note_global(
-        self, module: str, stmt: ast.stmt, class_prefix: Optional[str]
-    ) -> None:
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        else:
-            return
-        value_type = _mutable_value_type(value)
-        if value_type is None:
-            return
-        for target in targets:
-            if not isinstance(target, ast.Name):
-                continue
-            if target.id.startswith("__"):
-                continue  # __all__ and friends: import-time only
-            qual = (
-                f"{module}.{class_prefix}.{target.id}"
-                if class_prefix
-                else f"{module}.{target.id}"
-            )
-            sanction = self._suppression_reasons.get(module, {})
-            self.globals.append(
-                SharedStateEntry(
-                    kind="class-attr" if class_prefix else "module-global",
-                    module=module,
-                    qualname=qual,
-                    line=stmt.lineno,
-                    value_type=value_type,
-                    dispatch_reachable=self._global_is_reachable(module, target.id),
-                    sanctioned=stmt.lineno in sanction,
-                    reason=sanction.get(stmt.lineno, ""),
-                )
-            )
-
-    def _global_is_reachable(self, module: str, name: str) -> bool:
-        """Is the global referenced by any dispatch-reachable function?"""
-        fq = f"{module}.{name}"
-        for qualname in self._reachable_functions:
-            fn = self.project.functions.get(qualname)
-            if fn is None:
-                continue
-            if fn.module == module and name in self._names_used(fn):
-                return True
-            minfo = self.project.modules.get(fn.module)
-            if minfo is None:
-                continue
-            for local, target in minfo.imports.items():
-                if target == fq and local in self._names_used(fn):
-                    return True
-        return False
-
-    def _names_used(self, fn: FunctionInfo) -> Set[str]:
-        cached = self._names_cache.get(fn.qualname)
-        if cached is None:
-            cached = {
-                node.id
-                for node in ast.walk(fn.node)
-                if isinstance(node, ast.Name)
-            }
-            self._names_cache[fn.qualname] = cached
-        return cached
-
-    def _collect_instance_attrs(self) -> None:
-        seen: Set[Tuple[str, str]] = set()
-        for cls_name in sorted(self.project.classes):
-            cinfo = self.project.classes[cls_name]
-            if not cinfo.module.startswith(self.INSTANCE_SCOPE):
-                continue
-            for method_qual in sorted(cinfo.methods.values()):
-                fn = self.project.functions.get(method_qual)
-                if fn is None:
-                    continue
-                for node in ast.walk(fn.node):  # type: ignore[arg-type]
-                    if not isinstance(node, (ast.Assign, ast.AnnAssign)):
-                        continue
-                    targets = (
-                        node.targets if isinstance(node, ast.Assign) else [node.target]
-                    )
-                    value = node.value
-                    if value is None:
-                        continue
-                    value_type = _mutable_value_type(value)
-                    if value_type is None:
-                        continue
-                    for target in targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"
-                        ):
-                            key = (cls_name, target.attr)
-                            if key in seen:
-                                continue
-                            seen.add(key)
-                            self.instance_attrs.append(
-                                SharedStateEntry(
-                                    kind="instance-attr",
-                                    module=cinfo.module,
-                                    qualname=f"{cls_name}.{target.attr}",
-                                    line=node.lineno,
-                                    value_type=value_type,
-                                    dispatch_reachable=method_qual
-                                    in self._reachable_functions,
-                                )
-                            )
-        self.instance_attrs.sort(key=lambda e: (e.module, e.qualname))
-
-    # -- outputs --------------------------------------------------------
-
-    def violations(self, module: str) -> Iterator[SharedStateEntry]:
-        """Unsanctioned dispatch-reachable shared globals in ``module``."""
-        for entry in self.globals:
-            if (
-                entry.module == module
-                and entry.dispatch_reachable
-                and not entry.sanctioned
-            ):
-                yield entry
-
-    def report(self) -> dict:
-        """The deterministic shared-state report document."""
-        return {
-            "schema": "repro.lint.shared-state/1",
-            "dispatch_roots": DISPATCH_MODULE,
-            "globals": [e.to_dict() for e in self.globals],
-            "instance_state": [e.to_dict() for e in self.instance_attrs],
-        }
-
-
-def compute_shared_state(project: Project) -> SharedStateAnalysis:
-    analysis = project.analysis("shared-state", lambda: SharedStateAnalysis(project))
-    return analysis  # type: ignore[return-value]

@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import json
 import subprocess
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -129,21 +128,10 @@ def bench_configs(tier: str = "default") -> Dict[str, ExperimentConfig]:
     }
 
 
-def run_bench(
-    tier: str = "default", dispatch: str = "serial", workers: int = 1
-) -> dict:
-    """Profile every scenario of ``tier``; return the baseline document.
-
-    ``dispatch`` selects the kernel mode (``serial`` | ``lookahead``, see
-    :mod:`repro.sim.parallel`) for every scenario; the mode is recorded in
-    the document so a ``--compare`` across modes reads as a speedup table.
-    """
+def run_bench(tier: str = "default") -> dict:
+    """Profile every scenario of ``tier``; return the baseline document."""
     scenarios = {}
     for label, config in bench_configs(tier).items():
-        if dispatch != "serial" or workers != 1:
-            config = replace(
-                config, kernel={"dispatch": dispatch, "workers": workers}
-            )
         PROFILER.configure()
         try:
             run_experiment(config)
@@ -161,7 +149,7 @@ def run_bench(
             "events_per_wall_s": round(profile["events_per_wall_s"], 1),
             "sim_s_per_wall_s": round(profile["sim_s_per_wall_s"], 1),
         }
-    return {"schema": BENCH_SCHEMA, "dispatch": dispatch, "scenarios": scenarios}
+    return {"schema": BENCH_SCHEMA, "scenarios": scenarios}
 
 
 def scenario_mismatches(current: dict, baseline: dict) -> List[str]:
@@ -272,7 +260,6 @@ def history_lines(
             "ts": stamp,
             "rev": rev,
             "tier": tier,
-            "dispatch": doc.get("dispatch", "serial"),
             "scenario": label,
             "n_nodes": row["n_nodes"],
             "events": row["events"],
@@ -322,15 +309,6 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         help="also append one line per scenario (timestamp, git rev, "
              "events/sec) to this JSONL perf log (e.g. BENCH_history.jsonl)",
     )
-    parser.add_argument(
-        "--dispatch", choices=("serial", "lookahead"), default="serial",
-        help="kernel dispatch mode for every scenario (lookahead = the "
-             "cluster-parallel conservative-lookahead dispatcher)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="lookahead dispatch lane workers (>= 1; default 1)",
-    )
 
 
 def run_bench_cli(args: argparse.Namespace) -> int:
@@ -339,14 +317,7 @@ def run_bench_cli(args: argparse.Namespace) -> int:
     if args.compare is not None:
         # Read the baseline *before* writing --out: they may be the same file.
         baseline = json.loads(Path(args.compare).read_text())
-    dispatch = getattr(args, "dispatch", "serial")
-    workers = getattr(args, "workers", 1)
-    if workers < 1:
-        print("--workers must be >= 1")
-        return 2
-    doc = run_bench(
-        getattr(args, "tier", "default"), dispatch=dispatch, workers=workers
-    )
+    doc = run_bench(getattr(args, "tier", "default"))
     out = Path(args.out)
     out.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     for label, row in doc["scenarios"].items():
@@ -355,7 +326,6 @@ def run_bench_cli(args: argparse.Namespace) -> int:
             f"{row['events']:8d} events {row['wall_s']:8.3f}s wall "
             f"{row['events_per_wall_s']:10.1f} events/sec "
             f"x{row['sim_s_per_wall_s']:.0f} real time"
-            + (f" [{dispatch}]" if dispatch != "serial" else "")
         )
     print(f"baseline written to {out}")
     history = getattr(args, "append_history", None)

@@ -24,40 +24,13 @@ from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.instr import INSTR
-from repro.obs.registry import Histogram
 from repro.sim.units import ns_to_s
-
-#: Bucket bounds (wall seconds) for the lookahead barrier-stall histogram:
-#: per-window synchronization overhead is microseconds on a healthy run,
-#: with a tail into milliseconds when a window drains a large batch.
-BARRIER_BUCKETS_S: tuple = (
-    0.000001, 0.0000025, 0.000005, 0.00001, 0.000025, 0.00005,
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
-    0.01, 0.025, 0.05, 0.1,
-)
-
-#: The dedicated attribution bucket for time spent at the lookahead
-#: synchronization barrier (window drain, partition, merge, bookkeeping).
-#: Without it that wall time would be smeared into whichever subsystem's
-#: callback happened to run last in the window.
-BARRIER_BUCKET = "kernel.barrier"
 
 
 class Profiler:
     """Accumulates (event count, wall seconds) per subsystem."""
 
-    __slots__ = (
-        "enabled",
-        "_by_subsystem",
-        "_cache",
-        "_entry_cache",
-        "_wall_start",
-        "_windows",
-        "_par_sum",
-        "_par_max",
-        "_lane_events",
-        "_barrier_hist",
-    )
+    __slots__ = ("enabled", "_by_subsystem", "_cache", "_entry_cache", "_wall_start")
 
     def __init__(self) -> None:
         #: The hot-path gate; the kernel checks this around every dispatch.
@@ -69,12 +42,6 @@ class Profiler:
         #: per-dispatch :meth:`record` is one dict hit, not a classification.
         self._entry_cache: Dict[object, List[float]] = {}
         self._wall_start = 0.0
-        #: Lookahead-dispatch statistics (zero under serial dispatch).
-        self._windows = 0
-        self._par_sum = 0
-        self._par_max = 0
-        self._lane_events: Dict[str, int] = {}
-        self._barrier_hist = Histogram(BARRIER_BUCKETS_S)
 
     def configure(self) -> None:
         """Arm the profiler: clear accumulators, start the wall clock."""
@@ -82,11 +49,6 @@ class Profiler:
         self._cache = {}
         self._entry_cache = {}
         self._wall_start = perf_counter()
-        self._windows = 0
-        self._par_sum = 0
-        self._par_max = 0
-        self._lane_events = {}
-        self._barrier_hist = Histogram(BARRIER_BUCKETS_S)
         self.enabled = True
         INSTR.bump()
 
@@ -166,35 +128,6 @@ class Profiler:
         entry[0] += count
         entry[1] += wall_s
 
-    def record_barrier(self, wall_s: float) -> None:
-        """Account one lookahead window's synchronization-barrier time.
-
-        The stall lands in the dedicated :data:`BARRIER_BUCKET` subsystem
-        entry -- never in the subsystem of the last callback that ran --
-        and feeds the barrier-stall histogram.
-        """
-        entry = self._by_subsystem.get(BARRIER_BUCKET)
-        if entry is None:
-            entry = self._by_subsystem[BARRIER_BUCKET] = [0, 0.0]
-        entry[0] += 1
-        entry[1] += wall_s
-        self._barrier_hist.observe(wall_s)
-
-    def record_window(self, lanes: int, lane_events: Dict[str, int]) -> None:
-        """Account one lookahead window's lane fan-out.
-
-        ``lanes`` feeds the parallelism gauge (mean/max clusters dispatched
-        per window); ``lane_events`` is the per-cluster dispatch
-        attribution (events executed per lane label).
-        """
-        self._windows += 1
-        self._par_sum += lanes
-        if lanes > self._par_max:
-            self._par_max = lanes
-        acc = self._lane_events
-        for label, count in lane_events.items():
-            acc[label] = acc.get(label, 0) + count
-
     def report(
         self,
         sim_time_ns: Optional[int] = None,
@@ -210,14 +143,7 @@ class Profiler:
         """
         wall_s = perf_counter() - self._wall_start
         dispatch_s = sum(e[1] for e in self._by_subsystem.values())
-        # The barrier bucket's "events" are *windows*, not dispatched
-        # callbacks: counting them would inflate lookahead throughput
-        # figures relative to serial runs of the same scenario.
-        counted = sum(
-            int(e[0])
-            for name, e in self._by_subsystem.items()
-            if name != BARRIER_BUCKET
-        )
+        counted = sum(int(e[0]) for e in self._by_subsystem.values())
         total_events = events if events is not None else counted
         subsystems: Dict[str, Any] = {}
         for name in sorted(
@@ -244,19 +170,6 @@ class Profiler:
             doc["sim_s_per_wall_s"] = (
                 ns_to_s(int(sim_time_ns)) / wall_s if wall_s > 0 else 0.0
             )
-        if self._windows:
-            doc["dispatch"] = {
-                "windows": self._windows,
-                "parallelism": {
-                    "mean": self._par_sum / self._windows,
-                    "max": self._par_max,
-                },
-                "lane_events": {
-                    label: self._lane_events[label]
-                    for label in sorted(self._lane_events)
-                },
-                "barrier_stall": self._barrier_hist.to_dict(),
-            }
         return doc
 
 

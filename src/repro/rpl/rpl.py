@@ -121,7 +121,6 @@ class RplInstance:
             imax_doublings=self.config.trickle_doublings,
             k=self.config.trickle_k,
         )
-        self.trickle.cluster_addr = node.node_id
         # Statistics.
         self.dios_sent = 0
         self.daos_sent = 0
@@ -130,11 +129,6 @@ class RplInstance:
         self.detaches = 0
         node.icmp.register(RPL_CONTROL, self._on_rpl)
         node.controller.conn_close_listeners.append(self._on_conn_close)
-
-    @property
-    def cluster_addr(self) -> int:
-        """Dispatch-cluster owner (DIS/DAO timers run on the node)."""
-        return self.node.node_id
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -56,9 +56,6 @@ class TrickleTimer:
         self.imax_ns = imin_ns << imax_doublings
         self.k = k
         self.interval_ns = imin_ns
-        #: Dispatch-cluster owner of the timer callbacks; the creator sets
-        #: it to the owning node's address (``None`` rides the global lane).
-        self.cluster_addr: Optional[int] = None
         self._counter = 0
         self._running = False
         self._t_timer: Optional[Timer] = None

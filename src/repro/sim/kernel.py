@@ -54,15 +54,6 @@ from repro.obs.wallclock import perf_counter
 from repro.trace.record import callback_name
 from repro.trace.tracer import TRACE
 
-#: Default hub bindings handed to every Simulator at construction.  The
-#: dispatch path reads hubs exclusively through instance attributes
-#: (``self._trace`` etc.) so that no dispatch-reachable function references
-#: a module-level singleton by name -- the SL009 shared-state contract --
-#: and so a cluster lane could be handed sharded hubs without touching the
-#: loops.  Bundling the four singletons in one tuple keeps the only
-#: by-name references at module scope (import time).
-_DEFAULT_HUBS = (INSTR, TRACE, METRICS, PROFILER)
-
 #: log2 of the wheel slot width: each bucket spans 2**21 ns (~2.1 ms).
 WHEEL_SLOT_SHIFT: int = 21
 #: Width of one wheel bucket in true nanoseconds.
@@ -150,27 +141,6 @@ class Simulator:
         self._seq: int = 0
         self._running = False
         self._stopped = False
-        instr, trace, metrics, profiler = _DEFAULT_HUBS
-        #: Instrumentation hubs as kernel-owned state: the process-wide
-        #: defaults unless a test (or a future per-cluster shard) swaps
-        #: them.  Dispatch loops read only these attributes.
-        self._instr = instr
-        self._trace = trace
-        self._metrics = metrics
-        self._profiler = profiler
-        #: Dispatch mode: ``"serial"`` or ``"lookahead"``.
-        self._dispatch = "serial"
-        #: The lookahead window executor when dispatch is ``"lookahead"``.
-        self._executor: Optional[Any] = None
-        #: Active lookahead lane: in-window schedules with ``when <
-        #: _lane_end`` are routed here so they dispatch inside the current
-        #: window in ``(when, seq)`` order (see repro.sim.parallel).
-        self._lane_heap: Optional[List[_Entry]] = None
-        self._lane_end: int = 0
-        #: Set by the lookahead executor for the duration of a window:
-        #: drained-but-unexecuted timers live outside the structures that
-        #: ``_compact`` walks, so compaction is deferred to the barrier.
-        self._defer_compact = False
         #: Heap of ``(when, seq, timer)`` for the slot being dispatched --
         #: plus any timer scheduled at or before the cursor slot.
         self._cur: List[_Entry] = []
@@ -223,13 +193,7 @@ class Simulator:
             timer.cancelled = False
         else:
             timer = Timer(when, seq, callback, args, self)
-        lane = self._lane_heap
-        if lane is not None and when < self._lane_end:
-            timer.queued = True
-            heappush(lane, (when, seq, timer))
-            self._n_items += 1
-        else:
-            self._insert(timer)
+        self._insert(timer)
         return timer
 
     def after(self, delay: int, callback: Callable[..., Any], *args: Any) -> Timer:
@@ -253,19 +217,11 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={when}ns, already at t={self._now}ns"
             )
-        when = int(when)
-        timer.when = when
-        seq = self._seq
-        timer.seq = seq
-        self._seq = seq + 1
+        timer.when = int(when)
+        timer.seq = self._seq
+        self._seq += 1
         timer.cancelled = False
-        lane = self._lane_heap
-        if lane is not None and when < self._lane_end:
-            timer.queued = True
-            heappush(lane, (when, seq, timer))
-            self._n_items += 1
-        else:
-            self._insert(timer)
+        self._insert(timer)
         return timer
 
     def _insert(self, timer: Timer) -> None:
@@ -287,20 +243,8 @@ class Simulator:
         self._n_items += 1
 
     def _note_cancel(self) -> None:
-        """Bookkeeping for one queued timer turning cancelled.
-
-        Compaction is deferred while a lookahead window is in flight:
-        drained batch entries and lane heaps live outside the structures
-        ``_compact`` walks, so compacting mid-window would corrupt the
-        item accounting.  The executor calls :meth:`_compact_if_due` at
-        the window barrier instead.
-        """
+        """Bookkeeping for one queued timer turning cancelled."""
         self._n_cancelled += 1
-        if not self._defer_compact:
-            self._compact_if_due()
-
-    def _compact_if_due(self) -> None:
-        """Compact when cancelled timers dominate the queue."""
         if (
             self._n_cancelled >= COMPACT_MIN_CANCELLED
             and self._n_cancelled * 2 > self._n_items
@@ -400,49 +344,6 @@ class Simulator:
         """Request the running loop to stop after the current callback."""
         self._stopped = True
 
-    @property
-    def dispatch(self) -> str:
-        """The configured dispatch mode: ``"serial"`` or ``"lookahead"``."""
-        return self._dispatch
-
-    def configure_dispatch(
-        self,
-        dispatch: str = "serial",
-        *,
-        workers: int = 1,
-        clusters: Optional[Any] = None,
-        horizon_ns: Optional[int] = None,
-    ) -> None:
-        """Select the dispatch engine for subsequent :meth:`run` calls.
-
-        :param dispatch: ``"serial"`` (the classic loops) or
-            ``"lookahead"`` (conservative-lookahead windowed dispatch, see
-            :mod:`repro.sim.parallel`).
-        :param workers: lane worker threads for lookahead dispatch;
-            ``1`` runs lanes inline.
-        :param clusters: a :class:`repro.sim.cluster.ClusterMap`
-            partitioning node addresses; ``None`` treats the whole
-            simulation as one cluster (windowed but never reordered).
-        :param horizon_ns: conservative lookahead horizon; defaults to
-            :data:`repro.sim.parallel.DEFAULT_HORIZON_NS`.  Must not
-            exceed the minimum cross-cluster interaction latency of the
-            scenario (the runner passes the connection interval).
-        """
-        if self._running:
-            raise SimulationError("cannot reconfigure dispatch while running")
-        if dispatch not in ("serial", "lookahead"):
-            raise SimulationError(f"unknown dispatch mode {dispatch!r}")
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-        self._dispatch = dispatch
-        if dispatch == "lookahead":
-            from repro.sim.parallel import LookaheadExecutor
-
-            self._executor = LookaheadExecutor(
-                self, clusters=clusters, horizon_ns=horizon_ns, workers=workers
-            )
-
     def run(self, until: Optional[int] = None) -> int:
         """Run the event loop.
 
@@ -461,23 +362,17 @@ class Simulator:
         self._running = True
         self._stopped = False
         executed = 0
-        instr = self._instr
         try:
-            if self._executor is not None:
-                # Lookahead dispatch: the executor re-reads hub state at
-                # every window boundary, so no re-selection loop is needed.
-                executed = self._executor.run(until)
-            else:
-                while True:
-                    version = instr.version
-                    if self._trace.enabled or self._metrics.enabled:
-                        executed += self._loop_instrumented(until, version)
-                    elif self._profiler.enabled:
-                        executed += self._loop_profiled(until, version)
-                    else:
-                        executed += self._loop_plain(until, version)
-                    if instr.version == version:
-                        break  # the loop returned because it is actually done
+            while True:
+                version = INSTR.version
+                if TRACE.enabled or METRICS.enabled:
+                    executed += self._loop_instrumented(until, version)
+                elif PROFILER.enabled:
+                    executed += self._loop_profiled(until, version)
+                else:
+                    executed += self._loop_plain(until, version)
+                if INSTR.version == version:
+                    break  # the loop returned because it is actually done
             if until is not None and not self._stopped and self._now < until:
                 self._now = until
         finally:
@@ -488,7 +383,7 @@ class Simulator:
     def _loop_plain(self, until: Optional[int], version: int) -> int:
         """Dispatch with no instrumentation enabled (the fast path)."""
         executed = 0
-        instr = self._instr
+        instr = INSTR
         cur = self._cur
         while not self._stopped and instr.version == version:
             if not cur:
@@ -524,9 +419,8 @@ class Simulator:
         per event instead of a ``record`` call.
         """
         executed = 0
-        instr = self._instr
-        profiler = self._profiler
-        record = profiler.record
+        instr = INSTR
+        record = PROFILER.record
         rec_counts: dict = {}
         rec_times: dict = {}
         cur = self._cur
@@ -570,16 +464,13 @@ class Simulator:
                 executed += 1
         finally:
             for callback, total in rec_times.items():
-                profiler.record_bulk(callback, rec_counts[callback], total)
+                PROFILER.record_bulk(callback, rec_counts[callback], total)
         return executed
 
     def _loop_instrumented(self, until: Optional[int], version: int) -> int:
         """Dispatch with tracing and/or metrics (and maybe the profiler)."""
         executed = 0
-        instr = self._instr
-        trace = self._trace
-        metrics = self._metrics
-        profiler = self._profiler
+        instr = INSTR
         cur = self._cur
         while not self._stopped and instr.version == version:
             if not cur:
@@ -602,25 +493,25 @@ class Simulator:
             self._n_items -= 1
             timer.queued = False
             self._now = when
-            if trace.enabled:
-                trace.emit(
+            if TRACE.enabled:
+                TRACE.emit(
                     when,
                     "kernel",
                     "dispatch",
                     timer_seq=timer.seq,
                     callback=callback_name(timer.callback),
                 )
-            if profiler.enabled:
+            if PROFILER.enabled:
                 # simlint: allow-wallclock -- profiler attribution only;
                 # the measured wall seconds stay in profile.json.
                 t0 = perf_counter()
                 timer.callback(*timer.args)
-                profiler.record(timer.callback, perf_counter() - t0)  # simlint: allow-wallclock -- profiler hook
+                PROFILER.record(timer.callback, perf_counter() - t0)  # simlint: allow-wallclock -- profiler hook
             else:
                 timer.callback(*timer.args)
             executed += 1
-            if metrics.enabled:
-                metrics.inc("sim", "kernel.events_dispatched")
+            if METRICS.enabled:
+                METRICS.inc("sim", "kernel.events_dispatched")
         return executed
 
     # ------------------------------------------------------------------
@@ -629,17 +520,17 @@ class Simulator:
 
     def peek(self) -> Optional[int]:
         """Return the timestamp of the next pending event, or ``None``."""
-        cur = self._cur
-        while cur and cur[0][2].cancelled:
-            entry = heappop(cur)
-            self._n_items -= 1
-            self._n_cancelled -= 1
-            self._recycle(entry[2])
-        if not cur:
+        while True:
+            cur = self._cur
+            while cur and cur[0][2].cancelled:
+                entry = heappop(cur)
+                self._n_items -= 1
+                self._n_cancelled -= 1
+                self._recycle(entry[2])
+            if cur:
+                return cur[0][0]
             if not self._advance():
                 return None
-            return self.peek()
-        return cur[0][0]
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the queue (O(1))."""

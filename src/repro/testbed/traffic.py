@@ -79,11 +79,6 @@ class Producer:
         self.request_times: List[int] = []
         self.ack_times: List[int] = []
 
-    @property
-    def cluster_addr(self) -> int:
-        """Dispatch-cluster owner (ticks run on the producing node)."""
-        return self.node.node_id
-
     def start(self, delay_ns: int = 0) -> None:
         """Begin producing after ``delay_ns`` (plus one jittered interval).
 

@@ -92,7 +92,6 @@ class WaypointMobility:
             nx, ny = x + dx / dist * stride, y + dy / dist * stride
             delay = s_to_ns(self.spec.step_s)
         geometry.move(addr, nx, ny)
-        self.node.controller.medium.note_move(addr)
         self.moves += 1
         if TRACE.enabled:
             TRACE.emit(

@@ -140,11 +140,11 @@ def test_no_duplicate_delivery_when_ack_lost(make_plane):
     real = plane.medium.packet_lost
     counter = {"n": 0}
 
-    def lossy(channel, nbytes, addr=None):
+    def lossy(channel, nbytes):
         counter["n"] += 1
         if counter["n"] == 2:
             return True
-        return real(channel, nbytes, addr)
+        return real(channel, nbytes)
 
     plane.medium.packet_lost = lossy
     conn.send(plane.nodes[0], b"once-only")

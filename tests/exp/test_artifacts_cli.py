@@ -1,12 +1,16 @@
 """Tests for the artifact pipeline and the CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.exp import ExperimentConfig, run_experiment
 from repro.exp.artifacts import render_summary, write_artifacts
 from repro.exp.cli import main
+
+#: ``describe`` output from schema v7, which still had a ``kernel:`` block.
+STALE_DESCRIPTION = Path(__file__).parent / "data" / "describe_schema7.yml"
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +80,8 @@ class TestCli:
             main(["run", str(desc), "--set", "nonsense=1"])
         with pytest.raises(SystemExit):
             main(["run", str(desc), "--set", "garbage"])
+        with pytest.raises(SystemExit, match="^invalid config: duration_s='long' is not"):
+            main(["run", str(desc), "--set", "duration_s=long"])
 
     def test_bool_override_parsing(self, tmp_path, capsys):
         desc = tmp_path / "exp.yml"
@@ -86,3 +92,22 @@ class TestCli:
             "--set", "confirmable=true",
         ])
         assert code == 0
+
+
+class TestConfigErrors:
+    """Stale or bad config input exits with one line, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "metrics", "trace", "journeys"])
+    def test_stale_description(self, command, tmp_path):
+        # duration_s=1 keeps the run short should the description be accepted
+        argv = [command, str(STALE_DESCRIPTION), "-o", str(tmp_path),
+                "--set", "duration_s=1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == "invalid config: unknown experiment key(s): kernel"
+
+    @pytest.mark.parametrize("command", ["metrics", "trace", "journeys"])
+    def test_bad_value_on_example_config(self, command, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-o", str(tmp_path), "--set", "n_nodes=abc"])
+        assert exc.value.code == "invalid config: n_nodes='abc' is not a valid int"

@@ -2,12 +2,16 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.core.intervals import RandomWindowIntervalPolicy, StaticIntervalPolicy
 from repro.exp.config import ExperimentConfig, canonical_value, parse_interval_spec
 from repro.sim.units import MSEC
+
+#: ``describe`` output from schema v7, which still had a ``kernel:`` block.
+STALE_DESCRIPTION = Path(__file__).parent / "data" / "describe_schema7.yml"
 
 
 class TestIntervalSpec:
@@ -90,6 +94,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_yaml("foo: bar")
 
+    def test_yaml_unknown_keys_are_named(self):
+        with pytest.raises(ValueError, match=r"unknown experiment key\(s\): kernel$"):
+            ExperimentConfig.from_yaml(STALE_DESCRIPTION.read_text())
+        text = ExperimentConfig().to_yaml() + "  bogus: 1\n  kernel: {}\n"
+        with pytest.raises(ValueError, match=r"key\(s\): bogus, kernel$"):
+            ExperimentConfig.from_yaml(text)
+
+    def test_yaml_experiment_must_be_a_mapping(self):
+        with pytest.raises(ValueError, match="mapping"):
+            ExperimentConfig.from_yaml("experiment: 5")
+
 
 class TestCanonicalSerialization:
     """Cache keys must be bit-stable (see repro.exp.cache)."""
@@ -99,7 +114,7 @@ class TestCanonicalSerialization:
     #: serialization regressed (fix it): every on-disk cache is invalidated
     #: either way, which must be a deliberate decision.
     GOLDEN_DEFAULT_HASH = (
-        "f4f01f1dbc6f47e6d78dd7afea6a8a8982a53e1123e969cec9d6d9ba5a88031c"
+        "482e6aaefe38e475f5b9bdef337f0f192c859f5996bc2c7bbb6e485bfe5255c0"
     )
 
     def test_default_config_hash_is_golden_constant(self):

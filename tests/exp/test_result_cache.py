@@ -112,7 +112,6 @@ class TestKeyInvalidation:
             "churn": {"mean_up_s": 20.0},
             "mobility": {"step_s": 2.0},
             "mac_rotation": {"period_s": 30.0},
-            "kernel": {"dispatch": "lookahead", "workers": 2},
         }
         # some replacements are only valid alongside another field change
         # (geometry gates on a dynamic topology; workload blocks gate on

@@ -27,7 +27,6 @@ FIXTURE_CASES = [
     ("sl006_magic.py", "SL006"),
     ("sl007_units.py", "SL007"),
     ("sl008_unguarded.py", "SL008"),
-    ("sl009_shared.py", "SL009"),
 ]
 
 #: fixtures that must lint CLEAN: regression guards for false positives

@@ -89,11 +89,7 @@ class TestBenchCli:
     @pytest.fixture
     def canned_bench(self, monkeypatch):
         doc = _doc(line=800.0, tree=2000.0, mesh=2000.0)
-        monkeypatch.setattr(
-            bench_mod,
-            "run_bench",
-            lambda tier="default", dispatch="serial", workers=1: doc,
-        )
+        monkeypatch.setattr(bench_mod, "run_bench", lambda tier="default": doc)
         return doc
 
     def test_writes_out_document(self, canned_bench, tmp_path, capsys):

@@ -50,7 +50,6 @@ class TestHistoryLines:
             "ts": "1970-01-01T00:00:00Z",
             "rev": "abc1234",
             "tier": "scale",
-            "dispatch": "serial",
             "scenario": "line",
             "n_nodes": 4,
             "events": 1000,
@@ -84,11 +83,7 @@ class TestCliWiring:
     @pytest.fixture
     def canned_bench(self, monkeypatch):
         doc = _doc(line=800.0)
-        monkeypatch.setattr(
-            bench_mod,
-            "run_bench",
-            lambda tier="default", dispatch="serial", workers=1: doc,
-        )
+        monkeypatch.setattr(bench_mod, "run_bench", lambda tier="default": doc)
         return doc
 
     def test_append_history_flag(self, canned_bench, tmp_path, capsys):

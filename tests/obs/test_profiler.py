@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.profiler import BARRIER_BUCKET, BARRIER_BUCKETS_S, Profiler
+from repro.obs.profiler import Profiler
 from repro.ble.conn import Connection
 from repro.exp.runner import ExperimentRunner
 
@@ -77,63 +77,3 @@ class TestRecordAndReport:
         assert report["sim_time_ns"] == 2_000_000_000
         assert report["events"] == 10
         assert report["sim_s_per_wall_s"] > 0
-
-
-class TestBarrierAttribution:
-    """Lookahead barrier time must land in its own ``kernel.barrier``
-    bucket -- never smeared into the subsystem of the last callback that
-    happened to run in the window."""
-
-    def test_barrier_lands_in_dedicated_bucket(self):
-        p = Profiler()
-        p.configure()
-        p.record(Connection.close, 0.3)  # the window's last callback: ble
-        p.record_barrier(0.001)
-        subsystems = p.report()["subsystems"]
-        assert subsystems[BARRIER_BUCKET]["events"] == 1
-        assert subsystems[BARRIER_BUCKET]["wall_s"] == pytest.approx(0.001)
-        assert subsystems["ble"]["wall_s"] == pytest.approx(0.3)
-
-    def test_barrier_counts_toward_dispatch_share(self):
-        p = Profiler()
-        p.configure()
-        p.record(Connection.close, 0.075)
-        p.record_barrier(0.025)
-        subsystems = p.report()["subsystems"]
-        assert subsystems[BARRIER_BUCKET]["share"] == pytest.approx(0.25)
-
-    def test_barrier_feeds_stall_histogram(self):
-        p = Profiler()
-        p.configure()
-        p.record_barrier(2e-6)   # second bucket (1us < x <= 2.5us)
-        p.record_barrier(3e-3)   # 2.5ms < x <= 5ms
-        p.record_barrier(5.0)    # overflow: beyond the last bound
-        p.record_window(lanes=2, lane_events={"cluster1": 3})
-        hist = p.report()["dispatch"]["barrier_stall"]
-        assert hist["count"] == 3
-        assert hist["sum"] == pytest.approx(2e-6 + 3e-3 + 5.0)
-        assert tuple(hist["bounds"]) == BARRIER_BUCKETS_S
-        # bucket counts: one per observed stall, in the right bucket
-        assert hist["counts"][1] == 1
-        assert hist["counts"][-1] == 1  # the +inf overflow bucket
-
-    def test_window_stats_gate_the_dispatch_section(self):
-        p = Profiler()
-        p.configure()
-        assert "dispatch" not in p.report()  # serial run: section absent
-        p.record_window(lanes=3, lane_events={"cluster1": 5, "global": 1})
-        p.record_window(lanes=1, lane_events={"cluster1": 2})
-        dispatch = p.report()["dispatch"]
-        assert dispatch["windows"] == 2
-        assert dispatch["parallelism"] == {"mean": 2.0, "max": 3}
-        assert dispatch["lane_events"] == {"cluster1": 7, "global": 1}
-
-    def test_configure_clears_dispatch_stats(self):
-        p = Profiler()
-        p.configure()
-        p.record_barrier(0.001)
-        p.record_window(lanes=2, lane_events={"cluster1": 1})
-        p.configure()
-        report = p.report()
-        assert "dispatch" not in report
-        assert BARRIER_BUCKET not in report["subsystems"]

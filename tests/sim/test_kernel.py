@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Simulator, SEC, MSEC
-from repro.sim.kernel import SimulationError
+from repro.sim.kernel import WHEEL_SLOT_NS, SimulationError
 
 
 def test_events_fire_in_time_order():
@@ -111,6 +111,22 @@ def test_peek_skips_cancelled():
     sim.at(20, lambda: None)
     t1.cancel()
     assert sim.peek() == 20
+
+
+def test_peek_crosses_many_cancelled_only_slots():
+    # 1,200 slots holding one cancelled timer each, ahead of 1,500 live
+    # timers: too few cancellations to trigger compaction, so peek must
+    # walk every dead slot (iteratively -- one frame per slot overflows).
+    sim = Simulator()
+    live_at = 1201 * WHEEL_SLOT_NS
+    for i in range(1500):
+        sim.at(live_at + i, lambda: None)
+    dead = [sim.at(i * WHEEL_SLOT_NS, lambda: None) for i in range(1, 1201)]
+    for timer in dead:
+        timer.cancel()
+    assert sim.queue_depth() == 2700
+    assert sim.peek() == live_at
+    assert sim.pending() == sim.queue_depth() == 1500
 
 
 def test_events_executed_counter():

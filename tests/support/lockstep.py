@@ -10,10 +10,6 @@ diverge.  This module holds the pieces two suites already share:
   (``tests/sim/test_wheel_reference.py``);
 * :class:`TimerWorkload` -- the randomized schedule/cancel/rearm workload
   that exercises a kernel across every timer placement class;
-* :class:`ParallelWorkload` -- the cluster-partitioned counterpart for the
-  lookahead dispatcher (``tests/sim/test_lookahead.py``): independent
-  per-cluster timer streams whose offsets are pinned to the lookahead
-  horizon boundary, plus an ownerless global ticker that cuts windows;
 * :func:`assert_logs_identical` -- byte-equality with a *useful* failure
   message (first divergence index and both sides' entries), used by the
   spatial-medium differential suite (``tests/phy/
@@ -166,144 +162,6 @@ class TimerWorkload:
             ))
         self.sim.run()
         return self.log
-
-
-class _WorkloadNode:
-    """Minimal ``cluster_addr``-bearing timer owner.
-
-    All behaviour lives in its cluster lane; the node exists so the
-    dispatcher's ``owner_addr`` walk (bound method -> ``__self__`` ->
-    ``cluster_addr``) resolves exactly as it does for real stack objects.
-    """
-
-    __slots__ = ("addr", "lane")
-
-    def __init__(self, addr, lane):
-        self.addr = addr
-        self.lane = lane
-
-    @property
-    def cluster_addr(self):
-        return self.addr
-
-    def fire(self, item_id):
-        self.lane.fire(self, item_id)
-
-
-class _ClusterLane:
-    """Per-cluster state of a :class:`ParallelWorkload`.
-
-    Each cluster draws from its *own* ``random.Random``: the lookahead
-    dispatcher only guarantees per-cluster subsequence order for
-    uninstrumented windows, so a shared stream would desynchronize the
-    workloads between modes even when dispatch is correct.  Every decision
-    here depends only on this cluster's own dispatch order.
-    """
-
-    def __init__(self, workload, members, seed):
-        self.workload = workload
-        self.rng = random.Random(seed)
-        self.log = []
-        self.live = {}  # id -> handle, scheduled but not fired/cancelled
-        self.fired = []  # candidates for rearm
-        self.next_id = 0
-        self.nodes = [_WorkloadNode(addr, self) for addr in members]
-
-    def schedule(self, when):
-        rng = self.rng
-        if self.fired and rng.random() < 0.4:
-            self.workload.sim.rearm(self.fired.pop(), when)
-            return
-        if self.next_id >= self.workload.max_items:
-            return
-        item_id = self.next_id
-        self.next_id += 1
-        node = rng.choice(self.nodes)
-        self.live[item_id] = self.workload.sim.at(when, node.fire, item_id)
-
-    def fire(self, node, item_id):
-        workload = self.workload
-        now = workload.sim.now
-        self.log.append((now, node.addr, item_id))
-        workload.merged_log.append((now, node.addr, item_id))
-        handle = self.live.pop(item_id, None)
-        if handle is not None:
-            self.fired.append(handle)
-        rng = self.rng
-        for _ in range(rng.randrange(3)):
-            self.schedule(now + rng.choice(workload.offsets))
-        if self.live and rng.random() < 0.25:
-            victim = rng.choice(sorted(self.live))
-            self.live.pop(victim).cancel()
-
-
-class ParallelWorkload:
-    """Cluster-partitioned timer workload for the lookahead dispatcher.
-
-    Structure mirrors :class:`TimerWorkload`, but the schedule is split
-    into independent per-cluster streams (owned timers, resolved through
-    the ``cluster_addr`` protocol) plus an optional ownerless global
-    ticker whose timers land on the global lane and therefore *cut*
-    dispatch windows.  Offsets are pinned to the lookahead horizon
-    boundary -- ``horizon - 1`` (last nanosecond routed into the active
-    lane), exactly ``horizon`` (first timer of the *next* window) and
-    ``horizon + 1`` -- the off-by-one territory where a broken window cut
-    or lane-routing comparison diverges first.
-
-    Observable contracts, asserted by the differential suite:
-
-    * per-cluster logs (:attr:`_ClusterLane.log`) and the global tick log
-      are identical between serial and lookahead dispatch, always;
-    * the interleaved :attr:`merged_log` is additionally identical
-      whenever the window runs merged (TRACE/METRICS enabled) or only one
-      cluster exists.
-    """
-
-    def __init__(self, sim, seed, clusters, horizon_ns,
-                 max_items=150, global_every=0):
-        self.sim = sim
-        self.horizon_ns = int(horizon_ns)
-        self.max_items = max_items
-        h = self.horizon_ns
-        #: Same-tick, next-tick, mid-window, and the three boundary cases.
-        self.offsets = (0, 1, h // 3, h - 1, h, h + 1, 2 * h + 5)
-        self.lanes = [
-            _ClusterLane(self, members, seed * 1_000_003 + i)
-            for i, members in enumerate(clusters)
-        ]
-        #: Run-horizon driver; its draws depend only on the round count,
-        #: never on dispatch order, so both modes see identical phases.
-        self.driver = random.Random(seed ^ 0x5EED)
-        self.global_every = int(global_every)
-        self.global_log = []
-        self.merged_log = []
-
-    def _global_tick(self, tick_id, remaining):
-        # Bound method of the workload itself: no ``cluster_addr`` on the
-        # owner, so this timer rides the global lane and barriers windows.
-        self.global_log.append((self.sim.now, tick_id))
-        if remaining > 0:
-            self.sim.at(self.sim.now + self.global_every,
-                        self._global_tick, tick_id + 1, remaining - 1)
-
-    def play(self, rounds=6):
-        """Phases of per-cluster root scheduling and bounded runs."""
-        sim = self.sim
-        if self.global_every:
-            sim.at(sim.now + self.global_every, self._global_tick, 0, 40)
-        for _ in range(rounds):
-            for lane in self.lanes:
-                for _ in range(8):
-                    lane.schedule(sim.now + lane.rng.choice(self.offsets))
-            sim.run(until=sim.now + self.driver.choice(
-                (self.horizon_ns // 2, self.horizon_ns, 3 * self.horizon_ns)
-            ))
-        sim.run()
-        return self.cluster_logs()
-
-    def cluster_logs(self):
-        """Per-cluster dispatch logs, in cluster declaration order."""
-        return [list(lane.log) for lane in self.lanes]
 
 
 def assert_logs_identical(log_a, log_b, label_a="a", label_b="b"):
