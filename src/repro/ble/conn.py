@@ -30,7 +30,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.ble.chanmap import ChannelMap
-from repro.ble.config import BleConfig, ConnParams, CsaVariant, SchedulerPolicy
+from repro.ble.config import ConnParams, CsaVariant, SchedulerPolicy
 from repro.ble.csa import Csa1, Csa2, ChannelSelection
 from repro.ble.pdu import DataPdu, Llid
 from repro.obs.registry import METRICS

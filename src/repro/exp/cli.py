@@ -12,7 +12,7 @@ Usage::
     python -m repro run experiment.yml -o out/  # execute + write artifacts
     python -m repro run experiment.yml --set duration_s=120 --set seed=7
     python -m repro trace -o trace-out/         # traced run + invariant check
-    python -m repro metrics -o metrics-out/     # metered + profiled run
+    python -m repro metrics -o metrics-out/     # metered run
     python -m repro sweep experiment.yml \\
         --grid conn_interval=75,[65:85] --grid producer_interval_s=0.1,1.0 \\
         --seeds 5 --workers 4 --cache-dir .repro-cache -o out/
@@ -59,19 +59,26 @@ def _env_int(name: str, default: int = 0) -> int:
         return default
 
 
+#: The accepted spellings of a bool override (matched case-insensitively).
+_BOOLS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
 def _coerce(config: ExperimentConfig, key: str, raw: str) -> object:
     """Parse ``raw`` into the type of ``config.<key>``."""
     if not hasattr(config, key):
         raise SystemExit(f"unknown config field {key!r}")
     current = getattr(config, key)
-    if isinstance(current, bool):
-        return raw.lower() in ("1", "true", "yes", "on")
     try:
+        if isinstance(current, bool):
+            return _BOOLS[raw.lower()]
         if isinstance(current, int):
             return int(raw)
         if isinstance(current, float):
             return float(raw)
-    except ValueError:
+    except (KeyError, ValueError):
         raise ValueError(f"{key}={raw!r} is not a valid {type(current).__name__}") from None
     return raw
 
@@ -110,7 +117,8 @@ def _load_config(
 
 
 def _parse_grid(config: ExperimentConfig, items: list[str]) -> dict:
-    """Parse repeated ``--grid KEY=V1,V2,...`` flags into a typed grid."""
+    """Parse repeated ``--grid KEY=V1,V2,...`` flags into a typed grid;
+    a mistyped value exits like a bad ``--set``."""
     grid: dict = {}
     for item in items:
         if "=" not in item:
@@ -119,7 +127,10 @@ def _parse_grid(config: ExperimentConfig, items: list[str]) -> dict:
         values = [v for v in raw.split(",") if v != ""]
         if not values:
             raise SystemExit(f"--grid axis {key!r} has no values")
-        grid[key] = [_coerce(config, key, v) for v in values]
+        try:
+            grid[key] = [_coerce(config, key, v) for v in values]
+        except ValueError as exc:
+            raise SystemExit(f"invalid config: {exc}") from None
     return grid
 
 
@@ -172,15 +183,6 @@ def main(argv: list[str] | None = None) -> int:
 
     add_lint_arguments(lint)
 
-    bench = sub.add_parser(
-        "bench",
-        help="re-run the committed perf scenarios; rewrite and optionally "
-             "gate on BENCH_metrics.json (non-zero exit on regression)",
-    )
-    from repro.obs.bench import add_bench_arguments
-
-    add_bench_arguments(bench)
-
     run = sub.add_parser("run", help="execute a YAML experiment description")
     run.add_argument("description", help="path to the experiment YAML")
     run.add_argument("-o", "--outdir", default=None,
@@ -193,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
 
     metrics = sub.add_parser(
         "metrics",
-        help="run with the metrics registry + profiler, write metrics.json",
+        help="run with the metrics registry, write metrics.json",
     )
     metrics.add_argument("description", nargs="?", default=None,
                          help="experiment YAML (default: a short 3-hop line)")
@@ -212,9 +214,6 @@ def main(argv: list[str] | None = None) -> int:
                               "either way)")
     metrics.add_argument("--cache-dir", default=None,
                          help="result cache directory for the repetitions")
-    metrics.add_argument("--no-profile", action="store_true",
-                         help="skip the wall-clock profiler pass "
-                              "(no profile.json)")
 
     trace = sub.add_parser(
         "trace",
@@ -300,11 +299,6 @@ def main(argv: list[str] | None = None) -> int:
 
         return run_lint(args)
 
-    if args.command == "bench":
-        from repro.obs.bench import run_bench_cli
-
-        return run_bench_cli(args)
-
     if args.command == "metrics":
         from repro.exp.metricscmd import (
             example_config,
@@ -326,7 +320,6 @@ def main(argv: list[str] | None = None) -> int:
             repetitions=args.repetitions,
             max_workers=args.workers,
             cache_dir=args.cache_dir,
-            profile=not args.no_profile,
         )
         print(render_metrics_summary(report), end="")
         return 0

@@ -1,14 +1,11 @@
-"""The ``python -m repro metrics`` subcommand: a metered + profiled run.
+"""The ``python -m repro metrics`` subcommand: a metered run.
 
-Runs an experiment with the runtime metrics registry armed (and, unless
-disabled, a second in-process pass under the wall-clock profiler), then
-writes the observability artifacts next to each other::
+Runs an experiment with the runtime metrics registry armed, then writes
+the observability artifacts next to each other::
 
     <outdir>/
       metrics.json   merged, canonical metrics document (repro.obs/1)
       metrics.prom   the same scopes in Prometheus text exposition format
-      profile.json   per-subsystem wall-clock profile (absent with
-                     ``profile=False``; non-deterministic by nature)
 
 With ``repetitions > 1`` the repetitions run through the parallel engine
 and their registries merge into one document; the document bytes are
@@ -20,10 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.exp.config import ExperimentConfig
-from repro.exp.report import format_table
 from repro.exp.runner import run_experiment
 from repro.obs.export import (
     build_metrics_document,
@@ -31,9 +27,7 @@ from repro.obs.export import (
     to_prometheus,
     validate_metrics_document,
 )
-from repro.obs.profiler import PROFILER
 from repro.obs.registry import Histogram
-from repro.sim.units import s_to_ns
 
 
 def example_config(description: str = "") -> ExperimentConfig:
@@ -41,7 +35,7 @@ def example_config(description: str = "") -> ExperimentConfig:
 
     Four nodes in a line is the smallest topology where forwarding,
     fragmentation and the shared-radio scheduler all contribute events, so
-    every instrumented subsystem shows up in the document and the profile.
+    every instrumented subsystem shows up in the document.
     """
     return ExperimentConfig(
         name=description or "metrics",
@@ -62,7 +56,6 @@ class MetricsReport:
     document: dict
     outdir: Path
     runs: int
-    profile: Optional[dict] = None
 
 
 def run_metrics(
@@ -71,16 +64,13 @@ def run_metrics(
     repetitions: int = 1,
     max_workers: int = 1,
     cache_dir: Optional[str] = None,
-    profile: bool = True,
 ) -> MetricsReport:
-    """Run ``config`` with metrics on; write the document (and profile).
+    """Run ``config`` with metrics on; write the document.
 
     :param repetitions: derived-seed repetitions merged into the document.
     :param max_workers: >1 shards repetitions across worker processes; the
         resulting ``metrics.json`` is byte-identical either way.
     :param cache_dir: enables the engine's on-disk result cache.
-    :param profile: also run the first repetition in-process under the
-        wall-clock profiler and write ``profile.json``.
     """
     if repetitions < 1:
         raise ValueError("need at least one repetition")
@@ -118,28 +108,7 @@ def run_metrics(
     validate_metrics_document(document)
     (out / "metrics.json").write_text(dumps_metrics_document(document))
     (out / "metrics.prom").write_text(to_prometheus(document["scopes"]))
-
-    profile_doc = None
-    if profile:
-        # Separate in-process pass with metrics *off*, so the profile
-        # reflects plain-simulation dispatch cost (the perf baseline).
-        PROFILER.configure()
-        try:
-            run_experiment(replace(configs[0], metrics=False))
-        finally:
-            profile_doc = PROFILER.report(
-                sim_time_ns=s_to_ns(config.total_runtime_s)
-            )
-            PROFILER.reset()
-        import json
-
-        (out / "profile.json").write_text(
-            json.dumps(profile_doc, sort_keys=True, indent=2) + "\n"
-        )
-
-    return MetricsReport(
-        document=document, outdir=out, runs=repetitions, profile=profile_doc
-    )
+    return MetricsReport(document=document, outdir=out, runs=repetitions)
 
 
 def _merged_rtt_histogram(document: dict) -> Optional[Histogram]:
@@ -166,8 +135,7 @@ def render_metrics_summary(report: MetricsReport) -> str:
     lines = [
         f"metrics: {doc['runs']} run(s), {len(doc['scopes'])} scopes, "
         f"{counters} counters",
-        f"artifacts: {report.outdir}/metrics.json, metrics.prom"
-        + (", profile.json" if report.profile else ""),
+        f"artifacts: {report.outdir}/metrics.json, metrics.prom",
     ]
     rtt = _merged_rtt_histogram(doc)
     if rtt is not None and rtt.count:
@@ -175,28 +143,5 @@ def render_metrics_summary(report: MetricsReport) -> str:
             f"CoAP RTT ({rtt.count} samples): "
             f"p50={rtt.percentile(0.50) * 1000:.1f}ms "
             f"p99={rtt.percentile(0.99) * 1000:.1f}ms"
-        )
-    if report.profile:
-        prof = report.profile
-        lines += [
-            "",
-            f"events/sec: {prof['events_per_wall_s']:.0f} "
-            f"({prof['events']} events in {prof['wall_s']:.3f}s wall, "
-            f"x{prof.get('sim_s_per_wall_s', 0.0):.0f} real time)",
-        ]
-        rows: List[List[object]] = []
-        for name, entry in prof["subsystems"].items():
-            rows.append(
-                [
-                    name,
-                    entry["events"],
-                    f"{entry['wall_s'] * 1000:.1f}",
-                    f"{entry['share'] * 100:.1f}",
-                ]
-            )
-        lines.append(
-            format_table(
-                ["subsystem", "events", "wall [ms]", "share [%]"], rows
-            )
         )
     return "\n".join(lines) + "\n"

@@ -18,7 +18,7 @@ from typing import Callable, List, Optional
 
 from repro.exp.config import ExperimentConfig
 from repro.exp.metrics import percentile
-from repro.exp.runner import ExperimentResult, run_experiment
+from repro.exp.runner import run_experiment
 
 #: Stride between repetition seed blocks.  Repetition ``k`` of base seed
 #: ``s`` uses ``s * SEED_STRIDE + k``, so the 5-seed sets of distinct base

@@ -20,7 +20,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.ble.config import BleConfig, SchedulerPolicy
 from repro.ble.chanmap import ChannelMap
-from repro.ble.conn import Role
 from repro.core.statconn import StatconnConfig
 from repro.core.intervals import IntervalPolicy, StaticIntervalPolicy
 from repro.exp.config import (
@@ -30,7 +29,6 @@ from repro.exp.config import (
 )
 from repro.exp.events import EventLog
 from repro.exp.portable import (
-    DIRECTIONS,
     LinkKey,
     LinkSeries,
     PortableResult,

@@ -9,7 +9,7 @@ union of findings through inline suppressions, and returns them sorted.
 
 Suppression grammar (one comment, same line or the line directly above)::
 
-    # simlint: allow-wallclock -- profiler measures real elapsed time
+    # simlint: allow-wallclock -- progress line only, never sim input
     # simlint: allow-wallclock,allow-env -- reason covering both
 
 The reason after ``--`` is mandatory: a suppression without one, or one

@@ -42,8 +42,8 @@ _E: Dict[str, Explanation] = {
         ),
         fix=(
             "Pass sim time in as a parameter, or route the read through\n"
-            "repro.obs.wallclock / repro.obs.profiler (the sanctioned homes;\n"
-            "taint never escapes them).  Escape hatch:\n"
+            "repro.obs.wallclock (the sanctioned home; taint never escapes\n"
+            "it).  Escape hatch:\n"
             "    # simlint: allow-wallclock -- <why this read is justified>"
         ),
     ),

@@ -13,7 +13,7 @@ the rules err toward flagging, the suppression inventory stays auditable.
 +--------+----------------+-----------------------------------------------+
 | code   | alias          | property enforced                             |
 +========+================+===============================================+
-| SL001  | wallclock      | no wall-clock reads outside profiler modules  |
+| SL001  | wallclock      | no wall-clock reads outside obs.wallclock     |
 | SL002  | rng            | all randomness flows through repro.sim.rng    |
 | SL003  | set-order      | no order-sensitive iteration over sets        |
 | SL004  | float-time     | no float arith/equality on integer sim time   |
@@ -152,14 +152,14 @@ class WallclockRule(Rule):
     """SL001: simulated code must never read the host clock.
 
     Simulation time is :attr:`repro.sim.kernel.Simulator.now`; wall-clock
-    reads belong to the profiler modules (which are allowlisted) and make
-    any value they touch non-reproducible.
+    reads belong to :mod:`repro.obs.wallclock` (which is allowlisted) and
+    make any value they touch non-reproducible.
     """
 
     code = "SL001"
     alias = "wallclock"
     summary = "no wall-clock reads (time.time, perf_counter, datetime.now)"
-    allowed_modules = frozenset({"repro.obs.profiler", "repro.obs.wallclock"})
+    allowed_modules = frozenset({"repro.obs.wallclock"})
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         time_aliases = _module_aliases(ctx.tree, "time")
@@ -176,7 +176,7 @@ class WallclockRule(Rule):
                                 node,
                                 f"wall-clock import 'from time import {item.name}'"
                                 " -- sim code must use Simulator.now; wall-clock"
-                                " reads live in repro.obs.profiler/wallclock",
+                                " reads live in repro.obs.wallclock",
                             )
                 elif node.module == "datetime":
                     for item in node.names:

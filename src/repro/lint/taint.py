@@ -13,11 +13,11 @@ Semantics, deliberately conservative and deterministic:
   (shared predicates below), so the two layers can never disagree about
   what counts as a read.
 * **Barriers** are each rule's sanctioned modules (``repro.obs.wallclock``
-  and ``repro.obs.profiler`` for wall-clock, ``repro.sim.rng`` for
-  randomness, ``repro.exp.cli`` for env): taint never propagates *out of*
-  a barrier module, because routing through it is exactly the sanctioned
-  fix.  An inline suppression on the source line is likewise a barrier --
-  a justified read must not re-flag every caller.
+  for wall-clock, ``repro.sim.rng`` for randomness, ``repro.exp.cli`` for
+  env): taint never propagates *out of* a barrier module, because routing
+  through it is exactly the sanctioned fix.  An inline suppression on the
+  source line is likewise a barrier -- a justified read must not re-flag
+  every caller.
 * **Propagation** follows ``call`` and ``partial`` edges of the
   :class:`repro.lint.graph.Project` graph (a ``partial(f, ...)`` bakes the
   creator's context into ``f``); bare callback references do not
@@ -48,7 +48,7 @@ KINDS = (WALLCLOCK, RNG, ENV)
 
 #: kind -> modules taint never escapes from (the sanctioned homes).
 BARRIER_MODULES: Dict[str, frozenset] = {
-    WALLCLOCK: frozenset({"repro.obs.profiler", "repro.obs.wallclock"}),
+    WALLCLOCK: frozenset({"repro.obs.wallclock"}),
     RNG: frozenset({"repro.sim.rng"}),
     ENV: frozenset({"repro.exp.cli"}),
 }
@@ -140,7 +140,7 @@ class TaintAnalysis:
         """module -> lines carrying a simlint suppression (any rule).
 
         A suppressed source read is *sanctioned*: it must not seed taint,
-        or every caller of e.g. the profiled dispatch loop would light up
+        or every caller of the function holding it would light up
         despite the justified inline allow.
         """
         from repro.lint.core import parse_suppressions

@@ -1,4 +1,4 @@
-"""Runtime observability: metrics, snapshots, and the simulator profiler.
+"""Runtime observability: metrics, snapshots, and their export.
 
 ``repro.obs`` is the aggregate companion of :mod:`repro.trace`: where the
 tracer records *every* event for offline inspection, the metrics hub keeps
@@ -12,14 +12,12 @@ Modules:
 
 * :mod:`repro.obs.registry` -- instruments, per-scope registries, and the
   :data:`~repro.obs.registry.METRICS` hub singleton.
-* :mod:`repro.obs.profiler` -- the wall-clock dispatch profiler and its
-  :data:`~repro.obs.profiler.PROFILER` singleton.
 * :mod:`repro.obs.sampler` -- the sim-time snapshotter that turns registry
   states into time series (including the shading-onset gauge).
 * :mod:`repro.obs.export` -- ``metrics.json`` documents, Prometheus text
   exposition, and cross-repetition merging.
-* :mod:`repro.obs.bench` -- the perf-baseline harness behind
-  ``BENCH_metrics.json``.
+* :mod:`repro.obs.wallclock` -- the one sanctioned host-clock import for
+  operator-facing timing (timeouts, progress lines).
 """
 
 from repro.obs.registry import (
@@ -39,13 +37,11 @@ from repro.obs.export import (
     to_prometheus,
     validate_metrics_document,
 )
-from repro.obs.profiler import PROFILER, Profiler
 from repro.obs.sampler import MetricsSnapshotter
 
 __all__ = [
     "METRICS",
     "METRICS_SCHEMA",
-    "PROFILER",
     "Counter",
     "CounterVec",
     "Gauge",
@@ -53,7 +49,6 @@ __all__ = [
     "MetricsHub",
     "MetricsRegistry",
     "MetricsSnapshotter",
-    "Profiler",
     "RTT_BUCKETS_S",
     "build_metrics_document",
     "dumps_metrics_document",

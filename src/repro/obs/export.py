@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.registry import merge_scope_snapshots
 
@@ -128,57 +128,60 @@ def to_prometheus(scopes: dict) -> str:
     Counters get a ``_total`` suffix, histograms the conventional
     ``_bucket{le=...}`` / ``_sum`` / ``_count`` triple with cumulative
     bucket counts, vectors one sample per label value.  The per-node /
-    per-subsystem scope becomes a ``scope`` label.
+    per-subsystem scope becomes a ``scope`` label.  Each metric family is
+    one group -- its ``# TYPE`` line, then its samples for every scope in
+    sorted order -- as the text format requires; families are sorted by
+    name.
     """
-    lines: List[str] = []
-    types_seen = set()
+    families: Dict[str, Tuple[str, List[str]]] = {}
 
-    def type_line(metric: str, kind: str) -> None:
-        if metric not in types_seen:
-            types_seen.add(metric)
-            lines.append(f"# TYPE {metric} {kind}")
+    def family(metric: str, kind: str) -> List[str]:
+        return families.setdefault(metric, (kind, []))[1]
 
     for scope in sorted(scopes):
         registry = scopes[scope]
         for name in sorted(registry.get("counters", {})):
             metric = _metric_name(name) + "_total"
-            type_line(metric, "counter")
             value = registry["counters"][name]
-            lines.append(f'{metric}{{scope="{scope}"}} {value}')
+            family(metric, "counter").append(f'{metric}{{scope="{scope}"}} {value}')
         for name in sorted(registry.get("gauges", {})):
             gauge = registry["gauges"][name]
             metric = _metric_name(name)
             for suffix, key in (("", "last"), ("_min", "min"), ("_max", "max")):
                 if gauge.get(key) is None:
                     continue
-                type_line(metric + suffix, "gauge")
-                lines.append(
+                family(metric + suffix, "gauge").append(
                     f'{metric}{suffix}{{scope="{scope}"}} {gauge[key]}'
                 )
         for name in sorted(registry.get("histograms", {})):
             hist = registry["histograms"][name]
             metric = _metric_name(name)
-            type_line(metric, "histogram")
+            samples = family(metric, "histogram")
             cumulative = 0
             for bound, count in zip(hist["bounds"], hist["counts"]):
                 cumulative += count
-                lines.append(
+                samples.append(
                     f'{metric}_bucket{{scope="{scope}",le="{bound}"}} '
                     f"{cumulative}"
                 )
-            lines.append(
+            samples.append(
                 f'{metric}_bucket{{scope="{scope}",le="+Inf"}} {hist["count"]}'
             )
-            lines.append(f'{metric}_sum{{scope="{scope}"}} {hist["sum"]}')
-            lines.append(f'{metric}_count{{scope="{scope}"}} {hist["count"]}')
+            samples.append(f'{metric}_sum{{scope="{scope}"}} {hist["sum"]}')
+            samples.append(f'{metric}_count{{scope="{scope}"}} {hist["count"]}')
         for name in sorted(registry.get("vectors", {})):
             vec = registry["vectors"][name]
             metric = _metric_name(name) + "_total"
-            type_line(metric, "counter")
+            samples = family(metric, "counter")
             label_key = _NAME_SANITIZE.sub("_", vec.get("label", "label"))
             for label in sorted(vec.get("values", {})):
-                lines.append(
+                samples.append(
                     f'{metric}{{scope="{scope}",{label_key}="{label}"}} '
                     f"{vec['values'][label]}"
                 )
+    lines: List[str] = []
+    for metric in sorted(families):
+        kind, samples = families[metric]
+        lines.append(f"# TYPE {metric} {kind}")
+        lines.extend(samples)
     return "\n".join(lines) + ("\n" if lines else "")

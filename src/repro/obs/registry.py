@@ -26,9 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from math import inf, nan
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-from repro.obs.instr import INSTR
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 #: Default bucket upper bounds for CoAP round-trip-time histograms, in
 #: seconds.  Roughly geometric from 1 ms to 2 min: fine enough that the
@@ -305,13 +303,11 @@ class MetricsHub:
         """Arm the hub: drop previous registries, enable collection."""
         self._scopes = {}
         self.enabled = True
-        INSTR.bump()
 
     def reset(self) -> None:
         """Disarm the hub and drop all registries."""
         self.enabled = False
         self._scopes = {}
-        INSTR.bump()
 
     def scope(self, name: str) -> MetricsRegistry:
         """The registry of ``name`` (created on first use)."""

@@ -1,8 +1,8 @@
 """The sanctioned wall-clock door.
 
-simlint's SL001 forbids host-clock reads everywhere except the profiler
-modules, because a wall-clock value that reaches simulated state or cached
-results destroys reproducibility.  Orchestration code still has legitimate
+simlint's SL001 forbids host-clock reads everywhere except this module,
+because a wall-clock value that reaches simulated state or cached results
+destroys reproducibility.  Orchestration code still has legitimate
 wall-clock needs -- worker timeouts, progress lines, engine throughput
 stats -- so those call sites import from *here* instead of :mod:`time`.
 The module is allowlisted by SL001; importing it is a visible, greppable
@@ -15,12 +15,5 @@ hash, or a serialized result document.
 from __future__ import annotations
 
 from time import monotonic, perf_counter
-from time import time as _wall_time
 
-__all__ = ["monotonic", "perf_counter", "unix_time"]
-
-
-def unix_time() -> float:
-    """Seconds since the Unix epoch -- for operator-facing timestamps only
-    (bench history lines, progress output), never simulation input."""
-    return _wall_time()
+__all__ = ["monotonic", "perf_counter"]

@@ -44,13 +44,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.obs.instr import INSTR
-from repro.obs.profiler import PROFILER
 from repro.obs.registry import METRICS
-
-# simlint: allow-wallclock -- the profiler hook measures real dispatch cost;
-# perf_counter values never reach simulated state (see repro.obs.profiler).
-from repro.obs.wallclock import perf_counter
 from repro.trace.record import callback_name
 from repro.trace.tracer import TRACE
 
@@ -352,27 +346,20 @@ class Simulator:
             ``until`` (if given) or the time of the last executed event.
         :returns: the number of callbacks executed during this call.
 
-        One of several specialized dispatch loops is selected here based on
-        which instrumentation hubs are enabled, so the common uninstrumented
-        run pays zero per-event predicate cascade; the selection is redone
-        whenever a hub toggles (see :mod:`repro.obs.instr`).
+        The dispatch loop is chosen once per call: the plain loop unless
+        tracing or metrics are enabled, so the common uninstrumented run
+        pays no per-event predicate.  Hubs are configured and reset between
+        runs; one switched on inside a run takes effect at the next call.
         """
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
         self._stopped = False
-        executed = 0
         try:
-            while True:
-                version = INSTR.version
-                if TRACE.enabled or METRICS.enabled:
-                    executed += self._loop_instrumented(until, version)
-                elif PROFILER.enabled:
-                    executed += self._loop_profiled(until, version)
-                else:
-                    executed += self._loop_plain(until, version)
-                if INSTR.version == version:
-                    break  # the loop returned because it is actually done
+            if TRACE.enabled or METRICS.enabled:
+                executed = self._loop_instrumented(until)
+            else:
+                executed = self._loop_plain(until)
             if until is not None and not self._stopped and self._now < until:
                 self._now = until
         finally:
@@ -380,12 +367,11 @@ class Simulator:
         self.events_executed += executed
         return executed
 
-    def _loop_plain(self, until: Optional[int], version: int) -> int:
+    def _loop_plain(self, until: Optional[int]) -> int:
         """Dispatch with no instrumentation enabled (the fast path)."""
         executed = 0
-        instr = INSTR
         cur = self._cur
-        while not self._stopped and instr.version == version:
+        while not self._stopped:
             if not cur:
                 if not self._advance():
                     break
@@ -410,69 +396,11 @@ class Simulator:
             executed += 1
         return executed
 
-    def _loop_profiled(self, until: Optional[int], version: int) -> int:
-        """Dispatch with only the wall-clock profiler enabled.
-
-        Attribution is batched in loop-local dicts keyed by the callback
-        object (stable across ``rearm``) and flushed into the profiler via
-        :meth:`Profiler.record_bulk` when the loop exits -- one dict update
-        per event instead of a ``record`` call.
-        """
+    def _loop_instrumented(self, until: Optional[int]) -> int:
+        """Dispatch with tracing and/or metrics enabled."""
         executed = 0
-        instr = INSTR
-        record = PROFILER.record
-        rec_counts: dict = {}
-        rec_times: dict = {}
         cur = self._cur
-        try:
-            while not self._stopped and instr.version == version:
-                if not cur:
-                    if not self._advance():
-                        break
-                    cur = self._cur
-                    continue
-                entry = cur[0]
-                timer = entry[2]
-                if timer.cancelled:
-                    heappop(cur)
-                    self._n_items -= 1
-                    self._n_cancelled -= 1
-                    self._recycle(timer)
-                    continue
-                when = entry[0]
-                if until is not None and when >= until:
-                    break
-                heappop(cur)
-                self._n_items -= 1
-                timer.queued = False
-                self._now = when
-                callback = timer.callback
-                # simlint: allow-wallclock -- profiler attribution only; the
-                # measured wall seconds stay in profile.json.
-                t0 = perf_counter()
-                callback(*timer.args)
-                dt = perf_counter() - t0  # simlint: allow-wallclock -- profiler hook
-                try:
-                    if callback in rec_times:
-                        rec_times[callback] += dt
-                        rec_counts[callback] += 1
-                    else:
-                        rec_times[callback] = dt
-                        rec_counts[callback] = 1
-                except TypeError:  # unhashable callable
-                    record(callback, dt)
-                executed += 1
-        finally:
-            for callback, total in rec_times.items():
-                PROFILER.record_bulk(callback, rec_counts[callback], total)
-        return executed
-
-    def _loop_instrumented(self, until: Optional[int], version: int) -> int:
-        """Dispatch with tracing and/or metrics (and maybe the profiler)."""
-        executed = 0
-        instr = INSTR
-        cur = self._cur
-        while not self._stopped and instr.version == version:
+        while not self._stopped:
             if not cur:
                 if not self._advance():
                     break
@@ -501,14 +429,7 @@ class Simulator:
                     timer_seq=timer.seq,
                     callback=callback_name(timer.callback),
                 )
-            if PROFILER.enabled:
-                # simlint: allow-wallclock -- profiler attribution only;
-                # the measured wall seconds stay in profile.json.
-                t0 = perf_counter()
-                timer.callback(*timer.args)
-                PROFILER.record(timer.callback, perf_counter() - t0)  # simlint: allow-wallclock -- profiler hook
-            else:
-                timer.callback(*timer.args)
+            timer.callback(*timer.args)
             executed += 1
             if METRICS.enabled:
                 METRICS.inc("sim", "kernel.events_dispatched")

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.instr import INSTR
 from repro.obs.registry import METRICS, PHASE_BUCKETS_S, RTT_BUCKETS_S
 from repro.sim.units import ns_to_s
 from repro.spans.check import SpanViolation, check_journey
@@ -112,7 +111,6 @@ class SpanHub:
         self._hop_by_tag = {}
         self._open_by_conn = {}
         self.enabled = True
-        INSTR.bump()
 
     def attach_sim(self, sim: Any) -> None:
         """Late-bind the simulator (the runner knows it after net build)."""
@@ -121,7 +119,6 @@ class SpanHub:
     def reset(self) -> None:
         """Disarm the hub and drop all state."""
         self.enabled = False
-        INSTR.bump()
         self.now_hint = None
         self._sim = None
         self._ctx = None

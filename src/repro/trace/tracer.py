@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Optional, Set
 
-from repro.obs.instr import INSTR
 from repro.trace.record import TraceRecord
 
 
@@ -73,7 +72,6 @@ class Tracer:
         self._seq = 0
         self.records_emitted = 0
         self.enabled = True
-        INSTR.bump()
 
     def attach_sim(self, sim: Any) -> None:
         """Late-bind the simulator (the runner knows it after net build)."""
@@ -82,7 +80,6 @@ class Tracer:
     def reset(self) -> None:
         """Disarm the tracer and drop sink references (sinks stay open)."""
         self.enabled = False
-        INSTR.bump()
         self._sinks = ()
         self._sim = None
         self._layers = None

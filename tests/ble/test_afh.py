@@ -1,7 +1,5 @@
 """Tests for adaptive frequency hopping."""
 
-import pytest
-
 from repro.ble.afh import AfhConfig, AfhManager
 from repro.ble.config import ConnParams
 from repro.sim.units import MSEC, SEC

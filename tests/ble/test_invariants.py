@@ -11,8 +11,6 @@ processes and check the conservation laws that must hold regardless:
 * the radio scheduler's busy time never exceeds wall time.
 """
 
-import random
-
 from hypothesis import given, settings, strategies as st
 
 from repro.ble.config import ConnParams

@@ -1,8 +1,6 @@
 """Tests for the gcoap-equivalent endpoint (client + server)."""
 
-import pytest
-
-from repro.sim.units import MSEC, SEC
+from repro.sim.units import SEC
 from repro.testbed.topology import BleNetwork
 from repro.coap import CoapEndpoint
 from repro.coap.message import CoapCode, CoapMessage, CoapType

@@ -1,10 +1,7 @@
 """Tests for dynamic topology formation (dynconn + RPL)."""
 
-import pytest
-
 from repro.ble.conn import DisconnectReason, Role
 from repro.sim.units import SEC
-from repro.sixlowpan.ipv6 import Ipv6Address
 from repro.testbed.dynamic import DynamicBleNetwork
 
 

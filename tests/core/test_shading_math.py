@@ -5,7 +5,6 @@ import pytest
 from repro.core.shading import (
     detect_degradation_spans,
     network_shading_events,
-    shading_events_per_hour,
     time_to_overlap_s,
     typical_events_per_hour,
     worst_case_events_per_hour,

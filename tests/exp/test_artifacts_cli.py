@@ -82,6 +82,12 @@ class TestCli:
             main(["run", str(desc), "--set", "garbage"])
         with pytest.raises(SystemExit, match="^invalid config: duration_s='long' is not"):
             main(["run", str(desc), "--set", "duration_s=long"])
+        with pytest.raises(SystemExit, match="^invalid config: duration_s='long' is not"):
+            main(["sweep", str(desc), "--grid", "duration_s=long"])
+        for key in ("confirmable", "abort_event_on_crc_error"):
+            message = f"^invalid config: {key}='ture' is not a valid bool"
+            with pytest.raises(SystemExit, match=message):
+                main(["run", str(desc), "--set", "duration_s=1", "--set", f"{key}=ture"])
 
     def test_bool_override_parsing(self, tmp_path, capsys):
         desc = tmp_path / "exp.yml"

@@ -7,7 +7,6 @@ import pytest
 
 from repro.exp import ExperimentConfig, run_experiment
 from repro.exp.cache import RESULT_CACHE_VERSION, ResultCache
-from repro.exp.portable import PortableResult
 
 SHORT = dict(duration_s=10.0, warmup_s=4.0, drain_s=3.0)
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.gatt import GattClient, GattServer, IPSS_UUID, add_ipss, check_ip_support
 from repro.gatt.att import (
-    ATT_CID,
     AttClient,
     AttServer,
     DEFAULT_ATT_MTU,
@@ -161,7 +160,6 @@ class TestFullStackIntegration:
     def test_dynconn_rejects_non_ip_peer(self):
         """A peer without IPSS is disconnected and never re-adopted."""
         from repro.testbed.dynamic import DynamicBleNetwork
-        from repro.core.dynconn import DynconnConfig
 
         net = DynamicBleNetwork(3, seed=82)
         for dynconn in net.dynconns:

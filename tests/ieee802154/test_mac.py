@@ -6,7 +6,7 @@ from repro.ieee802154.mac import Mac154, MacConfig
 from repro.ieee802154.medium154 import CsmaMedium
 from repro.phy.medium import InterferenceModel
 from repro.sim import Simulator
-from repro.sim.units import MSEC, SEC
+from repro.sim.units import SEC
 
 
 def make_macs(n=2, seed=1, interference=None, config=None):

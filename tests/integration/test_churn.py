@@ -1,6 +1,5 @@
 """Failure-injection / churn properties of the self-healing stack."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ble.conn import DisconnectReason, Role

@@ -5,8 +5,6 @@ composes, forwards multi-hop, and recovers from link loss.  The paper-scale
 experiments live in ``benchmarks/``.
 """
 
-import pytest
-
 from repro.ble.conn import DisconnectReason
 from repro.sim.units import MSEC, SEC
 from repro.testbed.topology import BleNetwork, line_topology_edges
@@ -37,6 +35,7 @@ def test_three_hop_forwarding():
     producer.start()
     net.run(15 * SEC)
     assert producer.pdr == 1.0
+    assert consumer.total_requests == producer.requests_sent
     # intermediate nodes actually forwarded (request and response legs)
     assert net.nodes[1].ip.forwarded >= 2 * producer.requests_sent
     assert net.nodes[2].ip.forwarded >= 2 * producer.requests_sent
@@ -76,6 +75,7 @@ def test_multiple_producers_tree():
     for producer in producers:
         assert producer.requests_sent > 0
         assert producer.pdr == 1.0, f"producer {producer.node.node_id}"
+    assert consumer.total_requests == sum(p.requests_sent for p in producers)
 
 
 def test_traffic_survives_connection_loss():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ble.config import BleConfig, ConnParams
+from repro.ble.config import BleConfig
 from repro.l2cap import CocConfig, L2capCoc
 from repro.phy.medium import InterferenceBurst
 from repro.sim.units import MSEC, SEC

@@ -1,8 +1,5 @@
 """Tests for the LE credit-based connection handshake (RFC 7668 / IPSP)."""
 
-import pytest
-
-from repro.ble.config import ConnParams
 from repro.l2cap import L2capCoc
 from repro.l2cap.coc import IPSP_PSM
 from repro.sim.units import MSEC, SEC

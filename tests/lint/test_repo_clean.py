@@ -7,6 +7,7 @@ the BLE connection machinery, an unseeded draw in the kernel) flips the
 result to failing.
 """
 
+import ast
 from pathlib import Path
 
 from repro.lint import lint_paths, lint_source
@@ -18,6 +19,27 @@ SRC = REPO / "src" / "repro"
 def test_repo_is_simlint_clean():
     findings = lint_paths([SRC])
     assert findings == [], "\n".join(f.render() for f in findings)
+
+
+def _imported_modules(tree: ast.AST) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+    return names
+
+
+def test_sim_package_reads_no_host_clock():
+    """The kernel and its helpers need no wall-clock exemption at all."""
+    files = sorted((SRC / "sim").glob("*.py"))
+    assert files
+    for path in files:
+        source = path.read_text()
+        assert "allow-wallclock" not in source, path.name
+        imported = _imported_modules(ast.parse(source))
+        assert not imported & {"time", "repro.obs.wallclock"}, path.name
 
 
 class TestMutationIsCaught:

@@ -67,10 +67,11 @@ class TestWallclockRule:
         findings = [f for f in lint_source(src, "x.py") if f.code == "SL001"]
         assert len(findings) == 2  # the import and the call
 
-    def test_profiler_module_is_allowlisted(self):
+    def test_only_wallclock_module_is_allowlisted(self):
         src = "import time\n\nt = time.time()\n"
-        assert lint_source(src, "x.py", module="repro.obs.profiler") == []
         assert lint_source(src, "x.py", module="repro.obs.wallclock") == []
+        findings = lint_source(src, "x.py", module="repro.obs.export")
+        assert "SL001" in codes(findings)
 
     def test_sim_now_is_clean(self):
         src = "def f(sim):\n    return sim.now\n"

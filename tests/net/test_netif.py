@@ -1,6 +1,6 @@
 """Tests for the BLE network interface (nimble_netif equivalent)."""
 
-from repro.sim.units import MSEC, SEC
+from repro.sim.units import SEC
 from repro.sixlowpan.ipv6 import Ipv6Address, Ipv6Packet, UdpDatagram
 from repro.testbed.topology import BleNetwork
 

@@ -120,6 +120,28 @@ class TestPrometheus:
         assert text.count("# TYPE repro_coap_requests_total counter") == 1
         assert 'repro_coap_requests_total{scope="node2"}' in text
 
+    def test_each_family_is_one_contiguous_group(self):
+        hub = MetricsHub()
+        hub.configure()
+        for scope in ("node2", "node1"):
+            hub.inc(scope, "ble.conn_events_served")
+            hub.inc(scope, "coap.requests", 2)
+            hub.observe(scope, "coap.rtt_seconds", 0.1, [0.05, 0.2])
+        text = to_prometheus(hub.snapshot())
+        families, family = [], None
+        for line in text.splitlines():
+            if line.startswith("# TYPE "):
+                family = line.split()[2]
+                families.append(family)
+                continue
+            name = line.split("{", 1)[0]
+            assert name in (family, f"{family}_bucket", f"{family}_sum",
+                            f"{family}_count"), line
+        assert families == sorted(set(families))
+        assert text.index('_total{scope="node1"} 2') < text.index(
+            '_total{scope="node2"} 2'
+        )
+
     def test_unmerged_gauge_keeps_last_value(self):
         text = to_prometheus(_payload()["scopes"])
         assert 'repro_kernel_timer_queue_depth{scope="sim"} 5' in text

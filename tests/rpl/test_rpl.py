@@ -6,8 +6,6 @@ routes.  The resulting forwarding state must match what the paper
 configures statically (§4.3).
 """
 
-import pytest
-
 from repro.rpl import INFINITE_RANK, RplConfig, RplInstance
 from repro.sim.units import SEC
 from repro.sixlowpan.ipv6 import Ipv6Address
@@ -89,6 +87,7 @@ class TestRoutes:
         producer.start()
         net.run(80 * SEC)
         assert producer.acks_received > 0
+        assert consumer.total_requests >= producer.acks_received
         assert producer.pdr > 0.9
 
 

@@ -4,6 +4,15 @@ import pytest
 
 from repro.sim import Simulator, SEC, MSEC
 from repro.sim.kernel import WHEEL_SLOT_NS, SimulationError
+from repro.trace.sinks import RingBufferSink
+from repro.trace.tracer import TRACE
+
+
+@pytest.fixture
+def clean_trace():
+    TRACE.reset()
+    yield
+    TRACE.reset()
 
 
 def test_events_fire_in_time_order():
@@ -135,6 +144,23 @@ def test_events_executed_counter():
         sim.at(i * MSEC, lambda: None)
     sim.run()
     assert sim.events_executed == 5
+
+
+def test_tracing_switched_on_between_runs_covers_the_next_run(clean_trace):
+    """The dispatch loop is chosen per ``run()`` call: tracing armed
+    between two runs records exactly the second run's events."""
+    sim = Simulator()
+    for i in range(10):
+        sim.at(i * MSEC, lambda: None)
+    t1, t2 = 4 * MSEC, 8 * MSEC
+    first = sim.run(until=t1)
+    ring = RingBufferSink()
+    TRACE.configure(sinks=[ring])
+    second = sim.run(until=t2)
+    dispatched = [r.time_ns for r in ring.records() if r.key == "kernel.dispatch"]
+    assert dispatched == [i * MSEC for i in range(4, 8)]
+    assert (first, second) == (4, 4)
+    assert sim.events_executed == first + second
 
 
 def test_periodic_rescheduling_pattern():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Simulator
-from repro.sim.units import MSEC, SEC
+from repro.sim.units import SEC
 from repro.sixlowpan import frag
 
 

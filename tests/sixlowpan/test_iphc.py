@@ -78,7 +78,6 @@ class TestRoundtrips:
             assert decompress(wire, IID1, None) == pkt, text
 
     def test_hop_limit_special_values_cost_nothing(self):
-        base = None
         sizes = {}
         for hlim in (1, 64, 255, 65):
             pkt = udp_packet(

@@ -6,7 +6,6 @@ error -- never die with an unrelated exception.  These fuzz tests feed
 arbitrary byte strings into every decoder.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.coap.message import CoapDecodeError, CoapMessage

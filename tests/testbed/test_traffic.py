@@ -1,7 +1,5 @@
 """Tests for the producer/consumer workload."""
 
-import pytest
-
 from repro.sim.units import MSEC, SEC
 from repro.testbed.topology import BleNetwork
 from repro.testbed.traffic import Consumer, Producer, TrafficConfig
