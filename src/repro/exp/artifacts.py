@@ -2,7 +2,8 @@
 
 The paper's experimentation framework produces three artifacts per run:
 (i) the static experiment description, (ii) a raw results log, and (iii)
-derived metrics/plots.  :func:`write_artifacts` mirrors that layout::
+derived metrics/plots.  :func:`write_artifacts` mirrors that layout, and
+adds every observation channel the description switched on::
 
     <outdir>/
       experiment.yml       the description (reproduces the run bit-exactly)
@@ -10,20 +11,41 @@ derived metrics/plots.  :func:`write_artifacts` mirrors that layout::
                            link-statistics samples)
       events.jsonl         the run's structured event log, verbatim
       summary.txt          derived tables + terminal plots
-      metrics.json         runtime metrics document (only when the run
-                           collected metrics; see :mod:`repro.obs`)
+      trace.jsonl          trace: the cross-layer records, one per line
+      trace.pdump          trace: the on-link bytes as a packet dump
+      metrics.json         metrics: the repro.obs/1 document
+      metrics.prom         metrics: the same scopes, Prometheus text format
+      journeys.json        spans: the packet-journey payload
+      journeys_trace.json  spans: a Chrome-trace (Perfetto) export
+      waterfall.txt        spans: slowest journeys + latency attribution
+
+:func:`render_verdicts` judges what a run recorded: the trace invariant
+checkers over its records and the span checker's tiling verdict.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
+from typing import Any, Dict, List, Tuple
 
 from repro.exp.asciiplot import render_cdf, render_series
 from repro.exp.metrics import aggregate_binned_pdr, cdf, summarize_rtt
 from repro.exp.report import format_table
 from repro.exp.runner import ExperimentResult
+from repro.obs.export import (
+    build_metrics_document,
+    dumps_metrics_document,
+    to_prometheus,
+    validate_metrics_document,
+)
 from repro.sim.units import SEC
+from repro.spans.chrome import dumps_chrome_trace
+from repro.spans.render import render_attribution, render_waterfall
+from repro.trace.invariants import check_records
+from repro.trace.record import TraceRecord
+from repro.trace.sinks import JsonlSink, PacketDumpSink
 
 
 def write_results_log(result: ExperimentResult, path: Path) -> int:
@@ -122,24 +144,126 @@ def render_summary(result: ExperimentResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_artifacts(result: ExperimentResult, outdir: str) -> Path:
-    """Write the Appendix-A artifact triple; returns the output directory."""
+#: Waterfalls rendered into ``waterfall.txt`` (the slowest journeys first;
+#: ``journeys.json`` always carries every journey).
+MAX_WATERFALLS = 8
+
+
+def dumps_journeys(payload: Dict[str, Any]) -> str:
+    """Byte-stable JSON rendering of a journeys payload."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _journey_duration(journey: Dict[str, Any]) -> int:
+    end = journey["end_ns"]
+    return (end - journey["begin_ns"]) if end is not None else 0
+
+
+def render_waterfalls(payload: Dict[str, Any]) -> str:
+    """The slowest journeys' waterfalls plus the attribution table."""
+    journeys = payload["journeys"]
+    slowest = sorted(journeys, key=_journey_duration, reverse=True)
+    blocks = [render_waterfall(journey) for journey in slowest[:MAX_WATERFALLS]]
+    blocks.append(render_attribution(journeys))
+    return "\n\n".join(blocks)
+
+
+def write_metrics(document: dict, out: Path) -> None:
+    """``metrics.json`` and ``metrics.prom`` for a metrics document."""
+    validate_metrics_document(document)
+    (out / "metrics.json").write_text(dumps_metrics_document(document))
+    (out / "metrics.prom").write_text(to_prometheus(document["scopes"]))
+
+
+def write_artifacts(result: ExperimentResult, outdir: str | Path) -> Path:
+    """Write the Appendix-A artifact triple plus every recorded channel;
+    returns the output directory."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "experiment.yml").write_text(result.config.to_yaml())
+    config = result.config
+    (out / "experiment.yml").write_text(config.to_yaml())
     write_results_log(result, out / "results.jsonl")
     with (out / "events.jsonl").open("w") as fh:
         result.events.write_jsonl(fh)
     (out / "summary.txt").write_text(render_summary(result))
-    metrics = getattr(result, "metrics", None)
-    if metrics is not None:
-        from repro.obs.export import (
-            build_metrics_document,
-            dumps_metrics_document,
+    if config.trace:
+        jsonl = JsonlSink(out / "trace.jsonl")
+        pdump = PacketDumpSink(out / "trace.pdump")
+        try:
+            for record in result.trace_records:
+                jsonl.accept(record)
+                pdump.accept(record)
+        finally:
+            jsonl.close()
+            pdump.close()
+    if result.metrics is not None:
+        write_metrics(
+            build_metrics_document(config.name, [result.metrics], seeds=[config.seed]),
+            out,
         )
-
-        doc = build_metrics_document(
-            result.config.name, [metrics], seeds=[result.config.seed]
-        )
-        (out / "metrics.json").write_text(dumps_metrics_document(doc))
+    if result.spans is not None:
+        (out / "journeys.json").write_text(dumps_journeys(result.spans))
+        (out / "journeys_trace.json").write_text(dumps_chrome_trace(result.spans))
+        (out / "waterfall.txt").write_text(render_waterfalls(result.spans) + "\n")
     return out
+
+
+def _trace_verdict(records: List[TraceRecord]) -> Tuple[List[str], bool]:
+    by_layer = Counter(record.layer for record in records)
+    tally = ", ".join(f"{layer}={n}" for layer, n in sorted(by_layer.items()))
+    lines = [f"trace: {len(records)} records ({tally})"]
+    violations = check_records(records)
+    if not violations:
+        lines.append("invariants: all checks passed")
+    else:
+        lines.append(f"invariants: {len(violations)} VIOLATION(S)")
+        lines += [
+            f"  [{v.time_ns / SEC:.6f}s] {v.checker}: {v.message}"
+            for v in violations
+        ]
+    return lines, not violations
+
+
+def _spans_verdict(payload: Dict[str, Any]) -> Tuple[List[str], bool]:
+    summary = payload["summary"]
+    outcomes = ", ".join(f"{k}={v}" for k, v in summary["outcomes"].items())
+    lines = [
+        f"journeys: {summary['journeys']} ({outcomes or 'none'}), "
+        f"{summary['hops']} hops, {summary['frames']} link-layer frames",
+        "",
+        render_attribution(payload["journeys"]),
+        "",
+    ]
+    violations = payload["violations"]
+    if not violations:
+        lines.append("conformance: every journey's phases tile exactly")
+    else:
+        lines.append(f"conformance: {len(violations)} VIOLATION(S)")
+        lines += [
+            f"  [{v['time_ns'] / SEC:.6f}s] journey {v['journey_id']} "
+            f"{v['rule']}: {v['message']}"
+            for v in violations
+        ]
+    return lines, not violations
+
+
+def render_verdicts(result: ExperimentResult) -> Tuple[str, bool]:
+    """The checks over what ``result`` recorded, as one text block, and
+    whether all of them passed.
+
+    The trace invariant checkers run over ``result.trace_records`` -- the
+    layers ``trace_layers`` kept, so the filter narrows what is checked
+    along with what is recorded -- and the spans verdict is the streaming
+    tiling checker's.  Without a trace or spans the block is empty.
+    """
+    blocks: List[List[str]] = []
+    ok = True
+    if result.config.trace:
+        lines, passed = _trace_verdict(result.trace_records)
+        blocks.append(lines)
+        ok = ok and passed
+    if result.spans is not None:
+        lines, passed = _spans_verdict(result.spans)
+        blocks.append(lines)
+        ok = ok and passed
+    return "\n\n".join("\n".join(lines) for lines in blocks), ok

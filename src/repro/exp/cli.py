@@ -2,20 +2,24 @@
 
 Mirrors the paper's experimentation workflow (Appendix A): a static
 description file fully determines the run; the output directory receives
-the description, the raw results log, and the derived summary.  ``sweep``
-expands a config grid and runs it through the parallel sharded engine
-(:mod:`repro.exp.parallel`) with optional on-disk result caching.
+the description, the raw results log, the derived summary, and every
+observation channel the description's ``trace`` / ``metrics`` / ``spans``
+flags recorded (see :mod:`repro.exp.artifacts`).  ``run`` also checks
+what it recorded -- the trace invariants and the span phase tiling -- and
+exits 1 on any violation.  ``sweep`` expands a config grid and runs it
+through the parallel sharded engine (:mod:`repro.exp.parallel`) with
+optional on-disk result caching.
 
 Usage::
 
     python -m repro describe > experiment.yml   # a template description
     python -m repro run experiment.yml -o out/  # execute + write artifacts
     python -m repro run experiment.yml --set duration_s=120 --set seed=7
-    python -m repro trace -o trace-out/         # traced run + invariant check
-    python -m repro metrics -o metrics-out/     # metered run
+    python -m repro run examples/line4.yml --set trace=1 --set spans=1 -o out/
     python -m repro sweep experiment.yml \\
         --grid conn_interval=75,[65:85] --grid producer_interval_s=0.1,1.0 \\
         --seeds 5 --workers 4 --cache-dir .repro-cache -o out/
+    python -m repro sweep examples/line4.yml --seeds 4 --set metrics=1 -o out/
 
 ``sweep`` honours ``REPRO_WORKERS`` and ``REPRO_CACHE_DIR`` when the
 corresponding flags are not given.
@@ -32,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, TextIO
 if TYPE_CHECKING:  # pragma: no cover
     from repro.exp.parallel import ProgressEvent
 
-from repro.exp.artifacts import render_summary, write_artifacts
+from repro.exp.artifacts import render_summary, render_verdicts, write_artifacts
 from repro.exp.config import ExperimentConfig
 from repro.exp.runner import run_experiment
 from repro.obs.wallclock import monotonic
@@ -66,10 +70,23 @@ _BOOLS = {
 }
 
 
+def _number(raw: str) -> object:
+    """``raw`` as an int or a float, like YAML reads it; other text stays
+    a string for the config to reject by name."""
+    for kind in (int, float):
+        try:
+            return kind(raw)
+        except ValueError:
+            pass
+    return raw
+
+
 def _coerce(config: ExperimentConfig, key: str, raw: str) -> object:
     """Parse ``raw`` into the type of ``config.<key>``."""
     if not hasattr(config, key):
         raise SystemExit(f"unknown config field {key!r}")
+    if key == "drift_ppms":  # the one list-valued field: comma-separated
+        return tuple(_number(part.strip()) for part in raw.split(","))
     current = getattr(config, key)
     try:
         if isinstance(current, bool):
@@ -98,19 +115,12 @@ def _apply_overrides(config: ExperimentConfig, overrides: list[str]) -> Experime
     return ExperimentConfig(**{**asdict(config), **values})
 
 
-def _load_config(
-    description: str | None,
-    overrides: list[str],
-    example: Callable[[], ExperimentConfig] = ExperimentConfig,
-) -> ExperimentConfig:
-    """The YAML ``description`` (or ``example()`` without one) with the
-    ``--set`` overrides applied.  Bad input -- a key an older version
-    wrote, a mistyped value -- exits with one line, not a traceback."""
+def _load_config(description: str, overrides: list[str]) -> ExperimentConfig:
+    """The YAML ``description`` with the ``--set`` overrides applied.  Bad
+    input -- a key an older version wrote, a mistyped value -- exits with
+    one line, not a traceback."""
     try:
-        if description:
-            config = ExperimentConfig.from_yaml(Path(description).read_text())
-        else:
-            config = example()
+        config = ExperimentConfig.from_yaml(Path(description).read_text())
         return _apply_overrides(config, overrides)
     except ValueError as exc:
         raise SystemExit(f"invalid config: {exc}") from None
@@ -186,48 +196,10 @@ def main(argv: list[str] | None = None) -> int:
     run = sub.add_parser("run", help="execute a YAML experiment description")
     run.add_argument("description", help="path to the experiment YAML")
     run.add_argument("-o", "--outdir", default=None,
-                     help="write Appendix-A artifacts here")
+                     help="write the Appendix-A artifacts and every "
+                          "recorded channel here")
     run.add_argument("--set", dest="overrides", action="append", default=[],
                      metavar="KEY=VALUE", help="override a config field")
-    run.add_argument("--metrics", action="store_true",
-                     help="collect runtime metrics; writes metrics.json "
-                          "with the artifacts")
-
-    metrics = sub.add_parser(
-        "metrics",
-        help="run with the metrics registry, write metrics.json",
-    )
-    metrics.add_argument("description", nargs="?", default=None,
-                         help="experiment YAML (default: a short 3-hop line)")
-    metrics.add_argument("-o", "--outdir", default="metrics-out",
-                         help="metrics artifact directory "
-                              "(default: metrics-out)")
-    metrics.add_argument("--set", dest="overrides", action="append",
-                         default=[], metavar="KEY=VALUE",
-                         help="override a config field")
-    metrics.add_argument("--repetitions", type=int, default=1,
-                         help="derived-seed repetitions merged into the "
-                              "document (default 1)")
-    metrics.add_argument("-j", "--workers", type=int, default=1,
-                         help="worker processes for the repetitions "
-                              "(default 1; the document bytes are identical "
-                              "either way)")
-    metrics.add_argument("--cache-dir", default=None,
-                         help="result cache directory for the repetitions")
-
-    trace = sub.add_parser(
-        "trace",
-        help="run a traced scenario, write trace artifacts, check invariants",
-    )
-    trace.add_argument("description", nargs="?", default=None,
-                       help="experiment YAML (default: a short 4-node line)")
-    trace.add_argument("-o", "--outdir", default="trace-out",
-                       help="trace + artifact directory (default: trace-out)")
-    trace.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY=VALUE", help="override a config field")
-    trace.add_argument("--layers", default="",
-                       help="comma-separated layer filter for the trace files "
-                            "(checkers always see every layer)")
 
     sweep = sub.add_parser(
         "sweep",
@@ -245,39 +217,12 @@ def main(argv: list[str] | None = None) -> int:
     sweep.add_argument("--timeout", type=float, default=None,
                        help="per-run wall-clock timeout in seconds")
     sweep.add_argument("-o", "--outdir", default=None,
-                       help="write per-run Appendix-A artifacts here")
+                       help="write per-run artifacts here (plus one merged "
+                            "metrics.json when the runs recorded metrics)")
     sweep.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a base config field")
     sweep.add_argument("--quiet", action="store_true",
                        help="suppress per-run progress lines")
-    sweep.add_argument("--metrics", action="store_true",
-                       help="collect runtime metrics on every run; with "
-                            "-o, also writes a merged metrics.json")
-
-    journeys = sub.add_parser(
-        "journeys",
-        help="span-traced run: waterfalls, attribution, Chrome-trace "
-             "export; non-zero exit on a phase-tiling violation",
-    )
-    journeys.add_argument("description", nargs="?", default=None,
-                          help="experiment YAML (default: a short 3-hop "
-                               "line with spans=True)")
-    journeys.add_argument("-o", "--outdir", default="journeys-out",
-                          help="journeys artifact directory "
-                               "(default: journeys-out)")
-    journeys.add_argument("--set", dest="overrides", action="append",
-                          default=[], metavar="KEY=VALUE",
-                          help="override a config field")
-    journeys.add_argument("--ab-check", action="store_true",
-                          help="instead of a traced run: interleaved "
-                               "spans-off/spans-on overhead measurement on "
-                               "the Fig. 8a cell (non-zero exit over the "
-                               "bar)")
-    journeys.add_argument("--repeats", type=int, default=3,
-                          help="measured A/B repetitions (default 3)")
-    journeys.add_argument("--bar", type=float, default=0.02,
-                          help="tolerated B/A overhead fraction "
-                               "(default 0.02)")
 
     workload = sub.add_parser(
         "workload",
@@ -299,71 +244,6 @@ def main(argv: list[str] | None = None) -> int:
 
         return run_lint(args)
 
-    if args.command == "metrics":
-        from repro.exp.metricscmd import (
-            example_config,
-            render_metrics_summary,
-            run_metrics,
-        )
-
-        config = _load_config(args.description, args.overrides, example_config)
-        if args.repetitions < 1:
-            raise SystemExit("--repetitions must be >= 1")
-        if args.workers < 1:
-            raise SystemExit("--workers must be >= 1")
-        print(f"metering {config.name!r}: {config.topology} topology, "
-              f"{config.n_nodes} nodes, {config.duration_s:.0f}s, "
-              f"{args.repetitions} repetition(s) ...", file=sys.stderr)
-        report = run_metrics(
-            config,
-            args.outdir,
-            repetitions=args.repetitions,
-            max_workers=args.workers,
-            cache_dir=args.cache_dir,
-        )
-        print(render_metrics_summary(report), end="")
-        return 0
-
-    if args.command == "trace":
-        from repro.exp.tracecmd import (
-            example_config,
-            render_trace_summary,
-            run_traced,
-        )
-
-        config = _load_config(args.description, args.overrides, example_config)
-        print(f"tracing {config.name!r}: {config.topology} topology, "
-              f"{config.n_nodes} nodes, {config.duration_s:.0f}s ...",
-              file=sys.stderr)
-        report = run_traced(config, args.outdir, layers=args.layers)
-        print(render_trace_summary(report), end="")
-        return 0 if report.ok else 1
-
-    if args.command == "journeys":
-        from repro.exp.journeyscmd import (
-            example_config,
-            render_ab_summary,
-            render_journeys_summary,
-            run_ab_check,
-            run_journeys,
-        )
-
-        if args.ab_check:
-            if args.repeats < 1:
-                raise SystemExit("--repeats must be >= 1")
-            print(f"A/B overhead check: {args.repeats} interleaved "
-                  f"repetitions on the Fig. 8a cell ...", file=sys.stderr)
-            check = run_ab_check(repeats=args.repeats, bar=args.bar)
-            print(render_ab_summary(check))
-            return 0 if check["ok"] else 1
-        config = _load_config(args.description, args.overrides, example_config)
-        print(f"spanning {config.name!r}: {config.topology} topology, "
-              f"{config.n_nodes} nodes, {config.duration_s:.0f}s ...",
-              file=sys.stderr)
-        report = run_journeys(config, args.outdir)
-        print(render_journeys_summary(report))
-        return 0 if report.ok else 1
-
     if args.command == "workload":
         from repro.exp.workloadcmd import run_workload_cli
 
@@ -371,21 +251,19 @@ def main(argv: list[str] | None = None) -> int:
 
     config = _load_config(args.description, args.overrides)
 
-    if getattr(args, "metrics", False):
-        from dataclasses import replace
-
-        config = replace(config, metrics=True)
-
     if args.command == "run":
         print(f"running {config.name!r}: {config.topology} topology, "
               f"{config.link_layer}, conn interval {config.conn_interval}, "
               f"{config.duration_s:.0f}s ...", file=sys.stderr)
         result = run_experiment(config)
         print(render_summary(result), end="")
+        verdicts, ok = render_verdicts(result)
+        if verdicts:
+            print(f"\n{verdicts}")
         if args.outdir:
             out = write_artifacts(result, args.outdir)
             print(f"artifacts written to {out}/", file=sys.stderr)
-        return 0
+        return 0 if ok else 1
 
     # -- sweep ---------------------------------------------------------------
     from repro.exp.sweep import render_sweep_table, run_sweep
@@ -433,27 +311,6 @@ def main(argv: list[str] | None = None) -> int:
             f"(effective concurrency x{busy / wall:.2f})"
         )
     if args.outdir:
-        if args.metrics:
-            payloads = [
-                getattr(o.result, "metrics", None)
-                for o in result.outcomes
-                if o.ok
-            ]
-            payloads = [p for p in payloads if p is not None]
-            if payloads:
-                from repro.obs.export import (
-                    build_metrics_document,
-                    dumps_metrics_document,
-                )
-
-                doc = build_metrics_document(
-                    config.name,
-                    payloads,
-                    seeds=[o.config.seed for o in result.outcomes if o.ok],
-                )
-                merged = Path(args.outdir) / "metrics.json"
-                merged.write_text(dumps_metrics_document(doc))
-                print(f"merged metrics written to {merged}", file=sys.stderr)
         print(f"artifacts written to {args.outdir}/", file=sys.stderr)
     return 1 if result.total_failures else 0
 

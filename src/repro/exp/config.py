@@ -18,6 +18,8 @@ from typing import Any, Optional
 
 import yaml
 
+from repro.trace.record import SCHEMAS
+
 #: Bumped whenever a change to the simulator or the config schema makes
 #: previously produced results incomparable; part of every cache key, so
 #: stale on-disk results are invalidated wholesale instead of silently
@@ -37,6 +39,9 @@ SPATIAL_TOPOLOGIES = ("grid", "rgg", "building", "corridor")
 
 #: Geometry kinds a ``dynamic`` (self-forming) run may range-gate with.
 GEOMETRY_KINDS = ("none", "line", "grid", "rgg", "building", "corridor")
+
+#: The layers ``trace_layers`` may name: those with record schemas.
+TRACE_LAYERS = tuple(dict.fromkeys(key.split(".")[0] for key in SCHEMAS))
 
 
 def canonical_value(value: Any) -> Any:
@@ -199,8 +204,23 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.drift_ppms is not None:
             self.drift_ppms = tuple(self.drift_ppms)
+            for ppm in self.drift_ppms:
+                if isinstance(ppm, bool) or not isinstance(ppm, (int, float)):
+                    raise ValueError(f"drift_ppms entry {ppm!r} is not a number")
             if len(self.drift_ppms) != self.n_nodes:
                 raise ValueError("drift_ppms needs one entry per node")
+        if not isinstance(self.trace_layers, str):
+            raise ValueError("trace_layers must be a comma-separated string")
+        unknown = [
+            layer
+            for layer in (s.strip() for s in self.trace_layers.split(","))
+            if layer and layer not in TRACE_LAYERS
+        ]
+        if unknown:
+            raise ValueError(
+                f"unknown trace layer(s) {', '.join(unknown)}; "
+                f"known: {', '.join(TRACE_LAYERS)}"
+            )
         known = ("tree", "line", "star", "dynamic") + SPATIAL_TOPOLOGIES
         if self.topology not in known:
             raise ValueError(f"unknown topology {self.topology!r}")

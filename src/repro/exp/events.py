@@ -99,12 +99,3 @@ class EventLog:
 
     def __iter__(self) -> Iterator[EventRecord]:
         return iter(self._records)
-
-    def __setstate__(self, state: dict) -> None:
-        # Logs pickled before the per-kind index existed (cached results
-        # from earlier schema versions) rebuild it on load.
-        self.__dict__.update(state)
-        if "_by_kind" not in state:
-            self._by_kind = {}
-            for record in self._records:
-                self._by_kind.setdefault(record.kind, []).append(record)

@@ -305,9 +305,9 @@ class ExperimentRunner:
 
         When ``config.trace`` is set and the global tracer is idle, the run
         captures its trace into a ring buffer and returns the records on the
-        result.  A caller that already configured :data:`TRACE` (e.g. the
-        ``repro trace`` CLI, which streams to files) keeps its own sinks;
-        the runner then only late-binds the simulator clock.
+        result.  A caller that already configured :data:`TRACE` with its
+        own sinks keeps them; the runner then only late-binds the simulator
+        clock.
         """
         cfg = self.config
         ring = None

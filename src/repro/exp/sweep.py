@@ -138,8 +138,10 @@ def run_sweep(
 ) -> SweepResult:
     """Run the whole grid through the parallel engine.
 
-    :param outdir: when given, every successful run writes the Appendix-A
-        artifact triple into ``<outdir>/<NNNN>-<name>-seed<seed>/``.
+    :param outdir: when given, every successful run writes its artifacts
+        into ``<outdir>/<NNNN>-<name>-seed<seed>/``, and the runs that
+        recorded metrics merge into one ``metrics.json`` / ``metrics.prom``
+        at the top of ``outdir``.
     """
     cells = expand_grid(base, grid, seeds)
     flat_configs: List[ExperimentConfig] = []
@@ -160,14 +162,26 @@ def run_sweep(
         cell.outcomes = outcomes[start:end]
 
     if outdir is not None:
-        from repro.exp.artifacts import write_artifacts
+        from repro.exp.artifacts import write_artifacts, write_metrics
+        from repro.obs.export import build_metrics_document
 
         root = Path(outdir)
+        metered_seeds: List[int] = []
+        payloads: List[dict] = []
         for index, outcome in enumerate(outcomes):
-            if outcome.ok:
-                write_artifacts(
-                    outcome.result, root / artifact_dirname(index, outcome.config)
-                )
+            if outcome.result is None:
+                continue
+            write_artifacts(
+                outcome.result, root / artifact_dirname(index, outcome.config)
+            )
+            if outcome.result.metrics is not None:
+                metered_seeds.append(outcome.config.seed)
+                payloads.append(outcome.result.metrics)
+        if payloads:
+            write_metrics(
+                build_metrics_document(base.name, payloads, seeds=metered_seeds),
+                root,
+            )
     return SweepResult(cells=cells, stats=engine.stats)
 
 

@@ -4,7 +4,7 @@ SL008 makes the <2% disabled-overhead bar a *static* invariant.  The
 hot-path contract (DESIGN.md) is: every ``METRICS``/``TRACE``/``SPANS``
 hub call on the kernel/BLE/L2CAP/IP dispatch path sits behind its
 ``.enabled`` predicate, so a disabled subsystem costs one attribute load
-and one branch.  ``--ab-check`` measures that; this rule proves it.  The
+and one branch.  An A/B test measures that; this rule proves it.  The
 analysis accepts the idioms the codebase actually uses:
 
 * a direct guard -- ``if TRACE.enabled: TRACE.emit(...)``,

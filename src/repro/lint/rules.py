@@ -796,8 +796,8 @@ class UnitMixRule(Rule):
 class InstrumentationGuardRule(Rule):
     """SL008: hot-path hub calls must sit behind their ``.enabled`` check.
 
-    The disabled-overhead budget (<2%, enforced dynamically by
-    ``--ab-check``) only holds if every ``METRICS``/``TRACE``/``SPANS``
+    The disabled-overhead budget (<2%, measured dynamically by the A/B
+    gate in ``tests/spans/test_disabled.py``) only holds if every ``METRICS``/``TRACE``/``SPANS``
     touch on the kernel/BLE/L2CAP/IP dispatch path is skipped by a branch
     when the subsystem is off.  :mod:`repro.lint.purity` proves this
     statically, accepting direct guards, hoisted ``x = HUB.enabled``

@@ -14,6 +14,6 @@ hash, or a serialized result document.
 
 from __future__ import annotations
 
-from time import monotonic, perf_counter
+from time import monotonic
 
-__all__ = ["monotonic", "perf_counter"]
+__all__ = ["monotonic"]

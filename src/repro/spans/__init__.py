@@ -2,8 +2,8 @@
 
 One CoAP exchange = one journey: a span tree covering every fragment,
 every hop, and every retransmission, with per-hop phases that exactly
-tile the end-to-end latency.  ``python -m repro journeys`` runs the
-conformance gate and renders waterfalls; :mod:`repro.spans.chrome`
+tile the end-to-end latency.  ``python -m repro run`` with ``spans`` set
+runs the conformance gate and renders waterfalls; :mod:`repro.spans.chrome`
 exports Perfetto-loadable flame charts.
 """
 

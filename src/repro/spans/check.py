@@ -20,8 +20,8 @@ sibling attempts only guarantee containment, not tiling.
 The checker is streaming in the same sense as the trace invariant
 checkers (:mod:`repro.trace.invariants`): it runs once per journey as the
 journey closes, holds no global state, and accumulates violations on the
-hub for the conformance gate (``python -m repro journeys`` exits non-zero
-when any fired).
+hub for the conformance gate (a span-traced ``python -m repro run``
+exits non-zero when any fired).
 """
 
 from __future__ import annotations

@@ -12,9 +12,8 @@ from __future__ import annotations
 import io
 import json
 import struct
-from collections import deque
 from pathlib import Path
-from typing import Deque, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.trace.record import TraceRecord, schema_version
 
@@ -71,21 +70,16 @@ def records_to_jsonl(records: Iterable[TraceRecord]) -> str:
 
 
 class RingBufferSink:
-    """Keeps the most recent ``capacity`` records in memory.
+    """Keeps every record in memory, oldest first.
 
-    The default capacity is unbounded (``None``) -- the experiment runner
-    uses this sink to ship a run's full trace through
+    The experiment runner uses this sink to ship a run's full trace through
     :class:`~repro.exp.portable.PortableResult`.
     """
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        self._records: Deque[TraceRecord] = deque(maxlen=capacity)
-        self.dropped = 0
-        self._capacity = capacity
+    def __init__(self) -> None:
+        self._records: List[TraceRecord] = []
 
     def accept(self, record: TraceRecord) -> None:
-        if self._capacity is not None and len(self._records) == self._capacity:
-            self.dropped += 1
         self._records.append(record)
 
     def records(self) -> List[TraceRecord]:

@@ -8,9 +8,21 @@ import pytest
 from repro.exp import ExperimentConfig, run_experiment
 from repro.exp.artifacts import render_summary, write_artifacts
 from repro.exp.cli import main
+from repro.trace.sinks import read_jsonl
+from tests.support import LINE4
 
 #: ``describe`` output from schema v7, which still had a ``kernel:`` block.
 STALE_DESCRIPTION = Path(__file__).parent / "data" / "describe_schema7.yml"
+
+#: Each way to observe a run, keyed by the channel it records: the
+#: subcommand, then what follows the description.
+OBSERVED = {
+    "run": ("run", []),
+    "sweep": ("sweep", []),
+    "trace": ("run", ["--set", "trace=1"]),
+    "metrics": ("sweep", ["--set", "metrics=1"]),
+    "journeys": ("run", ["--set", "spans=1"]),
+}
 
 
 @pytest.fixture(scope="module")
@@ -99,21 +111,71 @@ class TestCli:
         ])
         assert code == 0
 
+    def test_run_writes_every_recorded_channel(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main([
+            "run", LINE4,
+            "--set", "trace=1", "--set", "spans=1", "--set", "metrics=1",
+            "--set", "duration_s=3", "--set", "warmup_s=1", "--set", "drain_s=0.5",
+            "-o", str(out),
+        ])
+        assert code == 0
+        for name in ("trace.jsonl", "trace.pdump", "metrics.json", "metrics.prom",
+                     "journeys.json", "journeys_trace.json", "waterfall.txt"):
+            assert (out / name).stat().st_size > 0, name
+        assert read_jsonl(out / "trace.jsonl")
+        stdout = capsys.readouterr().out
+        assert "invariants: all checks passed" in stdout
+        assert "phases tile exactly" in stdout
+
+    def test_drift_ppms_override_is_a_number_list(self, tmp_path):
+        desc = tmp_path / "exp.yml"
+        desc.write_text(ExperimentConfig(topology="line", n_nodes=3).to_yaml())
+        out = tmp_path / "out"
+        code = main([
+            "run", str(desc), "--set", "drift_ppms=0, 1.5,-2",
+            "--set", "duration_s=1", "--set", "warmup_s=1", "-o", str(out),
+        ])
+        assert code == 0
+        written = ExperimentConfig.from_yaml((out / "experiment.yml").read_text())
+        assert written.drift_ppms == (0, 1.5, -2)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(desc), "--set", "drift_ppms=012"])
+        assert exc.value.code == "invalid config: drift_ppms needs one entry per node"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(desc), "--set", "drift_ppms=0,x,2"])
+        assert exc.value.code == "invalid config: drift_ppms entry 'x' is not a number"
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", LINE4, "-o", "d", "--set", "seed=1", "--layers", "ip"],
+        ["metrics", LINE4, "--repetitions", "4", "-j", "4", "--cache-dir", "c"],
+        ["journeys", LINE4, "--ab-check", "--repeats", "5", "--bar", "0.02"],
+        ["run", LINE4, "--metrics"],
+        ["sweep", LINE4, "--metrics"],
+    ], ids=["trace", "metrics", "journeys", "run", "sweep"])
+    def test_removed_commands_and_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
 
 class TestConfigErrors:
     """Stale or bad config input exits with one line, not a traceback."""
 
-    @pytest.mark.parametrize("command", ["run", "sweep", "metrics", "trace", "journeys"])
+    @pytest.mark.parametrize("command", list(OBSERVED))
     def test_stale_description(self, command, tmp_path):
+        subcommand, channel = OBSERVED[command]
         # duration_s=1 keeps the run short should the description be accepted
-        argv = [command, str(STALE_DESCRIPTION), "-o", str(tmp_path),
-                "--set", "duration_s=1"]
+        argv = [subcommand, str(STALE_DESCRIPTION), "-o", str(tmp_path),
+                "--set", "duration_s=1"] + channel
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == "invalid config: unknown experiment key(s): kernel"
 
     @pytest.mark.parametrize("command", ["metrics", "trace", "journeys"])
     def test_bad_value_on_example_config(self, command, tmp_path):
+        subcommand, channel = OBSERVED[command]
         with pytest.raises(SystemExit) as exc:
-            main([command, "-o", str(tmp_path), "--set", "n_nodes=abc"])
+            main([subcommand, LINE4, "-o", str(tmp_path), "--set", "n_nodes=abc"]
+                 + channel)
         assert exc.value.code == "invalid config: n_nodes='abc' is not a valid int"

@@ -55,6 +55,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(duration_s=0)
 
+    def test_drift_ppms_entries_must_be_numbers(self):
+        # a string is split into characters: "012" is three non-numbers
+        with pytest.raises(ValueError, match="drift_ppms entry '0' is not a number"):
+            ExperimentConfig.from_yaml(
+                "experiment:\n  topology: line\n  n_nodes: 3\n"
+                "  drift_ppms: '012'\n"
+            )
+        with pytest.raises(ValueError, match="drift_ppms entry True is not a number"):
+            ExperimentConfig(topology="line", n_nodes=2, drift_ppms=(True, 0.0))
+        cfg = ExperimentConfig(topology="line", n_nodes=3, drift_ppms=[0, 1.5, -2])
+        assert cfg.drift_ppms == (0, 1.5, -2)
+
+    def test_trace_layers_must_be_known(self):
+        for layers in ("ble,l2cp", "bel"):
+            with pytest.raises(ValueError, match="unknown trace layer"):
+                ExperimentConfig(trace=True, trace_layers=layers)
+        every = "kernel,phy,ble,l2cap,sixlo,ip,coap,workload"
+        assert ExperimentConfig(trace_layers=every).trace_layers == every
+        assert ExperimentConfig(trace_layers=" sixlo , ip ").trace_layers
+
     def test_spatial_validation(self):
         # spatial topologies stand alone; geometry gates 'dynamic' only
         ExperimentConfig(topology="rgg")  # valid

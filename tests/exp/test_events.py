@@ -1,4 +1,4 @@
-"""EventLog: per-kind index, JSONL export, legacy-pickle compatibility."""
+"""EventLog: per-kind index, JSONL export, pickling."""
 
 import json
 import pickle
@@ -108,18 +108,6 @@ class TestPickle:
         assert clone == log
         assert clone.count("tx") == 2
         assert [r.time_ns for r in clone.of_kind("tx")] == [10, 30]
-
-    def test_legacy_pickle_without_index_rebuilds_it(self):
-        """Cached results from before the per-kind index existed unpickle
-        into a state dict with no ``_by_kind``; loading must rebuild it."""
-        log = _sample_log()
-        state = dict(log.__dict__)
-        del state["_by_kind"]
-        revived = EventLog.__new__(EventLog)
-        revived.__setstate__(state)
-        assert revived == log
-        assert revived.count("tx") == 2
-        assert revived.kinds() == ["tx", "rx", "drop"]
 
     def test_equality_ignores_index_internals(self):
         a, b = _sample_log(), _sample_log()

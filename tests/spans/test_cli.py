@@ -1,21 +1,20 @@
-"""End-to-end ``python -m repro journeys``: artifacts on disk, exit codes."""
+"""End-to-end span-traced ``run``: journey artifacts on disk, the tiling
+verdict, exit codes."""
 
 import json
 
 import pytest
 
+import repro.exp.cli as cli
 from repro.exp.cli import main
-from repro.exp.journeyscmd import (
-    _count_guard_reads,
-    ab_config,
-    example_config,
-    run_ab_check,
-    run_journeys,
-)
-from repro.spans.hub import SPANS, SpanHub
+from repro.spans.hub import SPANS
+from tests.support import LINE4
 
-#: Short run so the suite stays fast; journeys still complete end to end.
-FAST = [
+#: The committed line with spans, cut short; journeys still complete end
+#: to end.
+SPANNED = [
+    "run", LINE4,
+    "--set", "spans=1",
     "--set", "duration_s=4.0",
     "--set", "warmup_s=1.5",
     "--set", "drain_s=1.0",
@@ -29,9 +28,9 @@ def _clean_singleton():
     SPANS.reset()
 
 
-def test_journeys_subcommand_writes_artifacts_and_exits_zero(tmp_path, capsys):
+def test_spans_run_writes_journey_artifacts_and_exits_zero(tmp_path, capsys):
     out = tmp_path / "journeys-out"
-    rc = main(["journeys", "-o", str(out)] + FAST)
+    rc = main(SPANNED + ["-o", str(out)])
     assert rc == 0
     stdout = capsys.readouterr().out
     assert "phases tile exactly" in stdout
@@ -44,60 +43,35 @@ def test_journeys_subcommand_writes_artifacts_and_exits_zero(tmp_path, capsys):
     assert "legend" in (out / "waterfall.txt").read_text()
 
 
-def test_exit_code_keys_off_violations(tmp_path):
-    import dataclasses
+def test_exit_code_keys_off_violations(tmp_path, capsys, monkeypatch):
+    run_experiment = cli.run_experiment
 
-    config = dataclasses.replace(
-        example_config("probe"), duration_s=4.0, warmup_s=1.5, drain_s=1.0
-    )
-    report = run_journeys(config, str(tmp_path / "out"))
-    assert report.ok
-    report.violations.append({"time_ns": 0, "journey_id": 0,
-                              "rule": "fake", "message": "injected"})
-    assert not report.ok
-
-
-def test_run_journeys_requires_spans_enabled(tmp_path):
-    import dataclasses
-
-    config = dataclasses.replace(example_config(), spans=False)
-    with pytest.raises(ValueError):
-        run_journeys(config, str(tmp_path / "out"))
-
-
-def test_journeys_subcommand_leaves_the_global_hub_disarmed(tmp_path):
-    main(["journeys", "-o", str(tmp_path / "o")] + FAST)
-    assert not SPANS.enabled
-
-
-class TestAbCheck:
-    def test_guard_count_is_positive_and_class_restored(self):
-        import dataclasses
-
-        cfg = dataclasses.replace(
-            ab_config(), duration_s=3.0, warmup_s=1.0, drain_s=0.5
+    def run_with_violation(config):
+        result = run_experiment(config)
+        result.spans["violations"].append(
+            {"time_ns": 0, "journey_id": 0, "rule": "fake", "message": "injected"}
         )
-        reads = _count_guard_reads(cfg)
-        assert reads > 0, "no seam evaluated SPANS.enabled"
-        assert type(SPANS) is SpanHub  # the shim must never leak
-        assert not SPANS.enabled
+        return result
 
-    def test_counting_shim_restored_even_on_error(self, monkeypatch):
-        import repro.exp.journeyscmd as mod
+    monkeypatch.setattr(cli, "run_experiment", run_with_violation)
+    assert main(SPANNED + ["-o", str(tmp_path / "out")]) == 1
+    stdout = capsys.readouterr().out
+    assert "conformance: 1 VIOLATION(S)" in stdout
+    assert "journey 0 fake: injected" in stdout
 
-        def boom(cfg):
-            raise RuntimeError("injected")
 
-        monkeypatch.setattr(mod, "run_experiment", boom)
-        with pytest.raises(RuntimeError):
-            _count_guard_reads(ab_config())
-        assert type(SPANS) is SpanHub
+def test_run_journeys_requires_spans_enabled(tmp_path, capsys):
+    """Without ``spans`` a run records no journeys, so it writes no
+    journey files and prints no tiling verdict."""
+    out = tmp_path / "out"
+    argv = [a if a != "spans=1" else "spans=0" for a in SPANNED]
+    assert main(argv + ["-o", str(out)]) == 0
+    assert (out / "summary.txt").exists()
+    for name in ("journeys.json", "journeys_trace.json", "waterfall.txt"):
+        assert not (out / name).exists()
+    assert "conformance" not in capsys.readouterr().out
 
-    def test_run_ab_check_shape_and_determinism_of_fields(self):
-        check = run_ab_check(repeats=1)
-        assert check["repeats"] == 1
-        assert check["guard_reads"] > 0
-        assert check["median_wall_s"] > 0
-        assert 0.0 <= check["overhead"]
-        assert check["bar"] == 0.02
-        assert isinstance(check["ok"], bool)
+
+def test_spans_run_leaves_the_global_hub_disarmed(tmp_path):
+    main(SPANNED + ["-o", str(tmp_path / "o")])
+    assert not SPANS.enabled

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.exp.artifacts import dumps_journeys
 from repro.exp.config import ExperimentConfig
-from repro.exp.journeyscmd import dumps_payload, example_config
 from repro.exp.parallel import ParallelEngine
 from repro.exp.runner import run_experiment
 from repro.obs.export import build_metrics_document, dumps_metrics_document
@@ -27,13 +27,26 @@ from repro.obs.export import build_metrics_document, dumps_metrics_document
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_FILE = "journeys_line3.json"
 
+#: The golden scenario: the 3-hop line at the paper's 75 ms interval.
+LINE3 = ExperimentConfig(
+    name="journeys",
+    topology="line",
+    n_nodes=4,
+    duration_s=10.0,
+    warmup_s=2.0,
+    drain_s=1.0,
+    producer_interval_s=1.0,
+    seed=3,
+    spans=True,
+)
+
 
 def _payload_via_engine(workers: int) -> str:
-    outcomes = ParallelEngine(max_workers=workers).run([example_config()])
+    outcomes = ParallelEngine(max_workers=workers).run([LINE3])
     assert outcomes[0].ok, outcomes[0].error
     result = outcomes[0].result
     assert result.spans is not None
-    return dumps_payload(result.spans)
+    return dumps_journeys(result.spans)
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +123,7 @@ class TestSpatialIndexByteIdentity:
         grid = run_experiment(_spatial_config("grid"))
         allpairs = run_experiment(_spatial_config("allpairs"))
         assert grid.spans is not None and allpairs.spans is not None
-        assert dumps_payload(grid.spans) == dumps_payload(allpairs.spans)
+        assert dumps_journeys(grid.spans) == dumps_journeys(allpairs.spans)
 
 
 #: Attribution histograms (the ``spans.*`` instruments) must merge into

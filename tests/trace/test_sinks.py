@@ -28,15 +28,7 @@ class TestRingBuffer:
         for i in range(1000):
             ring.accept(_record(seq=i))
         assert len(ring) == 1000
-        assert ring.dropped == 0
-
-    def test_bounded_keeps_newest_and_counts_drops(self):
-        ring = RingBufferSink(capacity=10)
-        for i in range(25):
-            ring.accept(_record(seq=i))
-        assert len(ring) == 10
-        assert ring.dropped == 15
-        assert [r.seq for r in ring.records()] == list(range(15, 25))
+        assert [r.seq for r in ring.records()] == list(range(1000))
 
     def test_close_is_a_no_op(self):
         ring = RingBufferSink()
