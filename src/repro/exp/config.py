@@ -73,6 +73,7 @@ from repro.core.intervals import (
     StaticIntervalPolicy,
 )
 from repro.sim.units import MSEC
+from repro.testbed.topology import LAYOUTS
 
 _WINDOW_RE = re.compile(r"^\[(\d+):(\d+)\]$")
 
@@ -221,9 +222,13 @@ class ExperimentConfig:
                 f"unknown trace layer(s) {', '.join(unknown)}; "
                 f"known: {', '.join(TRACE_LAYERS)}"
             )
-        known = ("tree", "line", "star", "dynamic") + SPATIAL_TOPOLOGIES
+        known = tuple(LAYOUTS) + ("dynamic",) + SPATIAL_TOPOLOGIES
         if self.topology not in known:
             raise ValueError(f"unknown topology {self.topology!r}")
+        if self.n_nodes < 1:
+            raise ValueError("n_nodes must be at least 1")
+        if self.topology in LAYOUTS:
+            LAYOUTS[self.topology](self.n_nodes)  # raises on a size it refuses
         if self.topology == "dynamic" and self.link_layer != "ble":
             raise ValueError("dynamic topologies require the BLE link layer")
         if self.geometry not in GEOMETRY_KINDS:

@@ -42,12 +42,7 @@ from repro.sim.units import MSEC, SEC, s_to_ns
 from repro.spans.hub import SPANS
 from repro.testbed.dynamic import DynamicBleNetwork
 from repro.testbed.iotlab import JAMMED_CHANNEL
-from repro.testbed.topology import (
-    BleNetwork,
-    line_topology_edges,
-    star_topology_edges,
-    tree_topology_edges,
-)
+from repro.testbed.topology import LAYOUTS, BleNetwork
 from repro.testbed.traffic import Consumer, Producer, TrafficConfig
 from repro.topo import Topology, make_topology
 from repro.trace.record import TraceRecord
@@ -137,12 +132,7 @@ class ExperimentRunner:
     # -- construction helpers --------------------------------------------------
 
     def _edges(self) -> List[Tuple[int, int]]:
-        topo = {
-            "tree": tree_topology_edges,
-            "line": line_topology_edges,
-            "star": star_topology_edges,
-        }[self.config.topology]
-        return topo(self.config.n_nodes)
+        return LAYOUTS[self.config.topology](self.config.n_nodes)
 
     def _spatial_topology(self, kind: str) -> Topology:
         """Generate the placed layout for a spatial run (scale tier)."""

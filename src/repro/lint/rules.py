@@ -675,7 +675,6 @@ TIMING_LITERALS: Dict[int, str] = {
     10_000_000: "the BLE supervision-timeout unit (10 ms)",
     192_000: "IEEE 802.15.4 macSIFS (192 us)",
     640_000: "IEEE 802.15.4 macLIFS (640 us)",
-    2_097_152: "WHEEL_SLOT_NS (timer-wheel slot width, 2**21 ns)",
 }
 
 #: unit names from repro.sim.units, for the ``<n> * USEC`` product form.

@@ -77,10 +77,9 @@ class MetricsSnapshotter:
     def _collect(self) -> None:
         if self.network is not None:
             self._update_shading_gauges()
-        if hasattr(self.sim, "queue_depth"):
-            self.hub.set_gauge(
-                "sim", "kernel.timer_queue_depth", self.sim.queue_depth()
-            )
+        self.hub.set_gauge(
+            "sim", "kernel.timer_queue_depth", self.sim.queue_depth()
+        )
         self.times_ns.append(self.sim.now)
         row = self._rows
         for scope_name, registry in sorted(self.hub.scopes().items()):

@@ -20,7 +20,7 @@ subtree so responses travel back down.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.ble.config import BleConfig
 from repro.ble.conn import Role
@@ -72,6 +72,16 @@ def star_topology_edges(n_nodes: int = 15) -> List[Tuple[int, int]]:
     if n_nodes < 2:
         raise ValueError("a star needs at least 2 nodes")
     return [(0, i) for i in range(1, n_nodes)]
+
+
+#: The statically configured layouts by topology name.  Each builder is the
+#: one place its fleet-size rule lives: it raises ValueError for a node
+#: count it is not defined for, which config validation relies on.
+LAYOUTS: Dict[str, Callable[[int], List[Tuple[int, int]]]] = {
+    "tree": tree_topology_edges,
+    "line": line_topology_edges,
+    "star": star_topology_edges,
+}
 
 
 class BleNetwork:

@@ -100,6 +100,20 @@ class TestCli:
             message = f"^invalid config: {key}='ture' is not a valid bool"
             with pytest.raises(SystemExit, match=message):
                 main(["run", str(desc), "--set", "duration_s=1", "--set", f"{key}=ture"])
+        # fleet sizes the topology builders are not defined for
+        for overrides in (
+            ["topology=tree"],
+            ["n_nodes=1"],
+            ["topology=star", "n_nodes=1"],
+            ["topology=grid", "n_nodes=0"],
+            ["topology=building", "n_nodes=0"],
+            ["topology=dynamic", "n_nodes=0"],
+        ):
+            argv = ["run", LINE4]
+            for override in overrides:
+                argv += ["--set", override]
+            with pytest.raises(SystemExit, match="^invalid config: "):
+                main(argv)
 
     def test_bool_override_parsing(self, tmp_path, capsys):
         desc = tmp_path / "exp.yml"

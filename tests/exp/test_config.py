@@ -54,6 +54,13 @@ class TestConfig:
             ExperimentConfig(conn_interval="nope")
         with pytest.raises(ValueError):
             ExperimentConfig(duration_s=0)
+        # fleet sizes the topology builders are not defined for
+        for topology, n_nodes in (
+            ("tree", 4), ("line", 1), ("star", 1), ("line", -1),
+            ("grid", 0), ("building", 0), ("dynamic", 0),
+        ):
+            with pytest.raises(ValueError):
+                ExperimentConfig(topology=topology, n_nodes=n_nodes)
 
     def test_drift_ppms_entries_must_be_numbers(self):
         # a string is split into characters: "012" is three non-numbers

@@ -113,11 +113,12 @@ class TestKeyInvalidation:
             "mac_rotation": {"period_s": 30.0},
         }
         # some replacements are only valid alongside another field change
-        # (geometry gates on a dynamic topology; workload blocks gate on
-        # dynamic, mobility additionally on a geometry); compare against a
-        # base carrying the same companions so the tested field stays
-        # isolated
+        # (the default tree needs exactly 15 nodes; geometry gates on a
+        # dynamic topology; workload blocks gate on dynamic, mobility
+        # additionally on a geometry); compare against a base carrying the
+        # same companions so the tested field stays isolated
         companions = {
+            "n_nodes": {"topology": "line"},
             "geometry": {"topology": "dynamic"},
             "churn": {"topology": "dynamic"},
             "mobility": {"topology": "dynamic", "geometry": "rgg"},

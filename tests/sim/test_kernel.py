@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Simulator, SEC, MSEC
-from repro.sim.kernel import WHEEL_SLOT_NS, SimulationError
+from repro.sim.kernel import COMPACT_MIN_CANCELLED, SimulationError
 from repro.trace.sinks import RingBufferSink
 from repro.trace.tracer import TRACE
 
@@ -114,38 +114,6 @@ def test_stop_halts_loop():
     assert fired == [10, 20]
 
 
-def test_peek_skips_cancelled():
-    sim = Simulator()
-    t1 = sim.at(10, lambda: None)
-    sim.at(20, lambda: None)
-    t1.cancel()
-    assert sim.peek() == 20
-
-
-def test_peek_crosses_many_cancelled_only_slots():
-    # 1,200 slots holding one cancelled timer each, ahead of 1,500 live
-    # timers: too few cancellations to trigger compaction, so peek must
-    # walk every dead slot (iteratively -- one frame per slot overflows).
-    sim = Simulator()
-    live_at = 1201 * WHEEL_SLOT_NS
-    for i in range(1500):
-        sim.at(live_at + i, lambda: None)
-    dead = [sim.at(i * WHEEL_SLOT_NS, lambda: None) for i in range(1, 1201)]
-    for timer in dead:
-        timer.cancel()
-    assert sim.queue_depth() == 2700
-    assert sim.peek() == live_at
-    assert sim.pending() == sim.queue_depth() == 1500
-
-
-def test_events_executed_counter():
-    sim = Simulator()
-    for i in range(5):
-        sim.at(i * MSEC, lambda: None)
-    sim.run()
-    assert sim.events_executed == 5
-
-
 def test_tracing_switched_on_between_runs_covers_the_next_run(clean_trace):
     """The dispatch loop is chosen per ``run()`` call: tracing armed
     between two runs records exactly the second run's events."""
@@ -160,7 +128,6 @@ def test_tracing_switched_on_between_runs_covers_the_next_run(clean_trace):
     dispatched = [r.time_ns for r in ring.records() if r.key == "kernel.dispatch"]
     assert dispatched == [i * MSEC for i in range(4, 8)]
     assert (first, second) == (4, 4)
-    assert sim.events_executed == first + second
 
 
 def test_periodic_rescheduling_pattern():
@@ -175,3 +142,95 @@ def test_periodic_rescheduling_pattern():
     sim.after(MSEC, tick)
     sim.run()
     assert ticks == [MSEC, 2 * MSEC, 3 * MSEC, 4 * MSEC]
+
+
+def test_schedule_between_runs_after_a_parked_horizon():
+    """After run(until=...) parks ``now`` past the last event, an ``at``
+    just after ``now`` still fires on the next run."""
+    sim = Simulator()
+    fired = []
+    sim.at(20 * MSEC, fired.append, "first")
+    sim.run(until=20 * MSEC + 10)
+    sim.at(20 * MSEC + 20, fired.append, "after-horizon")
+    sim.run()
+    assert fired == ["first", "after-horizon"]
+
+
+def test_stale_cancel_does_not_touch_a_new_timer():
+    """A handle names its own timer for good: cancelling it again after
+    ``run`` popped it leaves every later timer alone."""
+    sim = Simulator()
+    fired = []
+    old = sim.at(50, fired.append, "old")
+    old.cancel()
+    sim.run(until=100)  # pops the cancelled timer
+    sim.at(200, fired.append, "new")
+    old.cancel()
+    sim.run()
+    assert fired == ["new"]
+
+
+def test_pending_is_live_count():
+    sim = Simulator()
+    handles = [sim.at(i * 1000, lambda: None) for i in range(10)]
+    assert sim.pending() == 10
+    assert sim.queue_depth() == 10
+    for handle in handles[:4]:
+        handle.cancel()
+    assert sim.pending() == 6
+    assert sim.queue_depth() == 10  # lazily deleted, still resident
+    handles[0].cancel()  # double-cancel must not double-count
+    assert sim.pending() == 6
+
+
+def test_compaction_reclaims_cancelled_timers():
+    sim = Simulator()
+    n = 3 * COMPACT_MIN_CANCELLED
+    handles = [sim.at((i % 7) * 6 * MSEC + i, lambda: None) for i in range(n)]
+    keep = handles[:: 3]
+    for handle in handles:
+        if handle not in keep:
+            handle.cancel()
+    # Cancelled (2n/3) outnumber live (n/3): compaction must have fired at
+    # least once, dropping resident count well below the scheduled total
+    # (post-compaction cancels may lazily re-accumulate below threshold).
+    assert sim.pending() == len(keep)
+    assert sim.queue_depth() < n
+    assert sim.queue_depth() - sim.pending() < COMPACT_MIN_CANCELLED * 2
+    fired = []
+    for handle in keep:
+        handle.callback = fired.append
+        handle.args = (handle.seq,)
+    sim.run()
+    assert sorted(fired) == sorted(h.seq for h in keep)
+
+
+def test_rearm_reuses_timer_object():
+    sim = Simulator()
+    fired = []
+    timer = sim.at(100, fired.append, "a")
+    sim.run(until=200)
+    assert fired == ["a"]
+    again = sim.rearm(timer, 300)
+    assert again is timer  # same object, no allocation
+    sim.run(until=400)
+    assert fired == ["a", "a"]
+
+
+def test_rearm_in_past_raises():
+    sim = Simulator()
+    timer = sim.at(100, lambda: None)
+    sim.run(until=500)
+    with pytest.raises(SimulationError):
+        sim.rearm(timer, 400)
+
+
+def test_rearm_of_queued_timer_falls_back_to_fresh_schedule():
+    sim = Simulator()
+    fired = []
+    timer = sim.at(100, fired.append, "x")
+    # Still queued: rearm must not corrupt the queued entry.
+    clone = sim.rearm(timer, 200)
+    assert clone is not timer
+    sim.run()
+    assert fired == ["x", "x"]

@@ -5,11 +5,13 @@ deterministic workload through an optimized implementation and through a
 deliberately naive reference, then assert the observable logs never
 diverge.  This module holds the pieces two suites already share:
 
-* :class:`ReferenceKernel` / :class:`RefHandle` -- the classic single-heap
-  event kernel, the dispatch-order reference for the timer-wheel
-  (``tests/sim/test_wheel_reference.py``);
+* :class:`ReferenceKernel` / :class:`RefHandle` -- the textbook event
+  kernel (one heap, lazy cancellation, nothing counted or reused), the
+  dispatch-order reference for :class:`repro.sim.kernel.Simulator`
+  (``tests/sim/test_kernel_reference.py``);
 * :class:`TimerWorkload` -- the randomized schedule/cancel/rearm workload
-  that exercises a kernel across every timer placement class;
+  that drives a kernel through same-tick, short and long delays and
+  bounded runs;
 * :func:`assert_logs_identical` -- byte-equality with a *useful* failure
   message (first divergence index and both sides' entries), used by the
   spatial-medium differential suite (``tests/phy/
@@ -20,7 +22,11 @@ diverge.  This module holds the pieces two suites already share:
 import random
 from heapq import heappop, heappush
 
-from repro.sim.kernel import WHEEL_HORIZON_NS, WHEEL_SLOT_NS
+#: The workloads' short and long delay scales (~2.1 ms and ~268 ms).  The
+#: randomized schedules are drawn from these exact values, so changing
+#: them changes every workload.
+SHORT_NS = 1 << 21
+LONG_NS = 1 << 28
 
 
 class RefHandle:
@@ -101,19 +107,18 @@ class TimerWorkload:
     divergence desynchronizes the logs, which the caller asserts against.
     """
 
-    #: Offsets crossing every placement class: same-tick, same-slot,
-    #: near-future wheel slots, exactly one slot, the wheel horizon, and
-    #: deep overflow-heap territory.
+    #: Delays from now: same tick, a few ns, around one short scale and
+    #: around one and two long scales.
     OFFSETS = (
         0,
         1,
         1_337,
-        WHEEL_SLOT_NS - 1,
-        WHEEL_SLOT_NS,
-        3 * WHEEL_SLOT_NS + 17,
-        WHEEL_HORIZON_NS - 1,
-        WHEEL_HORIZON_NS,
-        2 * WHEEL_HORIZON_NS + 23,
+        SHORT_NS - 1,
+        SHORT_NS,
+        3 * SHORT_NS + 17,
+        LONG_NS - 1,
+        LONG_NS,
+        2 * LONG_NS + 23,
     )
 
     def __init__(self, sim, seed, max_items=400):
@@ -158,7 +163,7 @@ class TimerWorkload:
             for _ in range(20):
                 self.schedule(self.sim.now + rng.choice(self.OFFSETS))
             self.sim.run(until=self.sim.now + rng.choice(
-                (WHEEL_SLOT_NS, WHEEL_HORIZON_NS // 2, WHEEL_HORIZON_NS * 3)
+                (SHORT_NS, LONG_NS // 2, LONG_NS * 3)
             ))
         self.sim.run()
         return self.log
