@@ -28,6 +28,7 @@ corresponding flags are not given.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -276,6 +277,8 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit("--workers must be >= 1")
     if args.seeds < 1:
         raise SystemExit("--seeds must be >= 1")
+    if args.timeout is not None and not 0 < args.timeout < math.inf:
+        raise SystemExit("--timeout must be a finite number of seconds > 0")
     cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR") or None
 
     n_cells = 1

@@ -14,36 +14,26 @@ that ordinary tests only probe, never guarantee:
 
 ``simlint`` enforces both *statically*, as an AST pass over the source,
 so a regression is caught at lint time instead of three cached sweeps
-later.  Run it as ``python -m repro lint``; suppress a finding inline with
+later.  ``python -m repro lint`` is the gate: it prints every finding and
+exits 1 on any.  A finding goes away by fixing the code or by an inline
 ``# simlint: allow-<rule> -- <reason>`` (the reason is mandatory).
 
 Public surface:
 
-* :func:`lint_source` / :func:`lint_path` / :func:`lint_paths` -- the engine
+* :func:`lint_source` / :func:`lint_paths` -- the engine
 * :class:`Finding` -- one diagnostic
-* :func:`default_rules` / :data:`RULES` -- the rule registry (SL001..SL008)
+* :func:`default_rules` -- the rule set (SL001..SL008)
 """
 
 from __future__ import annotations
 
-from repro.lint.baseline import load_baseline, write_baseline
-from repro.lint.core import (
-    Finding,
-    lint_path,
-    lint_paths,
-    lint_source,
-    module_name_for,
-)
-from repro.lint.rules import RULES, default_rules
+from repro.lint.core import Finding, lint_paths, lint_source, module_name_for
+from repro.lint.rules import default_rules
 
 __all__ = [
     "Finding",
-    "RULES",
     "default_rules",
-    "lint_path",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "module_name_for",
-    "write_baseline",
 ]

@@ -1,11 +1,12 @@
 """The simlint engine: file contexts, findings, suppressions, dispatch.
 
 The engine is deliberately rule-agnostic.  A rule is any object with a
-``code`` (``SL001``), an ``alias`` (``wallclock``), a ``severity``, an
-``allowed_modules`` frozenset (modules the rule never applies to), and a
-``check(ctx)`` iterator of :class:`Finding` objects.  The engine parses a
-file once, hands every rule the same :class:`FileContext`, filters the
-union of findings through inline suppressions, and returns them sorted.
+``code`` (``SL001``), an ``alias`` (``wallclock``, the name suppressions
+use), an ``allowed_modules`` frozenset (modules the rule never applies
+to), and a ``check(ctx)`` iterator of :class:`Finding` objects.  The
+engine parses a file once, hands every rule the same
+:class:`FileContext`, filters the union of findings through inline
+suppressions, and returns them sorted.  Every finding fails the gate.
 
 Suppression grammar (one comment, same line or the line directly above)::
 
@@ -20,7 +21,6 @@ keeps the suppression inventory greppable *and* justified.
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import re
 import tokenize
@@ -32,10 +32,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.lint.graph import Project
     from repro.lint.rules import Rule
 
-SEVERITY_ERROR = "error"
-SEVERITY_WARNING = "warning"
-
-#: Code used for engine-level diagnostics (parse failures, bad suppressions).
+#: Code used for engine-level diagnostics (files that do not decode or
+#: parse, bad suppressions).
 META_CODE = "SL000"
 META_ALIAS = "meta"
 
@@ -45,11 +43,7 @@ class Finding:
     """One diagnostic produced by a rule (or by the engine itself).
 
     :param code: rule code, e.g. ``SL001``.
-    :param alias: human alias, e.g. ``wallclock`` (used in suppressions).
-    :param severity: ``"error"`` or ``"warning"``.
     :param path: the path the file was linted under (display only).
-    :param module: canonical dotted module name (stable across checkouts;
-        feeds the baseline fingerprint).
     :param line: 1-based source line.
     :param col: 0-based column.
     :param message: what is wrong and what to do instead.
@@ -57,47 +51,15 @@ class Finding:
     """
 
     code: str
-    alias: str
-    severity: str
     path: str
-    module: str
     line: int
     col: int
     message: str
     text: str = ""
 
-    def fingerprint(self) -> str:
-        """Location-independent identity used by ``--baseline`` files.
-
-        Deliberately excludes the line *number* so unrelated edits above a
-        grandfathered finding do not invalidate the baseline; two identical
-        offending lines in one module share a fingerprint (both are then
-        grandfathered together, which is the conservative direction).
-        """
-        blob = f"{self.code}|{self.module}|{self.text.strip()}"
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-    def to_dict(self) -> dict:
-        """JSON-safe representation (used by ``--format=json``)."""
-        return {
-            "code": self.code,
-            "alias": self.alias,
-            "severity": self.severity,
-            "path": self.path,
-            "module": self.module,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "text": self.text,
-            "fingerprint": self.fingerprint(),
-        }
-
     def render(self) -> str:
         """One-line human rendering: ``path:line:col: CODE message``."""
-        return (
-            f"{self.path}:{self.line}:{self.col + 1}: "
-            f"{self.code} [{self.severity}] {self.message}"
-        )
+        return f"{self.path}:{self.line}:{self.col + 1}: {self.code} {self.message}"
 
 
 @dataclass
@@ -180,15 +142,7 @@ def parse_suppressions(
 
     def meta(lineno: int, message: str) -> Finding:
         return Finding(
-            META_CODE,
-            META_ALIAS,
-            SEVERITY_ERROR,
-            str(ctx.path),
-            ctx.module,
-            lineno,
-            0,
-            message,
-            ctx.line_text(lineno),
+            META_CODE, str(ctx.path), lineno, 0, message, ctx.line_text(lineno)
         )
 
     # real comments only (via tokenize): 'simlint:' inside a string literal
@@ -290,18 +244,28 @@ def _alias_map(rules: Sequence["Rule"]) -> dict[str, str]:
 
 
 def _parse_context(
-    source: str, path: Path, modname: str
+    source: str | bytes, path: Path, modname: str
 ) -> tuple[Optional[FileContext], Optional[Finding]]:
-    """Parse one file into a context, or an SL000 parse finding."""
+    """Decode and parse one file into a context, or an SL000 finding."""
+    if isinstance(source, bytes):
+        try:
+            # universal newlines, as a text-mode read would give
+            source = source.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        except UnicodeDecodeError as exc:
+            line_start = source.rfind(b"\n", 0, exc.start) + 1
+            return None, Finding(
+                META_CODE,
+                str(path),
+                source.count(b"\n", 0, exc.start) + 1,
+                exc.start - line_start,
+                f"could not read file: {exc}",
+            )
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
         return None, Finding(
             META_CODE,
-            META_ALIAS,
-            SEVERITY_ERROR,
             str(path),
-            modname,
             exc.lineno or 1,
             (exc.offset or 1) - 1,
             f"could not parse file: {exc.msg}",
@@ -369,14 +333,6 @@ def lint_source(
     return _check_context(ctx, active)
 
 
-def lint_path(
-    path: Path | str, *, rules: Optional[Iterable["Rule"]] = None
-) -> list[Finding]:
-    """Lint one file on disk (as a single-file program)."""
-    path = Path(path)
-    return lint_source(path.read_text(encoding="utf-8"), path, rules=rules)
-
-
 def iter_python_files(paths: Iterable[Path | str]) -> Iterator[Path]:
     """Expand files/directories into a deterministic list of ``.py`` files."""
     for entry in paths:
@@ -407,9 +363,8 @@ def lint_paths(
     findings: list[Finding] = []
     contexts: list[FileContext] = []
     for file in iter_python_files(paths):
-        modname = module_name_for(file)
         ctx, parse_failure = _parse_context(
-            file.read_text(encoding="utf-8"), Path(file), modname
+            file.read_bytes(), file, module_name_for(file)
         )
         if ctx is None:
             assert parse_failure is not None

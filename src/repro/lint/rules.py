@@ -29,16 +29,15 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.core import SEVERITY_ERROR, FileContext, Finding
+from repro.lint.core import FileContext, Finding
+from repro.lint.taint import DATETIME_FACTORIES, ENV_FUNCS, WALLCLOCK_TIME_FUNCS
 
 
 class Rule:
-    """Base class: identity, severity, per-module exemptions."""
+    """Base class: identity, suppression alias, per-module exemptions."""
 
     code: str = "SL000"
     alias: str = "meta"
-    severity: str = SEVERITY_ERROR
-    summary: str = ""
     #: Dotted modules the rule never applies to (the sanctioned homes of
     #: the behaviour the rule forbids elsewhere).
     allowed_modules: frozenset = frozenset()
@@ -47,33 +46,14 @@ class Rule:
         raise NotImplementedError
 
     def finding(self, ctx: FileContext, node: ast.AST, message: str) -> Finding:
-        lineno = getattr(node, "lineno", 1)
-        return Finding(
-            self.code,
-            self.alias,
-            self.severity,
-            str(ctx.path),
-            ctx.module,
-            lineno,
-            getattr(node, "col_offset", 0),
-            message,
-            ctx.line_text(lineno),
+        return self.finding_at(
+            ctx, getattr(node, "lineno", 1), getattr(node, "col_offset", 0), message
         )
 
     def finding_at(
         self, ctx: FileContext, line: int, col: int, message: str
     ) -> Finding:
-        return Finding(
-            self.code,
-            self.alias,
-            self.severity,
-            str(ctx.path),
-            ctx.module,
-            line,
-            col,
-            message,
-            ctx.line_text(line),
-        )
+        return Finding(self.code, str(ctx.path), line, col, message, ctx.line_text(line))
 
     def _taint_findings(self, ctx: FileContext, kind: str, fix: str) -> Iterator[Finding]:
         """Flow-aware half of SL001/SL002/SL005: tainted project calls."""
@@ -129,24 +109,6 @@ def _module_aliases(tree: ast.Module, module: str) -> Set[str]:
 
 # -- SL001: wall clock -------------------------------------------------------
 
-#: ``time`` module functions that read the host clock.
-_WALLCLOCK_TIME_FUNCS = frozenset(
-    {
-        "time",
-        "time_ns",
-        "perf_counter",
-        "perf_counter_ns",
-        "monotonic",
-        "monotonic_ns",
-        "process_time",
-        "process_time_ns",
-        "clock_gettime",
-        "clock_gettime_ns",
-    }
-)
-#: ``datetime``/``date`` class methods that read the host clock.
-_DATETIME_FACTORIES = frozenset({"now", "utcnow", "today"})
-
 
 class WallclockRule(Rule):
     """SL001: simulated code must never read the host clock.
@@ -158,7 +120,6 @@ class WallclockRule(Rule):
 
     code = "SL001"
     alias = "wallclock"
-    summary = "no wall-clock reads (time.time, perf_counter, datetime.now)"
     allowed_modules = frozenset({"repro.obs.wallclock"})
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -169,7 +130,7 @@ class WallclockRule(Rule):
             if isinstance(node, ast.ImportFrom):
                 if node.module == "time":
                     for item in node.names:
-                        if item.name in _WALLCLOCK_TIME_FUNCS:
+                        if item.name in WALLCLOCK_TIME_FUNCS:
                             from_imported.add(item.asname or item.name)
                             yield self.finding(
                                 ctx,
@@ -189,7 +150,7 @@ class WallclockRule(Rule):
                     isinstance(func, ast.Attribute)
                     and isinstance(func.value, ast.Name)
                     and func.value.id in time_aliases
-                    and func.attr in _WALLCLOCK_TIME_FUNCS
+                    and func.attr in WALLCLOCK_TIME_FUNCS
                 ):
                     yield self.finding(
                         ctx,
@@ -206,7 +167,7 @@ class WallclockRule(Rule):
                     )
                 elif (
                     isinstance(func, ast.Attribute)
-                    and func.attr in _DATETIME_FACTORIES
+                    and func.attr in DATETIME_FACTORIES
                     and _terminal_name(func.value) in datetime_aliases
                 ):
                     yield self.finding(
@@ -237,7 +198,6 @@ class RngRule(Rule):
 
     code = "SL002"
     alias = "rng"
-    summary = "no global/unseeded random or numpy.random"
     allowed_modules = frozenset({"repro.sim.rng"})
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -434,7 +394,6 @@ class SetIterRule(Rule):
 
     code = "SL003"
     alias = "set-order"
-    summary = "no order-sensitive iteration over sets (wrap in sorted())"
 
     #: calls whose argument order becomes output order.
     _ORDER_SINKS = frozenset({"list", "tuple", "iter", "enumerate"})
@@ -558,7 +517,6 @@ class FloatTimeRule(Rule):
 
     code = "SL004"
     alias = "float-time"
-    summary = "no float equality/arithmetic on integer sim-time variables"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
@@ -599,10 +557,6 @@ class FloatTimeRule(Rule):
 
 # -- SL005: environment ------------------------------------------------------
 
-_ENV_FUNCS = frozenset(
-    {"getenv", "cpu_count", "sched_getaffinity", "process_cpu_count", "putenv"}
-)
-
 
 class EnvRule(Rule):
     """SL005: configuration must be explicit -- no env/CPU introspection.
@@ -615,7 +569,6 @@ class EnvRule(Rule):
 
     code = "SL005"
     alias = "env"
-    summary = "no os.environ / os.cpu_count reads outside repro.exp.cli"
     allowed_modules = frozenset({"repro.exp.cli"})
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -623,7 +576,7 @@ class EnvRule(Rule):
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ImportFrom) and node.module == "os":
                 for item in node.names:
-                    if item.name == "environ" or item.name in _ENV_FUNCS:
+                    if item.name == "environ" or item.name in ENV_FUNCS:
                         yield self.finding(
                             ctx,
                             node,
@@ -649,7 +602,7 @@ class EnvRule(Rule):
                 and isinstance(node.func, ast.Attribute)
                 and isinstance(node.func.value, ast.Name)
                 and node.func.value.id in os_aliases
-                and node.func.attr in _ENV_FUNCS
+                and node.func.attr in ENV_FUNCS
             ):
                 yield self.finding(
                     ctx,
@@ -692,7 +645,6 @@ class MagicTimingRule(Rule):
 
     code = "SL006"
     alias = "magic-time"
-    summary = "protocol timing literals must be named constants"
     allowed_modules = frozenset({"repro.sim.units"})
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -778,7 +730,6 @@ class UnitMixRule(Rule):
 
     code = "SL007"
     alias = "unit-mix"
-    summary = "no cross-unit time arithmetic or suffix-violating bindings"
     allowed_modules = frozenset({"repro.sim.units"})
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -806,7 +757,6 @@ class InstrumentationGuardRule(Rule):
 
     code = "SL008"
     alias = "instr-guard"
-    summary = "hot-path METRICS/TRACE/SPANS calls must be behind .enabled"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.project is None:
@@ -841,7 +791,3 @@ def default_rules() -> List[Rule]:
         UnitMixRule(),
         InstrumentationGuardRule(),
     ]
-
-
-#: Singleton registry for documentation and ``--list-rules``.
-RULES: Dict[str, Rule] = {rule.code: rule for rule in default_rules()}

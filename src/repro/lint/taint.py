@@ -10,8 +10,8 @@ call chain as evidence (``_jitter -> _now_hack -> time.time``).
 Semantics, deliberately conservative and deterministic:
 
 * **Sources** are the same syntactic patterns the intra-file rules match
-  (shared predicates below), so the two layers can never disagree about
-  what counts as a read.
+  (the rules import the name sets below), so the two layers can never
+  disagree about what counts as a read.
 * **Barriers** are each rule's sanctioned modules (``repro.obs.wallclock``
   for wall-clock, ``repro.sim.rng`` for randomness, ``repro.exp.cli`` for
   env): taint never propagates *out of* a barrier module, because routing
@@ -53,7 +53,7 @@ BARRIER_MODULES: Dict[str, frozenset] = {
     ENV: frozenset({"repro.exp.cli"}),
 }
 
-#: ``time`` module functions that read the host clock (mirror of SL001).
+#: ``time`` module functions that read the host clock.
 WALLCLOCK_TIME_FUNCS = frozenset(
     {
         "time",
@@ -68,7 +68,9 @@ WALLCLOCK_TIME_FUNCS = frozenset(
         "clock_gettime_ns",
     }
 )
+#: ``datetime``/``date`` class methods that read the host clock.
 DATETIME_FACTORIES = frozenset({"now", "utcnow", "today"})
+#: ``os`` functions that read the environment or host CPUs (SL005).
 ENV_FUNCS = frozenset(
     {"getenv", "cpu_count", "sched_getaffinity", "process_cpu_count", "putenv"}
 )

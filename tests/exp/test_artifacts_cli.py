@@ -166,7 +166,16 @@ class TestCli:
         ["journeys", LINE4, "--ab-check", "--repeats", "5", "--bar", "0.02"],
         ["run", LINE4, "--metrics"],
         ["sweep", LINE4, "--metrics"],
-    ], ids=["trace", "metrics", "journeys", "run", "sweep"])
+        ["lint", "--format", "sarif"],
+        ["lint", "--baseline", "b"],
+        ["lint", "--write-baseline"],
+        ["lint", "--strict"],
+        ["lint", "--explain", "SL001"],
+        ["lint", "--cache", "c"],
+        ["lint", "--list-rules"],
+    ], ids=["trace", "metrics", "journeys", "run", "sweep", "lint-format",
+            "lint-baseline", "lint-write-baseline", "lint-strict", "lint-explain",
+            "lint-cache", "lint-list-rules"])
     def test_removed_commands_and_flags_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)

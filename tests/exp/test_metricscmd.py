@@ -63,9 +63,16 @@ class TestRunMetrics:
         text = (outdir / "metrics.prom").read_text()
         assert "# TYPE repro_coap_requests_total counter" in text
 
-    def test_rejects_zero_repetitions(self, tmp_path):
-        with pytest.raises(SystemExit, match="--seeds must be >= 1"):
-            main(["sweep", _description(tmp_path, metrics=True), "--seeds", "0"])
+    @pytest.mark.parametrize("option", [
+        "--seeds=0", "--timeout=0", "--timeout=-1", "--timeout=inf", "--timeout=nan",
+    ])
+    def test_rejects_zero_repetitions(self, tmp_path, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", _description(tmp_path, metrics=True), option])
+        assert exc.value.code == {
+            "--seeds": "--seeds must be >= 1",
+            "--timeout": "--timeout must be a finite number of seconds > 0",
+        }[option.split("=")[0]]
 
 
 class TestCli:

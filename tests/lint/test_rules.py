@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import lint_path, lint_source
+from repro.lint import default_rules, lint_paths, lint_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -41,19 +41,18 @@ def codes(findings):
 class TestFixtures:
     @pytest.mark.parametrize("filename,expected", FIXTURE_CASES)
     def test_each_fixture_fires_exactly_its_rule(self, filename, expected):
-        findings = lint_path(FIXTURES / filename)
+        findings = lint_paths([FIXTURES / filename])
         assert codes(findings) == [expected], [f.render() for f in findings]
 
     @pytest.mark.parametrize("filename,expected", FIXTURE_CASES)
     def test_findings_carry_location_and_text(self, filename, expected):
-        for finding in lint_path(FIXTURES / filename):
+        for finding in lint_paths([FIXTURES / filename]):
             assert finding.line >= 1
             assert finding.text, "finding should quote the offending line"
-            assert finding.severity == "error"
 
     @pytest.mark.parametrize("filename", CLEAN_FIXTURES)
     def test_clean_fixtures_stay_clean(self, filename):
-        findings = lint_path(FIXTURES / filename)
+        findings = lint_paths([FIXTURES / filename])
         assert findings == [], [f.render() for f in findings]
 
 
@@ -196,6 +195,9 @@ class TestMagicTimingRule:
 
 
 class TestEngine:
+    def test_default_rules_are_sl001_to_sl008(self):
+        assert [r.code for r in default_rules()] == [f"SL00{i}" for i in range(1, 9)]
+
     def test_syntax_error_becomes_meta_finding(self):
         findings = lint_source("def broken(:\n", "x.py")
         assert codes(findings) == ["SL000"]
