@@ -139,11 +139,6 @@ class Endpoint:
         #: Upper-layer ack hook: ``on_pdu_acked(pdu)``.
         self.on_pdu_acked: Optional[Callable[[DataPdu], None]] = None
 
-    @property
-    def has_data(self) -> bool:
-        """Whether this endpoint has PDUs waiting (drives the MD flag)."""
-        return bool(self.tx_queue)
-
     def enqueue(self, pdu: DataPdu) -> bool:
         """Queue a PDU for transfer, charging the controller's buffer pool.
 
@@ -155,13 +150,7 @@ class Endpoint:
         self.tx_queue_bytes += len(pdu.payload)
         return True
 
-    def next_tx_len(self) -> int:
-        """Payload length of the PDU the next ``build_tx_pdu`` would send."""
-        if self._outstanding is not None:
-            return len(self._outstanding.payload)
-        return len(self.tx_queue[0].payload) if self.tx_queue else 0
-
-    def build_tx_pdu(self, max_payload: int = 251) -> DataPdu:
+    def build_tx_pdu(self) -> DataPdu:
         """Stamp and return the next PDU to transmit.
 
         The outstanding PDU (queue head or an empty) is *not* released: it
@@ -171,19 +160,13 @@ class Endpoint:
         exactly like data PDUs, so an unacknowledged empty is retransmitted
         before any newly queued data may use its sequence number.
 
-        :param max_payload: the largest payload that still fits before the
-            node's next scheduled radio activity.  Fresh data larger than
-            this is deferred (an empty PDU is pinned instead), mirroring how
-            a controller avoids starting a packet it cannot finish -- the
-            Figure 4 capacity truncation.  A PDU that already went on air is
-            exempt: a retransmission must repeat the original PDU.
+        Whether an exchange still fits before the node's next radio
+        activity (the Figure 4 capacity truncation) is decided by the event
+        loop before it calls this.
         """
         pdu = self._outstanding
         if pdu is None:
-            if self.tx_queue and len(self.tx_queue[0].payload) <= max_payload:
-                pdu = self.tx_queue[0]
-            else:
-                pdu = self._empty_pdu
+            pdu = self.tx_queue[0] if self.tx_queue else self._empty_pdu
             pdu.sn = self.sn
             self._outstanding = pdu
         elif pdu.payload and METRICS.enabled:
@@ -332,12 +315,12 @@ class Connection:
         )
         self._widening_base = subordinate.config.window_widening_base_ns
         self._sub_clock = subordinate.clock
-        # Cross-event PER memo for the inline loss-sampling fast path:
-        # with no bursts configured the PER of a (channel, nbytes) pair is
-        # time-invariant, so it survives across events.  Guarded by the
-        # interference model's change stamp (see _exchange_loop).
+        # Channel -> PER of an empty packet, for _idle_exchange: with no
+        # bursts configured it is time-invariant, so it survives across
+        # events until the interference model's change stamp moves.
         self._per_memo: Dict[int, float] = {}
         self._per_memo_stamp: Tuple[int, int] = (-2, -2)
+        self._empty_air_ns = ble_air_time_ns(0, self.phy)
         self._interval_true = coordinator.clock.local_duration_to_true(
             params.interval_ns
         )
@@ -485,14 +468,6 @@ class Connection:
         elif kind == "chan-map-update":
             self._pending_chan_map = arg
 
-    def _interval_true_coord(self) -> int:
-        """One interval as counted by the coordinator's clock, in true ns.
-
-        Cached in ``_interval_true``: the clock rate is fixed for life and
-        ``params`` only changes via a control procedure, which refreshes it.
-        """
-        return self._interval_true
-
     def _next_radio_time(self, role: Role, after_ns: int) -> Optional[int]:
         """Scheduler callback: when does this connection need the radio next."""
         if not self.open:
@@ -503,29 +478,14 @@ class Connection:
             periods = (after_ns - anchor) // interval + 1
             anchor += periods * interval
         if role is Role.SUBORDINATE:
-            # The subordinate opens its window early; approximating with the
-            # current widening is enough for budget queries.  Inlined
-            # _window_widening: budget queries run several times per event.
+            # The subordinate opens its window early by the widening (the
+            # arithmetic of _run_event's window check); approximating with
+            # the current widening is enough for budget queries.
             dt = anchor - self._sync_true
             if dt < 0:
                 dt = 0
             anchor -= self._widening_base + int(dt * self._sca_sum_ppm * 1e-6)
         return anchor
-
-    def _sub_predicted_anchor(self) -> int:
-        """Where the subordinate's clock believes the current anchor lies."""
-        elapsed_events = self.event_counter - self._sync_counter
-        pred_local = self._sync_local + elapsed_events * self.params.interval_ns
-        return self.sub.controller.clock.to_true(pred_local)
-
-    def _window_widening(self, pred_true: int) -> int:
-        """Receive window half-width around the predicted anchor (§6.1).
-
-        The hot paths (`_run_event`, `_next_radio_time`) inline this
-        arithmetic; keep the three of them in sync.
-        """
-        dt = max(0, pred_true - self._sync_true)
-        return self._widening_base + int(dt * self._sca_sum_ppm * 1e-6)
 
     def _policy_yield(
         self, controller: "BleController", activity: _ConnActivity, t0: int
@@ -543,21 +503,30 @@ class Connection:
             and demand_a.consec_skips > activity.consec_skips
         )
 
-    def _event_budget_end(
-        self,
-        controller: "BleController",
-        activity: _ConnActivity,
-        t0: int,
-        interval_true: int,
-    ) -> int:
-        """Latest time this event may occupy ``controller``'s radio."""
+    def _event_budget_end(self, t0: int, interval_true: int) -> int:
+        """Latest time the event starting at ``t0`` may occupy the radios.
+
+        The event may run until the interval ends, the next competing radio
+        demand on either node, or either controller's event-length cap,
+        whichever is earliest.
+        """
         end = t0 + interval_true - T_IFS_NS
-        demand_t, _ = controller.scheduler.next_demand_after(t0, exclude=activity)
-        if demand_t is not None:
-            end = min(end, demand_t - T_IFS_NS)
-        max_len = controller.config.max_event_len_ns
-        if max_len > 0:
-            end = min(end, t0 + max_len)
+        coord_ctrl = self.coord.controller
+        sub_ctrl = self.sub.controller
+        demand_t, _ = coord_ctrl.scheduler.next_demand_after(
+            t0, self._coord_activity
+        )
+        if demand_t is not None and demand_t - T_IFS_NS < end:
+            end = demand_t - T_IFS_NS
+        demand_t, _ = sub_ctrl.scheduler.next_demand_after(t0, self._sub_activity)
+        if demand_t is not None and demand_t - T_IFS_NS < end:
+            end = demand_t - T_IFS_NS
+        max_len = coord_ctrl.config.max_event_len_ns
+        if max_len > 0 and t0 + max_len < end:
+            end = t0 + max_len
+        max_len = sub_ctrl.config.max_event_len_ns
+        if max_len > 0 and t0 + max_len < end:
+            end = t0 + max_len
         return end
 
     def _run_event(self) -> None:
@@ -575,7 +544,9 @@ class Connection:
         channel = self.csa.channel_for_event(self.event_counter & 0xFFFF, self.chan_map)
 
         # --- subordinate's view: does its window catch the anchor? ---------
-        # Inlined _sub_predicted_anchor + _window_widening (hot path).
+        # It predicts the anchor on its own clock from the last resync and
+        # widens its receive window by the drift both sides' declared SCA
+        # allow since then (§6.1).
         pred_local = self._sync_local + (
             (self.event_counter - self._sync_counter) * self.params.interval_ns
         )
@@ -656,7 +627,18 @@ class Connection:
             if metrics_on:
                 METRICS.inc(coord_ctrl.name, "ble.conn_events_served")
                 METRICS.inc(sub_ctrl.name, "ble.conn_events_served")
-            end = self._exchange_loop(t0, channel, interval_true)
+            medium = self.medium
+            if (
+                not self.coord.tx_queue
+                and not self.sub.tx_queue
+                and not (trace_on or metrics_on or SPANS.enabled)
+                and coord_ctrl.config.abort_event_on_crc_error
+                and "packet_lost" not in medium.__dict__
+                and type(medium).packet_lost is BleMedium.packet_lost
+            ):
+                end = self._idle_exchange(t0, channel)
+            else:
+                end = self._exchange_loop(t0, channel, interval_true)
             csched = coord_ctrl.scheduler
             ssched = sub_ctrl.scheduler
             if trace_on or metrics_on:
@@ -669,7 +651,7 @@ class Connection:
                 ssched.claim(self._sub_activity, t0, end)
             else:
                 # Inlined RadioScheduler.claim fast path (instrumentation
-                # off; _exchange_loop guarantees end >= t0).
+                # off; both exchange paths guarantee end >= t0).
                 dur = end - t0
                 csched._busy_until = end
                 csched._busy_owner = self._coord_activity
@@ -782,77 +764,22 @@ class Connection:
         closes the event immediately (BT 5.2 Vol 6 Part B §4.5.6).
         """
         coord, sub = self.coord, self.sub
-        # Inlined _event_budget_end for both endpoints (hot path): the
-        # event may run until the interval ends, the next competing radio
-        # demand on either node, or the controller's event-length cap,
-        # whichever is earliest.
-        budget_end = t0 + interval_true - T_IFS_NS
-        coord_ctrl = coord.controller
-        sub_ctrl = sub.controller
-        demand_t, _ = coord_ctrl.scheduler.next_demand_after(
-            t0, self._coord_activity
-        )
-        if demand_t is not None and demand_t - T_IFS_NS < budget_end:
-            budget_end = demand_t - T_IFS_NS
-        demand_t, _ = sub_ctrl.scheduler.next_demand_after(t0, self._sub_activity)
-        if demand_t is not None and demand_t - T_IFS_NS < budget_end:
-            budget_end = demand_t - T_IFS_NS
-        max_len = coord_ctrl.config.max_event_len_ns
-        if max_len > 0 and t0 + max_len < budget_end:
-            budget_end = t0 + max_len
-        max_len = sub_ctrl.config.max_event_len_ns
-        if max_len > 0 and t0 + max_len < budget_end:
-            budget_end = t0 + max_len
-        medium = self.medium
+        # Computed at the anchor, not when first needed: a receive callback
+        # may register or unregister radio activities mid-event (dynconn
+        # starts advertising), which would move a later query's answer.
+        budget_end = self._event_budget_end(t0, interval_true)
         # Loop-invariant loads, hoisted out of the per-exchange iteration:
         # instrumentation flags only toggle between runs, never inside a
         # connection event, and the PHY / abort policy are fixed per event.
         trace_on = TRACE.enabled
         metrics_on = METRICS.enabled
         spans_on = SPANS.enabled
-        phy = self.phy
-        air = ble_air_time_table(phy)
-        abort_on_crc = coord_ctrl.config.abort_event_on_crc_error
-        packet_lost = medium.packet_lost
+        air = ble_air_time_table(self.phy)
+        abort_on_crc = coord.controller.config.abort_event_on_crc_error
+        packet_lost = self.medium.packet_lost
         llid_cont = Llid.DATA_CONT
         coord_chan_row = coord.stats.per_channel[channel]
         sub_chan_row = sub.stats.per_channel[channel]
-        # With instrumentation off, loss sampling is inlined: the PER for a
-        # given (channel, nbytes) is constant for the whole event (kernel
-        # time does not advance inside a callback, so burst activity cannot
-        # change mid-event) and is memoized per length.  The RNG draw
-        # discipline is identical to BleMedium.packet_lost: one draw per
-        # packet, skipped when PER <= 0.  The inline is only taken when
-        # ``packet_lost`` is the stock implementation -- tests and fault
-        # injectors that patch or override it keep their seam.
-        fast_phy = (
-            not trace_on
-            and not metrics_on
-            and "packet_lost" not in medium.__dict__
-            and type(medium).packet_lost is BleMedium.packet_lost
-        )
-        if fast_phy:
-            interf = medium.interference
-            per_of = interf.packet_error_rate
-            rng_random = medium.rng.random
-            sim_now = self.sim.now
-            if interf.bursts:
-                # Bursts make PER time-dependent: memoize within this
-                # event only (kernel time is frozen inside a callback).
-                per_cache: Dict[int, float] = {}
-            else:
-                # No bursts: PER is a pure function of (channel, nbytes)
-                # until the static interference config changes, so the
-                # memo survives across events.  The stamp mirrors the
-                # model's own dirty flag (invalidate() resets it).
-                per_cache = self._per_memo
-                stamp = interf._chan_stamp
-                if stamp != self._per_memo_stamp:
-                    per_cache.clear()
-                    self._per_memo_stamp = stamp
-            # nbytes < 512 always (max BLE payload 251 + overhead), so
-            # `channel * 512 + nbytes` is a collision-free int key.
-            chan_key = channel << 9
         t = t0
         first = True
         coord_active = False
@@ -878,21 +805,7 @@ class Connection:
                         label_key="channel",
                     )
             len_c = len(pdu_c.payload)
-            if fast_phy:
-                nb = len_c + 10
-                per = per_cache.get(chan_key + nb)
-                if per is None:
-                    per = per_of(channel, nb, sim_now)
-                    per_cache[chan_key + nb] = per
-                medium.packets_sampled += 1
-                if per <= 0.0:
-                    lost_c = False
-                else:
-                    lost_c = rng_random() < per
-                    if lost_c:
-                        medium.packets_lost += 1
-            else:
-                lost_c = packet_lost(channel, len_c + 10)
+            lost_c = packet_lost(channel, len_c + 10)
             t += air[len_c]
             if spans_on:
                 tag = pdu_c.tag
@@ -921,7 +834,8 @@ class Connection:
                 t += T_IFS_NS
                 continue
             if first:
-                # Inlined _resync_sub: the sub locks onto this anchor.
+                # The subordinate locks onto the anchor with the first
+                # packet it receives.
                 self._sync_true = t0
                 self._sync_counter = self.event_counter
                 self._sync_local = self._sub_clock.to_local(t0)
@@ -949,21 +863,7 @@ class Connection:
                         label_key="channel",
                     )
             len_s = len(pdu_s.payload)
-            if fast_phy:
-                nb = len_s + 10
-                per = per_cache.get(chan_key + nb)
-                if per is None:
-                    per = per_of(channel, nb, sim_now)
-                    per_cache[chan_key + nb] = per
-                medium.packets_sampled += 1
-                if per <= 0.0:
-                    lost_s = False
-                else:
-                    lost_s = rng_random() < per
-                    if lost_s:
-                        medium.packets_lost += 1
-            else:
-                lost_s = packet_lost(channel, len_s + 10)
+            lost_s = packet_lost(channel, len_s + 10)
             t += air[len_s]
             if spans_on:
                 tag = pdu_s.tag
@@ -1001,7 +901,8 @@ class Connection:
 
             if not (coord.tx_queue or sub.tx_queue):
                 break
-            # Inlined next_tx_len for both endpoints (hot loop).
+            # Payload each side sends next: its pinned PDU, else its queue
+            # head (what build_tx_pdu will pick).
             o = coord._outstanding
             if o is not None:
                 next_c = len(o.payload)
@@ -1026,8 +927,95 @@ class Connection:
             event_row[1] += 1
         return t
 
-    def _resync_sub(self, anchor_true: int) -> None:
-        """The subordinate locks onto the coordinator's anchor (first RX)."""
-        self._sync_true = anchor_true
+    def _idle_exchange(self, t0: int, channel: int) -> int:
+        """One empty <-> empty exchange, uninstrumented; returns its end time.
+
+        ``_run_event`` takes this path instead of :meth:`_exchange_loop`
+        when neither endpoint has a PDU queued, tracing, metrics and spans
+        are off, the medium samples loss with the stock
+        :meth:`BleMedium.packet_lost`, and a CRC error ends the event.  The
+        loop would then trade one pair of pinned empty PDUs, and this path
+        has the same effects: SN, NESN and MD bits, the subordinate's
+        resync, ``last_rx_valid``, the link and medium counters, and one
+        ``medium.rng.random()`` draw per packet, skipped when the PER is 0.
+        It computes no event budget: the first exchange always runs in
+        full, and an empty PDU fires no upper-layer callback that could
+        queue another.
+        """
+        coord, sub = self.coord, self.sub
+        medium = self.medium
+        interf = medium.interference
+        # Both packets share one channel and one length (an empty PDU plus
+        # 10 bytes of overhead), and kernel time is frozen inside the event,
+        # so they share one PER.  Bursts make it time-dependent; without
+        # them it is memoized across events for as long as the model's own
+        # change stamp is current and unchanged.
+        if interf.bursts:
+            per = interf.packet_error_rate(channel, 10, self.sim.now)
+        else:
+            memo = self._per_memo
+            stamp = interf._chan_stamp
+            if (
+                stamp != self._per_memo_stamp
+                or stamp[0] != id(interf.jammed_channels)
+                or stamp[1] != len(interf.channel_per)
+            ):
+                memo.clear()
+            per = memo.get(channel)
+            if per is None:
+                per = interf.packet_error_rate(channel, 10, self.sim.now)
+                memo[channel] = per
+                self._per_memo_stamp = interf._chan_stamp
+        air = self._empty_air_ns
+        event_row = coord.stats.per_channel_events[channel]
+        event_row[0] += 1
+
+        pdu = coord._outstanding
+        if pdu is None:
+            pdu = coord._empty_pdu
+            pdu.sn = coord.sn
+            coord._outstanding = pdu
+        pdu.nesn = coord.nesn
+        pdu.md = False
+        coord.stats.tx_empty += 1
+        medium.packets_sampled += 1
+        t = t0 + air
+        if per > 0.0 and medium.rng.random() < per:
+            medium.packets_lost += 1
+            coord.stats.events_crc_abort += 1
+            event_row[1] += 1
+            return t
+        self._sync_true = t0
         self._sync_counter = self.event_counter
-        self._sync_local = self.sub.controller.clock.to_local(anchor_true)
+        self._sync_local = self._sub_clock.to_local(t0)
+        sub.last_rx_valid = t
+        if pdu.nesn != sub.sn:
+            sub.sn ^= 1
+            sub._outstanding = None
+        if pdu.sn == sub.nesn:
+            sub.nesn ^= 1
+        sub.stats.events_active += 1
+
+        pdu = sub._outstanding
+        if pdu is None:
+            pdu = sub._empty_pdu
+            pdu.sn = sub.sn
+            sub._outstanding = pdu
+        pdu.nesn = sub.nesn
+        pdu.md = False
+        sub.stats.tx_empty += 1
+        medium.packets_sampled += 1
+        t += T_IFS_NS + air
+        if per > 0.0 and medium.rng.random() < per:
+            medium.packets_lost += 1
+            sub.stats.events_crc_abort += 1
+            event_row[1] += 1
+            return t
+        coord.last_rx_valid = t
+        if pdu.nesn != coord.sn:
+            coord.sn ^= 1
+            coord._outstanding = None
+        if pdu.sn == coord.nesn:
+            coord.nesn ^= 1
+        coord.stats.events_active += 1
+        return t

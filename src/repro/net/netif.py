@@ -65,6 +65,8 @@ class BleNetif:
         self.pktbuf = pktbuf
         self.coc_config = coc_config
         self.adaptation = BleAdaptation()
+        # RFC 7668 IID of this node, derived once: the identity never changes.
+        self._iid = BleAdaptation.iid_for_node(controller.identity)
         #: Set by :meth:`repro.net.ip.Ipv6Stack.add_netif`.
         self.ip: Optional["Ipv6Stack"] = None
         self._outstanding: Dict[Connection, int] = {}
@@ -97,7 +99,8 @@ class BleNetif:
         coc.accept_psm(IPSP_PSM)
         end = coc.end_of(self.controller)
         peer_ll = conn.peer_of(self.controller).identity
-        end.on_sdu = lambda sdu, peer=peer_ll: self._on_rx_sdu(sdu, peer)
+        peer_iid = BleAdaptation.iid_for_node(peer_ll)
+        end.on_sdu = lambda sdu: self._on_rx_sdu(sdu, peer_ll, peer_iid)
         end.on_sdu_sent = self._on_sdu_sent
         self._outstanding[conn] = 0
         # RFC 7668: the coordinator (6LN/central) initiates the IPSP channel
@@ -130,9 +133,7 @@ class BleNetif:
                 SPANS.drop("no-link")
             return False
         wire = self.adaptation.to_link(
-            packet,
-            BleAdaptation.iid_for_node(self.ll_addr),
-            BleAdaptation.iid_for_node(next_hop_ll),
+            packet, self._iid, BleAdaptation.iid_for_node(next_hop_ll)
         )
         if not self.pktbuf.try_alloc(len(wire)):
             self.drops_pktbuf += 1
@@ -174,14 +175,10 @@ class BleNetif:
         self._outstanding[conn] = held - nbytes
         self.pktbuf.free(nbytes)
 
-    def _on_rx_sdu(self, sdu: bytes, peer_ll: int) -> None:
+    def _on_rx_sdu(self, sdu: bytes, peer_ll: int, peer_iid: bytes) -> None:
         """Decompress an inbound SDU and push it up to the IP stack."""
         try:
-            packet = self.adaptation.from_link(
-                sdu,
-                BleAdaptation.iid_for_node(peer_ll),
-                BleAdaptation.iid_for_node(self.ll_addr),
-            )
+            packet = self.adaptation.from_link(sdu, peer_iid, self._iid)
         except ValueError:
             self.rx_decode_errors += 1
             return

@@ -82,22 +82,6 @@ def ble_air_time_table(phy: BlePhyMode = BlePhyMode.LE_1M) -> tuple:
     return _AIR_TIME_1M if phy is BlePhyMode.LE_1M else _AIR_TIME_2M
 
 
-def ble_max_payload_for(air_budget_ns: int, phy: BlePhyMode = BlePhyMode.LE_1M) -> int:
-    """Largest LL payload whose packet fits in ``air_budget_ns`` (or -1).
-
-    Used by the connection event loop to decide whether a queued data PDU
-    still fits before the next scheduled radio activity; -1 means not even
-    an empty packet fits.
-    """
-    if phy is BlePhyMode.LE_1M:
-        per_byte, overhead = _BYTE_NS_1M, BLE_1M_OVERHEAD_BYTES
-    else:
-        per_byte, overhead = _BYTE_NS_2M, BLE_2M_OVERHEAD_BYTES
-    max_total_bytes = air_budget_ns // per_byte
-    payload = min(int(max_total_bytes) - overhead, BLE_MAX_DATA_PAYLOAD)
-    return max(payload, -1)
-
-
 def ble_adv_air_time_ns(payload_len: int) -> int:
     """On-air duration of a legacy advertising PDU (always LE 1M).
 

@@ -44,12 +44,11 @@ class BleAdaptation:
         dst_ll_iid: Optional[bytes] = None,
     ) -> bytes:
         """Translate an outbound IPv6 packet into the L2CAP SDU bytes."""
-        raw = packet.encode()
         if self.use_iphc:
             wire = iphc.compress(packet, src_ll_iid, dst_ll_iid)
         else:
-            wire = bytes([iphc.UNCOMPRESSED_IPV6_DISPATCH]) + raw
-        self.bytes_in += len(raw)
+            wire = bytes([iphc.UNCOMPRESSED_IPV6_DISPATCH]) + packet.encode()
+        self.bytes_in += packet.total_len
         self.bytes_out += len(wire)
         self.packets_down += 1
         return wire

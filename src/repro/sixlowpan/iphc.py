@@ -36,6 +36,13 @@ UNCOMPRESSED_IPV6_DISPATCH = 0x41
 NHC_UDP_PATTERN = 0b1111_0000
 
 _LINK_LOCAL_PADDED = bytes.fromhex("fe80000000000000")
+#: First six IID bytes of a 16-bit-compressible IID (``0000:00ff:fe00:XXXX``).
+_IID_16BIT_PREFIX = bytes.fromhex("000000fffe00")
+#: First 15 bytes of an ``ff02::00XX`` multicast address.
+_FF02_PREFIX = bytes.fromhex("ff02") + b"\x00" * 13
+#: Hop limits with an HLIM code of their own, and the inverse table.
+_HLIM_MODES = {1: 0b01, 64: 0b10, 255: 0b11}
+_HLIM_VALUES = {0b01: 1, 0b10: 64, 0b11: 255}
 
 
 class IphcError(ValueError):
@@ -53,7 +60,7 @@ def _compress_unicast(addr: Ipv6Address, ll_iid: Optional[bytes]) -> Tuple[int, 
         iid = addr.iid
         if ll_iid is not None and iid == ll_iid:
             return 0b11, b""  # fully elided, derived from the LL address
-        if iid[:6] == bytes.fromhex("000000fffe00"):
+        if iid[:6] == _IID_16BIT_PREFIX:
             return 0b10, iid[6:]  # 16-bit compressible IID
         return 0b01, iid  # 64-bit IID inline, prefix elided
     return 0b00, addr.packed  # full address inline
@@ -62,7 +69,7 @@ def _compress_unicast(addr: Ipv6Address, ll_iid: Optional[bytes]) -> Tuple[int, 
 def _compress_multicast(addr: Ipv6Address) -> Tuple[int, bytes]:
     """Pick the DAM mode and inline bytes for a multicast address."""
     p = addr.packed
-    if p[:15] == bytes.fromhex("ff02") + b"\x00" * 13:
+    if p[:15] == _FF02_PREFIX:
         return 0b11, p[15:16]  # ff02::00XX
     if p[2:13] == b"\x00" * 11:
         return 0b10, p[1:2] + p[13:]  # ffXX::00XX:XXXX
@@ -83,7 +90,10 @@ def compress(
         (enables full source elision for link-local traffic).
     :param dst_ll_iid: same for the destination.
     :returns: the compressed bytes including payload.
+    :raises ValueError: when the hop limit does not fit its byte.
     """
+    if not 0 <= packet.hop_limit <= 255:
+        raise ValueError(f"hop limit out of range: {packet.hop_limit}")
     inline = bytearray()
 
     # TF: traffic class + flow label
@@ -121,8 +131,7 @@ def compress(
         inline.append(packet.next_header)
 
     # HLIM
-    hlim_modes = {1: 0b01, 64: 0b10, 255: 0b11}
-    hlim = hlim_modes.get(packet.hop_limit, 0b00)
+    hlim = _HLIM_MODES.get(packet.hop_limit, 0b00)
     if hlim == 0b00:
         inline.append(packet.hop_limit)
 
@@ -200,7 +209,7 @@ def _decode_unicast(mode: int, reader: _Reader, ll_iid: Optional[bytes]) -> Ipv6
         return Ipv6Address(_LINK_LOCAL_PADDED + reader.take(8))
     if mode == 0b10:
         return Ipv6Address(
-            _LINK_LOCAL_PADDED + bytes.fromhex("000000fffe00") + reader.take(2)
+            _LINK_LOCAL_PADDED + _IID_16BIT_PREFIX + reader.take(2)
         )
     if ll_iid is None:
         raise IphcError("elided address but no link-layer IID available")
@@ -216,7 +225,7 @@ def _decode_multicast(mode: int, reader: _Reader) -> Ipv6Address:
     if mode == 0b10:
         raw = reader.take(4)
         return Ipv6Address(b"\xff" + raw[:1] + b"\x00" * 11 + raw[1:])
-    return Ipv6Address(bytes.fromhex("ff02") + b"\x00" * 13 + reader.take(1))
+    return Ipv6Address(_FF02_PREFIX + reader.take(1))
 
 
 def decompress(
@@ -264,7 +273,7 @@ def decompress(
 
     next_header = PROTO_UDP if nh else reader.take(1)[0]
 
-    hop_limit = {0b01: 1, 0b10: 64, 0b11: 255}.get(hlim)
+    hop_limit = _HLIM_VALUES.get(hlim)
     if hop_limit is None:
         hop_limit = reader.take(1)[0]
 

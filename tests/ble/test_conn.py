@@ -6,12 +6,17 @@ CRC-triggered event aborts, window widening, supervision timeouts, and --
 most importantly -- connection shading between co-located connections.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.ble.config import BleConfig, ConnParams, SchedulerPolicy
 from repro.ble.conn import DisconnectReason
 from repro.phy.medium import InterferenceBurst
 from repro.sim.units import MSEC, SEC, USEC
+from repro.trace.tracer import TRACE
+
+from .conftest import BlePlane
 
 
 class Hog:
@@ -343,3 +348,133 @@ def test_second_connection_truncates_first_events(make_plane):
     plane.sim.run(until=226 * MSEC)  # exactly one more event of conn_a
     restricted = len(received)
     assert 0 < restricted < alone
+
+
+# -- the idle event's short path ----------------------------------------------
+
+
+def jam_everything_at_3s(plane):
+    """Replace the jammed set wholesale mid-run (its change stamp's idiom)."""
+    def jam():
+        plane.medium.interference.jammed_channels = tuple(range(37))
+
+    plane.sim.at(3 * SEC, jam)
+
+
+IDLE_SCENARIOS = {
+    # PER of an empty packet ~0.21: both sides' losses, no timeout
+    "high-ber": dict(base_ber=3e-3),
+    # time-dependent PER: 0 outside the burst, 0.3 inside
+    "burst": dict(bursts=[InterferenceBurst(300 * MSEC, 3 * SEC,
+                                            tuple(range(37)), 0.3)]),
+    # by 3 s (40 events) every channel's PER is memoized: the jam must
+    # still reach it
+    "jam-mid-run": dict(base_ber=1e-3, setup=jam_everything_at_3s),
+}
+
+
+def run_idle(traced, base_ber=0.0, bursts=(), setup=None):
+    """A lone idle connection for 5 s; everything the exchange touches."""
+    plane = BlePlane(base_ber=base_ber, seed=7)
+    plane.medium.interference.bursts.extend(bursts)
+    if setup is not None:
+        setup(plane)
+    conn = plane.connect(0, 1, params=PARAMS_75MS, anchor0=MSEC)
+    closed = []
+    conn.on_closed = lambda c, reason: closed.append((plane.sim.now, reason))
+    if traced:
+        TRACE.configure(sinks=[])
+    try:
+        plane.sim.run(until=5 * SEC)
+    finally:
+        TRACE.reset()
+    return {
+        "coord_stats": dataclasses.asdict(conn.coord.stats),
+        "sub_stats": dataclasses.asdict(conn.sub.stats),
+        "bits": (conn.coord.sn, conn.coord.nesn, conn.sub.sn, conn.sub.nesn),
+        "last_rx_valid": (conn.coord.last_rx_valid, conn.sub.last_rx_valid),
+        "medium": (plane.medium.packets_sampled, plane.medium.packets_lost),
+        "closed": closed,
+    }
+
+
+@pytest.mark.parametrize("scenario", sorted(IDLE_SCENARIOS))
+def test_idle_path_matches_the_traced_exchange_loop(scenario):
+    """TRACE off takes the idle path, TRACE on the loop: same run."""
+    fast = run_idle(False, **IDLE_SCENARIOS[scenario])
+    assert fast == run_idle(True, **IDLE_SCENARIOS[scenario])
+    assert fast["coord_stats"]["events_crc_abort"] > 0
+    if scenario == "jam-mid-run":
+        assert [reason for _, reason in fast["closed"]] == [
+            DisconnectReason.SUPERVISION_TIMEOUT
+        ]
+    else:
+        assert fast["sub_stats"]["events_crc_abort"] > 0
+        assert fast["closed"] == []
+
+
+def test_lost_empty_pdu_is_retransmitted_with_its_sn(make_plane):
+    plane = make_plane()
+    # only event 1 (anchor 76 ms) is jammed: the coordinator's empty dies
+    plane.medium.interference.bursts.append(
+        InterferenceBurst(76 * MSEC, 77 * MSEC, tuple(range(37)), 1.0)
+    )
+    conn = plane.connect(0, 1, params=PARAMS_75MS, anchor0=MSEC)
+    coord, sub = conn.coord, conn.sub
+    plane.sim.run(until=50 * MSEC)
+    sn = coord.sn
+    plane.sim.run(until=100 * MSEC)
+    assert coord.stats.events_crc_abort == 1
+    assert coord._outstanding is coord._empty_pdu
+    assert coord._empty_pdu.sn == sn and sub.nesn == sn
+    plane.sim.run(until=200 * MSEC)
+    # the same SN went out again and was accepted exactly once
+    assert sub.nesn == sn ^ 1
+    assert coord.sn == sn ^ 1 and coord._outstanding is None
+    assert (coord.stats.tx_empty, sub.stats.tx_empty) == (3, 2)
+
+
+def count_calls(monkeypatch, conn, name):
+    calls = []
+    method = getattr(conn, name)
+
+    def counted(*args):
+        calls.append(args)
+        return method(*args)
+
+    monkeypatch.setattr(conn, name, counted)
+    return calls
+
+
+def test_idle_events_skip_the_exchange_loop(plane, monkeypatch):
+    conn = plane.connect(0, 1, params=PARAMS_75MS, anchor0=MSEC)
+    loop = count_calls(monkeypatch, conn, "_exchange_loop")
+    idle = count_calls(monkeypatch, conn, "_idle_exchange")
+    plane.sim.run(until=1 * SEC)
+    assert (len(loop), len(idle)) == (0, 14)
+    TRACE.configure(sinks=[])
+    try:
+        plane.sim.run(until=2 * SEC)
+    finally:
+        TRACE.reset()
+    assert (len(loop), len(idle)) == (13, 14)
+
+
+def test_queued_data_takes_the_exchange_loop(plane, monkeypatch):
+    conn = plane.connect(0, 1, params=PARAMS_75MS, anchor0=MSEC)
+    loop = count_calls(monkeypatch, conn, "_exchange_loop")
+    conn.send(plane.nodes[1], b"uplink")
+    plane.sim.run(until=50 * MSEC)
+    assert len(loop) == 1
+    assert conn.sub.stats.tx_data_acked == 1
+
+
+def test_exchange_loop_runs_when_crc_errors_do_not_abort(make_plane, monkeypatch):
+    plane = make_plane(
+        config_factory=lambda i: BleConfig(abort_event_on_crc_error=False)
+    )
+    conn = plane.connect(0, 1, params=PARAMS_75MS, anchor0=MSEC)
+    loop = count_calls(monkeypatch, conn, "_exchange_loop")
+    idle = count_calls(monkeypatch, conn, "_idle_exchange")
+    plane.sim.run(until=1 * SEC)
+    assert (len(loop), len(idle)) == (14, 0)

@@ -1,0 +1,57 @@
+"""Turning an instrumentation channel on must not change what a run does.
+
+The trace goldens pin the *traced* run only.  Uninstrumented runs take
+shortcuts the instrumented ones cannot: an idle connection event runs
+``Connection._idle_exchange`` instead of the exchange loop.  So each
+workload here runs with trace, metrics and spans off, then with each one
+on in turn, and every observable output must be the same: the CoAP
+counts, every round-trip time, the link sampler's series and per-channel
+counts, the connection losses and the medium's loss draws.
+"""
+
+import dataclasses
+
+import pytest
+
+from repro.exp.config import ExperimentConfig
+from repro.exp.runner import run_experiment
+
+#: Short versions of the perfbench workloads: the static-interval line,
+#: the paper's tree with its fan-in, and a self-forming mesh (advertising,
+#: scanning and RPL next to the data).
+WORKLOADS = {
+    "line": dict(topology="line", n_nodes=4, duration_s=20.0, warmup_s=3.0,
+                 drain_s=2.0),
+    "tree": dict(topology="tree", n_nodes=15, conn_interval="[65:85]",
+                 duration_s=10.0, warmup_s=5.0, drain_s=2.0),
+    "mesh": dict(topology="dynamic", n_nodes=8, conn_interval="[65:85]",
+                 duration_s=10.0, warmup_s=30.0, drain_s=2.0),
+}
+
+
+def observed(config: ExperimentConfig) -> dict:
+    result = run_experiment(config)
+    medium = result.network.medium
+    return {
+        "coap_sent": result.coap_sent(),
+        "coap_served": result.consumer.total_requests,
+        "coap_acked": result.coap_acked(),
+        "rtts": result.rtts_s(),
+        "link_series": result.link_series,
+        "link_channels": result.link_channels,
+        "connection_losses": result.num_connection_losses(),
+        "packets_sampled": medium.packets_sampled,
+        "packets_lost": medium.packets_lost,
+    }
+
+
+@pytest.mark.parametrize("seed", [2, 9])
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_instrumentation_does_not_perturb_the_run(workload, seed):
+    plain = ExperimentConfig(name=workload, seed=seed, **WORKLOADS[workload])
+    expected = observed(plain)
+    assert expected["coap_acked"] > 0 and expected["packets_lost"] > 0
+    for channel in ("trace", "metrics", "spans"):
+        got = observed(dataclasses.replace(plain, **{channel: True}))
+        for key, value in expected.items():
+            assert got[key] == value, f"{channel}=1 changed {key}"

@@ -62,34 +62,3 @@ def test_ble_vs_802154_rate_ratio():
     assert ieee802154_air_time_ns(100) / ble_air_time_ns(100) == pytest.approx(
         (100 + 6) * 32 / ((100 + 10) * 8)
     )
-
-
-class TestMaxPayloadFor:
-    def test_inverse_of_air_time(self):
-        from repro.phy.frames import ble_max_payload_for
-
-        for budget_us in (79, 80, 81, 500, 1000, 2088, 2120, 5000):
-            payload = ble_max_payload_for(budget_us * USEC)
-            if payload >= 0:
-                assert ble_air_time_ns(payload) <= budget_us * USEC
-                if payload < 251:
-                    assert ble_air_time_ns(payload + 1) > budget_us * USEC
-
-    def test_tiny_budget_returns_minus_one(self):
-        from repro.phy.frames import ble_max_payload_for
-
-        assert ble_max_payload_for(79 * USEC) == -1
-        assert ble_max_payload_for(0) == -1
-
-    def test_caps_at_dle_maximum(self):
-        from repro.phy.frames import ble_max_payload_for
-
-        assert ble_max_payload_for(10_000_000) == 251
-
-    def test_2m_phy_fits_more(self):
-        from repro.phy.frames import BlePhyMode, ble_max_payload_for
-
-        budget = 1000 * USEC
-        assert ble_max_payload_for(
-            budget, BlePhyMode.LE_2M
-        ) > ble_max_payload_for(budget)

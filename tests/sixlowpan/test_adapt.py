@@ -51,3 +51,12 @@ def test_malformed_input_raises():
     adapt = BleAdaptation()
     with pytest.raises(IphcError):
         adapt.from_link(b"\x00garbage")
+
+
+@pytest.mark.parametrize("use_iphc", [True, False])
+@pytest.mark.parametrize("hop_limit", [-1, 256])
+def test_out_of_range_hop_limit_raises(use_iphc, hop_limit):
+    packet = make_packet()
+    packet.hop_limit = hop_limit
+    with pytest.raises(ValueError, match="hop limit out of range"):
+        BleAdaptation(use_iphc=use_iphc).to_link(packet)
