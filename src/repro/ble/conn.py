@@ -319,7 +319,7 @@ class Connection:
         # bursts configured it is time-invariant, so it survives across
         # events until the interference model's change stamp moves.
         self._per_memo: Dict[int, float] = {}
-        self._per_memo_stamp: Tuple[int, int] = (-2, -2)
+        self._per_memo_stamp: Tuple[int, int, int] = (-2, -2, -2)
         self._empty_air_ns = ble_air_time_ns(0, self.phy)
         self._interval_true = coordinator.clock.local_duration_to_true(
             params.interval_ns

@@ -38,6 +38,8 @@ class Netif154:
         self.mac = mac
         self.pktbuf = pktbuf
         self.adaptation = BleAdaptation()  # IPHC is identical over 802.15.4
+        # IID of this node, derived once: the MAC's short address is fixed.
+        self._iid = BleAdaptation.iid_for_node(mac.addr)
         self.ip: Optional["Ipv6Stack"] = None
         self.reassembler = frag.Reassembler(mac.sim, self._on_reassembled)
         self._next_tag = mac.rng.randrange(0, 0x10000)
@@ -59,9 +61,7 @@ class Netif154:
     def send(self, packet: Ipv6Packet, next_hop_ll: int) -> bool:
         """Compress (or fragment) and queue one packet to ``next_hop_ll``."""
         wire = self.adaptation.to_link(
-            packet,
-            BleAdaptation.iid_for_node(self.ll_addr),
-            BleAdaptation.iid_for_node(next_hop_ll),
+            packet, self._iid, BleAdaptation.iid_for_node(next_hop_ll)
         )
         if len(wire) <= FRAME_BUDGET:
             if not self.pktbuf.try_alloc(len(wire)):
@@ -146,9 +146,7 @@ class Netif154:
     def _deliver_inner(self, wire: bytes, sender_ll: int) -> None:
         try:
             packet = self.adaptation.from_link(
-                wire,
-                BleAdaptation.iid_for_node(sender_ll),
-                BleAdaptation.iid_for_node(self.ll_addr),
+                wire, BleAdaptation.iid_for_node(sender_ll), self._iid
             )
         except ValueError:
             self.rx_decode_errors += 1

@@ -49,6 +49,8 @@ IPSP_PSM = 0x0023
 
 _BASIC_HEADER = struct.Struct("<HH")
 _SDU_LEN = struct.Struct("<H")
+#: The first K-frame's basic header followed by the SDU length.
+_FIRST_KFRAME_HEADER = struct.Struct("<HHH")
 _CREDIT_PACKET = struct.Struct("<HHBBHHH")
 #: header(len,cid) + code,id,len + psm,scid,mtu,mps,credits
 _CONN_REQ = struct.Struct("<HHBBHHHHHH")
@@ -197,17 +199,18 @@ class _CocEnd:
 
     def _build_kframe(self, rec: _SduRecord) -> tuple[bytes, bool]:
         """Produce the next K-frame of ``rec`` (without sending it)."""
-        first = rec.offset == 0
-        budget = self.config.mps - (2 if first else 0)
-        chunk = rec.data[rec.offset : rec.offset + budget]
-        rec.offset += len(chunk)
-        is_last = rec.offset >= len(rec.data)
-        if first:
-            payload = _SDU_LEN.pack(len(rec.data)) + chunk
+        data = rec.data
+        offset = rec.offset
+        if offset == 0:
+            chunk = data[: self.config.mps - _SDU_LEN.size]
+            frame = _FIRST_KFRAME_HEADER.pack(
+                _SDU_LEN.size + len(chunk), DEFAULT_COC_CID, len(data)
+            ) + chunk
         else:
-            payload = bytes(chunk)
-        header = _BASIC_HEADER.pack(len(payload), DEFAULT_COC_CID)
-        return header + payload, is_last
+            chunk = data[offset : offset + self.config.mps]
+            frame = _BASIC_HEADER.pack(len(chunk), DEFAULT_COC_CID) + chunk
+        rec.offset = offset = offset + len(chunk)
+        return frame, offset >= len(data)
 
     def _on_ll_acked(self, pdu: DataPdu) -> None:
         """LL acknowledged one of our PDUs: progress + possibly completion."""
@@ -229,8 +232,10 @@ class _CocEnd:
                 if self.on_sdu_sent is not None:
                     self.on_sdu_sent(rec.tag)
         # acked PDUs free LL buffer space: resume stalled grants and pumps
-        self._flush_credit_grant()
-        self.pump()
+        if self._pending_credit_grant:
+            self._flush_credit_grant()
+        if self.tx_sdus:
+            self.pump()
 
     # -- receive ----------------------------------------------------------
 
@@ -287,7 +292,12 @@ class _CocEnd:
         if self._rx_expected is None:
             if len(body) < _SDU_LEN.size:
                 return
-            self._rx_expected = _SDU_LEN.unpack_from(body)[0]
+            expected = _SDU_LEN.unpack_from(body)[0]
+            if len(body) >= _SDU_LEN.size + expected:
+                # the whole SDU rode in its first K-frame
+                self._deliver(body[_SDU_LEN.size : _SDU_LEN.size + expected], 1)
+                return
+            self._rx_expected = expected
             body = body[_SDU_LEN.size :]
             self._rx_buf.clear()
             self._rx_frames = 0
@@ -299,19 +309,23 @@ class _CocEnd:
             self._rx_expected = None
             self._rx_buf.clear()
             self._rx_frames = 0
-            self.sdus_received += 1
-            if TRACE.enabled:
-                TRACE.emit(
-                    self.coc.conn.sim.now, "l2cap", "sdu_rx",
-                    conn=self.coc.conn.conn_id,
-                    node=self.ll_end.controller.name,
-                    len=len(sdu), frames=frames,
-                )
-            self._return_credits(frames)
-            if SPANS.enabled:
-                SPANS.hop_delivered()
-            if self.on_sdu is not None:
-                self.on_sdu(sdu)
+            self._deliver(sdu, frames)
+
+    def _deliver(self, sdu: bytes, frames: int) -> None:
+        """Hand one reassembled SDU up and pay back the K-frames it took."""
+        self.sdus_received += 1
+        if TRACE.enabled:
+            TRACE.emit(
+                self.coc.conn.sim.now, "l2cap", "sdu_rx",
+                conn=self.coc.conn.conn_id,
+                node=self.ll_end.controller.name,
+                len=len(sdu), frames=frames,
+            )
+        self._return_credits(frames)
+        if SPANS.enabled:
+            SPANS.hop_delivered()
+        if self.on_sdu is not None:
+            self.on_sdu(sdu)
 
     def _return_credits(self, n: int) -> None:
         """Account consumed K-frames; grant a batch once enough accrued."""

@@ -27,6 +27,7 @@ from repro.spans.hub import SPANS
 from repro.trace.tracer import TRACE
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.l2cap.coc import _CocEnd
     from repro.net.ip import Ipv6Stack
 
 
@@ -45,6 +46,23 @@ def coc_of(
         coc = L2capCoc(conn, config, handshake=handshake)
         conn._ipsp_coc = coc
     return coc
+
+
+class _Link:
+    """What ``send`` needs of one live connection, resolved when it opens.
+
+    :param end: this node's end of the connection's IPSP channel.
+    :param peer_iid: the RFC 7668 IID of the peer's identity.
+    """
+
+    __slots__ = ("end", "peer_iid", "held")
+
+    def __init__(self, end: _CocEnd, peer_iid: bytes) -> None:
+        self.end = end
+        self.peer_iid = peer_iid
+        #: Packet-buffer bytes of SDUs queued on the link and not yet
+        #: acknowledged.
+        self.held = 0
 
 
 class BleNetif:
@@ -69,7 +87,7 @@ class BleNetif:
         self._iid = BleAdaptation.iid_for_node(controller.identity)
         #: Set by :meth:`repro.net.ip.Ipv6Stack.add_netif`.
         self.ip: Optional["Ipv6Stack"] = None
-        self._outstanding: Dict[Connection, int] = {}
+        self._links: Dict[Connection, _Link] = {}
         # Statistics.
         self.tx_packets = 0
         self.rx_packets = 0
@@ -102,7 +120,7 @@ class BleNetif:
         peer_iid = BleAdaptation.iid_for_node(peer_ll)
         end.on_sdu = lambda sdu: self._on_rx_sdu(sdu, peer_ll, peer_iid)
         end.on_sdu_sent = self._on_sdu_sent
-        self._outstanding[conn] = 0
+        self._links[conn] = _Link(end, peer_iid)
         # RFC 7668: the coordinator (6LN/central) initiates the IPSP channel
         if self.controller.role_of(conn) is Role.COORDINATOR:
             coc.open_channel(self.controller, IPSP_PSM)
@@ -110,9 +128,13 @@ class BleNetif:
             self.ip.neighbor_up(peer_ll, self)
 
     def _on_conn_close(self, conn: Connection, reason: DisconnectReason) -> None:
-        held = self._outstanding.pop(conn, 0)
-        if held:
-            self.pktbuf.free(held)
+        link = self._links.pop(conn, None)
+        if link is not None:
+            # the held bytes are freed here, so a late acknowledgement must
+            # not free them again
+            link.end.on_sdu_sent = None
+            if link.held:
+                self.pktbuf.free(link.held)
         if SPANS.enabled:
             SPANS.conn_closed(conn)
         if self.ip is not None:
@@ -132,9 +154,10 @@ class BleNetif:
             if SPANS.enabled:
                 SPANS.drop("no-link")
             return False
-        wire = self.adaptation.to_link(
-            packet, self._iid, BleAdaptation.iid_for_node(next_hop_ll)
-        )
+        # every open connection has a record: the netif exists before any
+        # connection opens, and the record lives until the close listener
+        link = self._links[conn]
+        wire = self.adaptation.to_link(packet, self._iid, link.peer_iid)
         if not self.pktbuf.try_alloc(len(wire)):
             self.drops_pktbuf += 1
             if SPANS.enabled:
@@ -146,10 +169,8 @@ class BleNetif:
                 node=self.ll_addr, peer=next_hop_ll,
                 in_len=packet.total_len, out_len=len(wire), data=wire,
             )
-        self._outstanding[conn] = self._outstanding.get(conn, 0) + len(wire)
-        coc_of(conn, self.coc_config).send(
-            self.controller, wire, tag=(conn, len(wire))
-        )
+        link.held += len(wire)
+        link.end.send_sdu(wire, tag=(link, len(wire)))
         self.tx_packets += 1
         return True
 
@@ -168,11 +189,8 @@ class BleNetif:
         """The link layer acknowledged a full SDU: release its buffer bytes."""
         if not isinstance(tag, tuple):
             return
-        conn, nbytes = tag
-        held = self._outstanding.get(conn)
-        if held is None:
-            return  # connection already closed; bytes were bulk-freed
-        self._outstanding[conn] = held - nbytes
+        link, nbytes = tag
+        link.held -= nbytes
         self.pktbuf.free(nbytes)
 
     def _on_rx_sdu(self, sdu: bytes, peer_ll: int, peer_iid: bytes) -> None:

@@ -81,9 +81,12 @@ class InterferenceModel:
     #: dirty flag that spares the hot path a tuple scan plus dict probe per
     #: sampled packet.  Bursts stay out of it: they are time-dependent.
     _chan_addend: Dict[int, float] = field(default_factory=dict, repr=False)
-    _chan_stamp: Tuple[int, int] = (-1, -1)
+    _chan_stamp: Tuple[int, int, int] = (-1, -1, -1)
+    #: Bumped by :meth:`invalidate`, so a stamp taken before an in-place
+    #: overwrite never matches one taken after it.
+    _generation: int = field(default=0, repr=False)
 
-    def _stamp(self) -> Tuple[int, int]:
+    def _stamp(self) -> Tuple[int, int, int]:
         """Cheap change detector for the static per-channel configuration.
 
         Catches the mutation patterns used across the repo: replacing the
@@ -92,12 +95,14 @@ class InterferenceModel:
         ``channel_per`` key is invisible to it -- call :meth:`invalidate`
         after doing that.
         """
-        return (id(self.jammed_channels), len(self.channel_per))
+        return (id(self.jammed_channels), len(self.channel_per), self._generation)
 
     def invalidate(self) -> None:
-        """Drop the per-channel cache after an in-place value overwrite."""
+        """Drop the per-channel caches after an in-place value overwrite:
+        this model's own, and (through the stamp) every link's PER memo."""
+        self._generation += 1
         self._chan_addend.clear()
-        self._chan_stamp = (-1, -1)
+        self._chan_stamp = (-1, -1, -1)
 
     def packet_error_rate(self, channel: int, nbytes: int, now_ns: int) -> float:
         """Total loss probability for one packet of ``nbytes`` on ``channel``."""

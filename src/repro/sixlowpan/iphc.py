@@ -19,7 +19,7 @@ header ``1 1 1 1 0 C P1 P0`` and its inline port/checksum fields.
 from __future__ import annotations
 
 import struct
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.sixlowpan.ipv6 import (
     Ipv6Address,
@@ -38,44 +38,29 @@ NHC_UDP_PATTERN = 0b1111_0000
 _LINK_LOCAL_PADDED = bytes.fromhex("fe80000000000000")
 #: First six IID bytes of a 16-bit-compressible IID (``0000:00ff:fe00:XXXX``).
 _IID_16BIT_PREFIX = bytes.fromhex("000000fffe00")
+#: The leading bytes a unicast SAM/DAM mode elides; the rest of the address
+#: rides inline.  Mode 0b11 elides all 16: the IID is the link layer's.
+_UNICAST_ELIDED = (b"", _LINK_LOCAL_PADDED, _LINK_LOCAL_PADDED + _IID_16BIT_PREFIX)
 #: First 15 bytes of an ``ff02::00XX`` multicast address.
 _FF02_PREFIX = bytes.fromhex("ff02") + b"\x00" * 13
+_ZEROS_9 = b"\x00" * 9
+_ZEROS_11 = b"\x00" * 11
 #: Hop limits with an HLIM code of their own, and the inverse table.
 _HLIM_MODES = {1: 0b01, 64: 0b10, 255: 0b11}
-_HLIM_VALUES = {0b01: 1, 0b10: 64, 0b11: 255}
+_HLIM_VALUES = (None, 1, 64, 255)
+#: Inline bytes per TF mode, and per NHC-UDP port mode.
+_TF_INLINE = (4, 3, 1, 0)
+_PORTS_INLINE = (4, 3, 3, 1)
+#: The rebuilt UDP length field; packing it keeps ``struct.error`` for a
+#: datagram over 64 KiB.
+_UDP_LENGTH = struct.Struct(">H")
+
+_TRUNCATED = "truncated IPHC datagram"
+_NO_IID = "elided address but no link-layer IID available"
 
 
 class IphcError(ValueError):
     """Raised on undecodable compressed datagrams."""
-
-
-# ---------------------------------------------------------------------------
-# compression
-# ---------------------------------------------------------------------------
-
-
-def _compress_unicast(addr: Ipv6Address, ll_iid: Optional[bytes]) -> Tuple[int, bytes]:
-    """Pick the SAM/DAM mode and inline bytes for a unicast address."""
-    if addr.is_link_local:
-        iid = addr.iid
-        if ll_iid is not None and iid == ll_iid:
-            return 0b11, b""  # fully elided, derived from the LL address
-        if iid[:6] == _IID_16BIT_PREFIX:
-            return 0b10, iid[6:]  # 16-bit compressible IID
-        return 0b01, iid  # 64-bit IID inline, prefix elided
-    return 0b00, addr.packed  # full address inline
-
-
-def _compress_multicast(addr: Ipv6Address) -> Tuple[int, bytes]:
-    """Pick the DAM mode and inline bytes for a multicast address."""
-    p = addr.packed
-    if p[:15] == _FF02_PREFIX:
-        return 0b11, p[15:16]  # ff02::00XX
-    if p[2:13] == b"\x00" * 11:
-        return 0b10, p[1:2] + p[13:]  # ffXX::00XX:XXXX
-    if p[2:11] == b"\x00" * 9:
-        return 0b01, p[1:2] + p[11:]  # ffXX::00XX:XXXX:XXXX
-    return 0b00, p
 
 
 def compress(
@@ -85,6 +70,9 @@ def compress(
 ) -> bytes:
     """Compress an IPv6 packet into a 6LoWPAN IPHC datagram.
 
+    One pass over the header: each field sets its bits of the two base
+    bytes and appends its inline bytes, in wire order.
+
     :param packet: the datagram to compress.
     :param src_ll_iid: IID derivable from the link-layer source address
         (enables full source elision for link-local traffic).
@@ -92,140 +80,126 @@ def compress(
     :returns: the compressed bytes including payload.
     :raises ValueError: when the hop limit does not fit its byte.
     """
-    if not 0 <= packet.hop_limit <= 255:
-        raise ValueError(f"hop limit out of range: {packet.hop_limit}")
-    inline = bytearray()
+    hop_limit = packet.hop_limit
+    if not 0 <= hop_limit <= 255:
+        raise ValueError(f"hop limit out of range: {hop_limit}")
+    out = bytearray(2)  # the base bytes, filled in last
 
     # TF: traffic class + flow label
-    if packet.traffic_class == 0 and packet.flow_label == 0:
-        tf = 0b11
-    elif packet.flow_label == 0:
-        tf = 0b10
-        inline.append(packet.traffic_class)
-    elif (packet.traffic_class & 0b111111) == 0:  # DSCP zero, ECN present
-        tf = 0b01
-        ecn = packet.traffic_class >> 6
-        inline += bytes(
-            [
-                (ecn << 6) | ((packet.flow_label >> 16) & 0x0F),
-                (packet.flow_label >> 8) & 0xFF,
-                packet.flow_label & 0xFF,
-            ]
+    traffic_class = packet.traffic_class
+    flow_label = packet.flow_label
+    if flow_label == 0:
+        if traffic_class == 0:
+            byte0 = IPHC_DISPATCH | 0b11 << 3
+        else:
+            byte0 = IPHC_DISPATCH | 0b10 << 3
+            out.append(traffic_class)
+    elif traffic_class & 0b111111 == 0:  # DSCP zero, ECN present
+        byte0 = IPHC_DISPATCH | 0b01 << 3
+        out += bytes(
+            (
+                (traffic_class >> 6 << 6) | ((flow_label >> 16) & 0x0F),
+                (flow_label >> 8) & 0xFF,
+                flow_label & 0xFF,
+            )
         )
     else:
-        tf = 0b00
-        ecn_dscp = packet.traffic_class
-        inline += bytes(
-            [
-                ecn_dscp,
-                (packet.flow_label >> 16) & 0x0F,
-                (packet.flow_label >> 8) & 0xFF,
-                packet.flow_label & 0xFF,
-            ]
+        byte0 = IPHC_DISPATCH
+        out += bytes(
+            (
+                traffic_class,
+                (flow_label >> 16) & 0x0F,
+                (flow_label >> 8) & 0xFF,
+                flow_label & 0xFF,
+            )
         )
 
     # NH: UDP gets NHC compression
-    udp_nhc = packet.next_header == PROTO_UDP and len(packet.payload) >= 8
-    nh = 1 if udp_nhc else 0
-    if not udp_nhc:
-        inline.append(packet.next_header)
+    udp = packet.payload
+    udp_nhc = packet.next_header == PROTO_UDP and len(udp) >= 8
+    if udp_nhc:
+        byte0 |= 0b100
+    else:
+        out.append(packet.next_header)
 
     # HLIM
-    hlim = _HLIM_MODES.get(packet.hop_limit, 0b00)
-    if hlim == 0b00:
-        inline.append(packet.hop_limit)
-
-    # addresses
-    sam, src_inline = _compress_unicast(packet.src, src_ll_iid)
-    inline += src_inline
-    if packet.dst.is_multicast:
-        m = 1
-        dam, dst_inline = _compress_multicast(packet.dst)
+    hlim = _HLIM_MODES.get(hop_limit)
+    if hlim is None:
+        out.append(hop_limit)
     else:
-        m = 0
-        dam, dst_inline = _compress_unicast(packet.dst, dst_ll_iid)
-    inline += dst_inline
+        byte0 |= hlim
 
-    byte0 = IPHC_DISPATCH | (tf << 3) | (nh << 2) | hlim
-    byte1 = (0 << 7) | (0 << 6) | (sam << 4) | (m << 3) | (0 << 2) | dam
-    out = bytearray([byte0, byte1])
-    out += inline
-
-    if udp_nhc:
-        out += _compress_udp(packet.payload)
+    # SAM: the source is always unicast
+    addr = packet.src.packed
+    if addr[:8] != _LINK_LOCAL_PADDED:
+        byte1 = 0b00 << 4  # full address inline
+        out += addr
+    elif src_ll_iid is not None and addr[8:] == src_ll_iid:
+        byte1 = 0b11 << 4  # fully elided, derived from the LL address
+    elif addr[8:14] == _IID_16BIT_PREFIX:
+        byte1 = 0b10 << 4  # 16-bit compressible IID
+        out += addr[14:]
     else:
-        out += packet.payload
+        byte1 = 0b01 << 4  # 64-bit IID inline, prefix elided
+        out += addr[8:]
+
+    # M + DAM
+    addr = packet.dst.packed
+    if addr[0] == 0xFF:
+        if addr[:15] == _FF02_PREFIX:
+            byte1 |= 0b1011  # ff02::00XX
+            out.append(addr[15])
+        elif addr[2:13] == _ZEROS_11:
+            byte1 |= 0b1010  # ffXX::00XX:XXXX
+            out.append(addr[1])
+            out += addr[13:]
+        elif addr[2:11] == _ZEROS_9:
+            byte1 |= 0b1001  # ffXX::00XX:XXXX:XXXX
+            out.append(addr[1])
+            out += addr[11:]
+        else:
+            byte1 |= 0b1000
+            out += addr
+    elif addr[:8] != _LINK_LOCAL_PADDED:
+        out += addr
+    elif dst_ll_iid is not None and addr[8:] == dst_ll_iid:
+        byte1 |= 0b11
+    elif addr[8:14] == _IID_16BIT_PREFIX:
+        byte1 |= 0b10
+        out += addr[14:]
+    else:
+        byte1 |= 0b01
+        out += addr[8:]
+
+    out[0] = byte0
+    out[1] = byte1
+    if not udp_nhc:
+        out += udp
+        return bytes(out)
+
+    # NHC-UDP: compress the ports, keep the checksum.  The header is
+    # sliced, never unpacked: bytes 0-1 source port, 2-3 destination port,
+    # 4-5 length (elided), 6-7 checksum.
+    sport_hi, sport_lo, dport_hi, dport_lo = udp[0], udp[1], udp[2], udp[3]
+    if (
+        sport_hi == 0xF0 and dport_hi == 0xF0
+        and sport_lo >> 4 == 0xB and dport_lo >> 4 == 0xB
+    ):
+        out.append(NHC_UDP_PATTERN | 0b11)
+        out.append(((sport_lo & 0xF) << 4) | (dport_lo & 0xF))
+    elif dport_hi == 0xF0:
+        out.append(NHC_UDP_PATTERN | 0b01)
+        out += udp[:2]
+        out.append(dport_lo)
+    elif sport_hi == 0xF0:
+        out.append(NHC_UDP_PATTERN | 0b10)
+        out.append(sport_lo)
+        out += udp[2:4]
+    else:
+        out.append(NHC_UDP_PATTERN | 0b00)
+        out += udp[:4]
+    out += udp[6:]
     return bytes(out)
-
-
-def _compress_udp(udp_bytes: bytes) -> bytes:
-    """NHC-UDP: compress the 8-byte UDP header, keep the checksum."""
-    sport, dport, _length, checksum = struct.unpack_from(">HHHH", udp_bytes)
-    payload = udp_bytes[8:]
-    if sport >> 4 == 0xF0B and dport >> 4 == 0xF0B:
-        head = bytes([NHC_UDP_PATTERN | 0b11])
-        ports = bytes([((sport & 0xF) << 4) | (dport & 0xF)])
-    elif dport >> 8 == 0xF0:
-        head = bytes([NHC_UDP_PATTERN | 0b01])
-        ports = struct.pack(">HB", sport, dport & 0xFF)
-    elif sport >> 8 == 0xF0:
-        head = bytes([NHC_UDP_PATTERN | 0b10])
-        ports = struct.pack(">BH", sport & 0xFF, dport)
-    else:
-        head = bytes([NHC_UDP_PATTERN | 0b00])
-        ports = struct.pack(">HH", sport, dport)
-    return head + ports + struct.pack(">H", checksum) + payload
-
-
-# ---------------------------------------------------------------------------
-# decompression
-# ---------------------------------------------------------------------------
-
-
-class _Reader:
-    """Byte cursor over the compressed datagram."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise IphcError("truncated IPHC datagram")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def rest(self) -> bytes:
-        chunk = self.data[self.pos :]
-        self.pos = len(self.data)
-        return chunk
-
-
-def _decode_unicast(mode: int, reader: _Reader, ll_iid: Optional[bytes]) -> Ipv6Address:
-    if mode == 0b00:
-        return Ipv6Address(reader.take(16))
-    if mode == 0b01:
-        return Ipv6Address(_LINK_LOCAL_PADDED + reader.take(8))
-    if mode == 0b10:
-        return Ipv6Address(
-            _LINK_LOCAL_PADDED + _IID_16BIT_PREFIX + reader.take(2)
-        )
-    if ll_iid is None:
-        raise IphcError("elided address but no link-layer IID available")
-    return Ipv6Address(_LINK_LOCAL_PADDED + ll_iid)
-
-
-def _decode_multicast(mode: int, reader: _Reader) -> Ipv6Address:
-    if mode == 0b00:
-        return Ipv6Address(reader.take(16))
-    if mode == 0b01:
-        raw = reader.take(6)
-        return Ipv6Address(b"\xff" + raw[:1] + b"\x00" * 9 + raw[1:])
-    if mode == 0b10:
-        raw = reader.take(4)
-        return Ipv6Address(b"\xff" + raw[:1] + b"\x00" * 11 + raw[1:])
-    return Ipv6Address(_FF02_PREFIX + reader.take(1))
 
 
 def decompress(
@@ -235,58 +209,139 @@ def decompress(
 ) -> Ipv6Packet:
     """Inverse of :func:`compress`.
 
+    One pass over the datagram: the modes come from the two base bytes,
+    and each inline field is read at its offset behind its own bounds
+    check, in wire order, so a truncated datagram fails at the first field
+    it cuts.
+
     :raises IphcError: on malformed or unsupported datagrams.
     """
     if not data:
         raise IphcError("empty datagram")
-    if data[0] == UNCOMPRESSED_IPV6_DISPATCH:
+    byte0 = data[0]
+    if byte0 == UNCOMPRESSED_IPV6_DISPATCH:
         return Ipv6Packet.decode(data[1:])
-    if data[0] >> 5 != 0b011:
-        raise IphcError(f"not an IPHC datagram (first byte {data[0]:#04x})")
-
-    reader = _Reader(data)
-    byte0, byte1 = reader.take(2)
-    tf = (byte0 >> 3) & 0b11
-    nh = (byte0 >> 2) & 0b1
-    hlim = byte0 & 0b11
-    cid = (byte1 >> 7) & 0b1
-    sac = (byte1 >> 6) & 0b1
-    sam = (byte1 >> 4) & 0b11
-    m = (byte1 >> 3) & 0b1
-    dac = (byte1 >> 2) & 0b1
-    dam = byte1 & 0b11
-    if cid or sac or dac:
+    if byte0 >> 5 != 0b011:
+        raise IphcError(f"not an IPHC datagram (first byte {byte0:#04x})")
+    size = len(data)
+    if size < 2:
+        raise IphcError(_TRUNCATED)
+    byte1 = data[1]
+    if byte1 & 0b1100_0100:  # CID, SAC or DAC
         raise IphcError("context-based compression is not supported")
 
-    traffic_class = 0
-    flow_label = 0
-    if tf == 0b00:
-        raw = reader.take(4)
-        traffic_class = raw[0]
-        flow_label = ((raw[1] & 0x0F) << 16) | (raw[2] << 8) | raw[3]
-    elif tf == 0b01:
-        raw = reader.take(3)
-        traffic_class = (raw[0] >> 6) << 6
-        flow_label = ((raw[0] & 0x0F) << 16) | (raw[1] << 8) | raw[2]
+    # TF
+    tf = byte0 >> 3 & 0b11
+    pos = 2 + _TF_INLINE[tf]
+    if pos > size:
+        raise IphcError(_TRUNCATED)
+    if tf == 0b11:
+        traffic_class = flow_label = 0
     elif tf == 0b10:
-        traffic_class = reader.take(1)[0]
-
-    next_header = PROTO_UDP if nh else reader.take(1)[0]
-
-    hop_limit = _HLIM_VALUES.get(hlim)
-    if hop_limit is None:
-        hop_limit = reader.take(1)[0]
-
-    src = _decode_unicast(sam, reader, src_ll_iid)
-    if m:
-        dst = _decode_multicast(dam, reader)
+        traffic_class = data[2]
+        flow_label = 0
+    elif tf == 0b01:
+        traffic_class = data[2] >> 6 << 6
+        flow_label = ((data[2] & 0x0F) << 16) | (data[3] << 8) | data[4]
     else:
-        dst = _decode_unicast(dam, reader, dst_ll_iid)
+        traffic_class = data[2]
+        flow_label = ((data[3] & 0x0F) << 16) | (data[4] << 8) | data[5]
 
+    # NH
+    nh = byte0 & 0b100
     if nh:
-        payload = _decompress_udp(reader, src, dst)
+        next_header = PROTO_UDP
     else:
-        payload = reader.rest()
+        if pos >= size:
+            raise IphcError(_TRUNCATED)
+        next_header = data[pos]
+        pos += 1
+
+    # HLIM
+    hop_limit = _HLIM_VALUES[byte0 & 0b11]
+    if hop_limit is None:
+        if pos >= size:
+            raise IphcError(_TRUNCATED)
+        hop_limit = data[pos]
+        pos += 1
+
+    # SAM
+    mode = byte1 >> 4 & 0b11
+    if mode == 0b11:
+        if src_ll_iid is None:
+            raise IphcError(_NO_IID)
+        src = Ipv6Address(_LINK_LOCAL_PADDED + src_ll_iid)
+    else:
+        elided = _UNICAST_ELIDED[mode]
+        end = pos + 16 - len(elided)
+        if end > size:
+            raise IphcError(_TRUNCATED)
+        src = Ipv6Address(elided + data[pos:end])
+        pos = end
+
+    # M + DAM
+    mode = byte1 & 0b1011
+    if mode == 0b0011:
+        if dst_ll_iid is None:
+            raise IphcError(_NO_IID)
+        dst = Ipv6Address(_LINK_LOCAL_PADDED + dst_ll_iid)
+    elif mode < 0b0011 or mode == 0b1000:  # unicast, or multicast inline
+        elided = _UNICAST_ELIDED[mode & 0b11]
+        end = pos + 16 - len(elided)
+        if end > size:
+            raise IphcError(_TRUNCATED)
+        dst = Ipv6Address(elided + data[pos:end])
+        pos = end
+    elif mode != 0b1011:  # ffXX::00XX:XXXX:XXXX or ffXX::00XX:XXXX
+        inline = 6 if mode == 0b1001 else 4
+        end = pos + inline
+        if end > size:
+            raise IphcError(_TRUNCATED)
+        # ff, the flags/scope byte, zeros, then the rest of the inline bytes
+        dst = Ipv6Address(
+            b"\xff" + data[pos : pos + 1] + bytes(15 - inline) + data[pos + 1 : end]
+        )
+        pos = end
+    else:  # ff02::00XX
+        if pos >= size:
+            raise IphcError(_TRUNCATED)
+        dst = Ipv6Address(_FF02_PREFIX + data[pos : pos + 1])
+        pos += 1
+
+    if not nh:
+        payload = data[pos:]
+    else:
+        # NHC-UDP: rebuild the 8-byte UDP header
+        if pos >= size:
+            raise IphcError(_TRUNCATED)
+        head = data[pos]
+        if head & 0b1111_1000 != NHC_UDP_PATTERN:
+            raise IphcError(f"unsupported NHC header {head:#04x}")
+        ports_mode = head & 0b11
+        end = pos + 1 + _PORTS_INLINE[ports_mode]
+        if end > size:
+            raise IphcError(_TRUNCATED)
+        if ports_mode == 0b11:  # 0xF0Bs, 0xF0Bd: one byte of nibbles
+            nibbles = data[pos + 1]
+            ports = bytes((0xF0, 0xB0 | nibbles >> 4, 0xF0, 0xB0 | nibbles & 0x0F))
+        elif ports_mode == 0b01:  # source inline, destination 0xF0dd
+            ports = data[pos + 1 : pos + 3] + b"\xf0" + data[pos + 3 : end]
+        elif ports_mode == 0b10:  # source 0xF0ss, destination inline
+            ports = b"\xf0" + data[pos + 1 : end]
+        else:
+            ports = data[pos + 1 : end]
+        pos = end
+        if head & 0b100:
+            # checksum elided: recompute it over the pseudo header
+            body = data[pos:]
+            length = _UDP_LENGTH.pack(8 + len(body))
+            checksum = udp_checksum(src, dst, ports + length + b"\x00\x00" + body)
+            payload = ports + length + _UDP_LENGTH.pack(checksum) + body
+        else:
+            if pos + 2 > size:
+                raise IphcError(_TRUNCATED)
+            # the carried checksum and the data after it: 8 + (size - pos - 2)
+            payload = ports + _UDP_LENGTH.pack(size - pos + 6) + data[pos:]
 
     return Ipv6Packet(
         src=src,
@@ -297,34 +352,3 @@ def decompress(
         traffic_class=traffic_class,
         flow_label=flow_label,
     )
-
-
-def _decompress_udp(reader: _Reader, src: Ipv6Address, dst: Ipv6Address) -> bytes:
-    """Rebuild the 8-byte UDP header from NHC-UDP."""
-    head = reader.take(1)[0]
-    if head & 0b1111_1000 != NHC_UDP_PATTERN:
-        raise IphcError(f"unsupported NHC header {head:#04x}")
-    p = head & 0b11
-    c = (head >> 2) & 0b1
-    if p == 0b11:
-        nibbles = reader.take(1)[0]
-        sport = 0xF0B0 | (nibbles >> 4)
-        dport = 0xF0B0 | (nibbles & 0x0F)
-    elif p == 0b01:
-        sport, dlow = struct.unpack(">HB", reader.take(3))
-        dport = 0xF000 | dlow
-    elif p == 0b10:
-        slow, dport = struct.unpack(">BH", reader.take(3))
-        sport = 0xF000 | slow
-    else:
-        sport, dport = struct.unpack(">HH", reader.take(4))
-    checksum = 0 if c else struct.unpack(">H", reader.take(2))[0]
-    payload = reader.rest()
-    length = 8 + len(payload)
-    udp = struct.pack(">HHHH", sport, dport, length, checksum) + payload
-    if c:
-        # checksum was elided: recompute it over the pseudo header
-        raw = struct.pack(">HHHH", sport, dport, length, 0) + payload
-        checksum = udp_checksum(src, dst, raw)
-        udp = struct.pack(">HHHH", sport, dport, length, checksum) + payload
-    return udp

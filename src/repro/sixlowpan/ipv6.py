@@ -162,13 +162,19 @@ class Ipv6Packet:
 
 
 def _checksum(data: bytes) -> int:
-    """RFC 1071 one's-complement sum."""
+    """RFC 1071 one's-complement sum.
+
+    Since 2**16 ≡ 1 (mod 0xFFFF), the data read as one big-endian integer
+    is ≡ the sum of its 16-bit words, and the folded sum of a nonzero
+    total is its residue in 1..0xFFFF: a residue of 0 folds to 0xFFFF.
+    Only all-zero data folds to 0.
+    """
+    value = int.from_bytes(data, "big")
     if len(data) % 2:
-        data += b"\x00"
-    total = sum(struct.unpack(f">{len(data) // 2}H", data))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+        value <<= 8  # pad the odd byte out to a word
+    if not value:
+        return 0xFFFF
+    return 0xFFFF - (value % 0xFFFF or 0xFFFF)
 
 
 def udp_checksum(src: Ipv6Address, dst: Ipv6Address, udp_bytes: bytes) -> int:

@@ -361,6 +361,21 @@ def jam_everything_at_3s(plane):
     plane.sim.at(3 * SEC, jam)
 
 
+def overwrite_channel_per_at_5s(plane):
+    """Overwrite every channel's PER in place mid-run, then invalidate (the
+    model's idiom for that) and let one other lookup re-stamp the model."""
+    model = plane.medium.interference
+    model.channel_per.update(dict.fromkeys(range(37), 0.0))
+
+    def overwrite():
+        for channel in model.channel_per:
+            model.channel_per[channel] = 0.5
+        model.invalidate()
+        model.packet_error_rate(0, 10, plane.sim.now)
+
+    plane.sim.at(5 * SEC, overwrite)
+
+
 IDLE_SCENARIOS = {
     # PER of an empty packet ~0.21: both sides' losses, no timeout
     "high-ber": dict(base_ber=3e-3),
@@ -370,11 +385,13 @@ IDLE_SCENARIOS = {
     # by 3 s (40 events) every channel's PER is memoized: the jam must
     # still reach it
     "jam-mid-run": dict(base_ber=1e-3, setup=jam_everything_at_3s),
+    # every channel's PER is memoized by 5 s: the overwrite must reach it
+    "per-overwrite-mid-run": dict(setup=overwrite_channel_per_at_5s, until=10 * SEC),
 }
 
 
-def run_idle(traced, base_ber=0.0, bursts=(), setup=None):
-    """A lone idle connection for 5 s; everything the exchange touches."""
+def run_idle(traced, base_ber=0.0, bursts=(), setup=None, until=5 * SEC):
+    """A lone idle connection; everything the exchange touches."""
     plane = BlePlane(base_ber=base_ber, seed=7)
     plane.medium.interference.bursts.extend(bursts)
     if setup is not None:
@@ -385,7 +402,7 @@ def run_idle(traced, base_ber=0.0, bursts=(), setup=None):
     if traced:
         TRACE.configure(sinks=[])
     try:
-        plane.sim.run(until=5 * SEC)
+        plane.sim.run(until=until)
     finally:
         TRACE.reset()
     return {
@@ -404,7 +421,7 @@ def test_idle_path_matches_the_traced_exchange_loop(scenario):
     fast = run_idle(False, **IDLE_SCENARIOS[scenario])
     assert fast == run_idle(True, **IDLE_SCENARIOS[scenario])
     assert fast["coord_stats"]["events_crc_abort"] > 0
-    if scenario == "jam-mid-run":
+    if scenario in ("jam-mid-run", "per-overwrite-mid-run"):
         assert [reason for _, reason in fast["closed"]] == [
             DisconnectReason.SUPERVISION_TIMEOUT
         ]

@@ -43,6 +43,34 @@ def test_sdu_larger_than_mps_is_segmented_and_reassembled():
     assert end.sdus_sent == 1
 
 
+#: Either side of what one K-frame carries (MPS 247 less the 2-byte SDU
+#: length: 245 bytes) and of what two carry (492), up to the IPv6 MTU.
+BOUNDARY_SDU_SIZES = (0, 1, 244, 245, 246, 491, 492, 1280)
+
+
+def kframes(size):
+    """K-frames an SDU of ``size`` bytes takes at the default MPS."""
+    return 1 + -(-max(0, size - 245) // 247)
+
+
+def test_sdus_at_kframe_boundaries():
+    plane, conn, coc = make_coc()
+    got = []
+    coc.set_rx_handler(plane.nodes[1], got.append)
+    sdus = [bytes((size + i) % 256 for i in range(size)) for size in BOUNDARY_SDU_SIZES]
+    for sdu in sdus:
+        coc.send(plane.nodes[0], sdu)
+    plane.sim.run(until=3 * SEC)
+    assert got == sdus
+    tx, rx = coc.end_of(plane.nodes[0]), coc.end_of(plane.nodes[1])
+    assert rx.sdus_received == len(sdus)
+    # every consumed K-frame is paid back, one credit each: 16 in all
+    frames = sum(kframes(size) for size in BOUNDARY_SDU_SIZES)
+    assert frames == 16
+    assert rx.credits_returned == frames
+    assert tx.credits == CocConfig().initial_credits
+
+
 def test_mtu_enforced():
     plane, conn, coc = make_coc()
     with pytest.raises(ValueError):
