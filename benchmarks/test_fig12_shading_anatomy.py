@@ -82,9 +82,9 @@ def test_fig12_shading_link_degradation(run_once):
     ))
 
     # per-channel PDR of the degraded link: Figure 12 bottom
-    channels = result.link_channels.get(((worst_child, 0), "up"))
-    assert channels is not None
-    pdrs = per_channel_pdr(channels)
+    series = result.link_series.get(((worst_child, 0), "up"))
+    assert series is not None
+    pdrs = per_channel_pdr(series.channels)
     used = [p for p in pdrs if not math.isnan(p)]
     print("\nFig 12 bottom: per-channel LL PDR of the degraded link")
     print(render_heat_rows({f"node {worst_child} ch 0-36": pdrs}, lo=0.5, hi=1.0))

@@ -5,9 +5,10 @@ The paper drives every experiment from a static YAML description and emits
 This package mirrors that pipeline in-process:
 
 * :mod:`repro.exp.config` -- the experiment description (YAML round-trip),
-* :mod:`repro.exp.runner` -- builds the network, runs it, samples link
-  statistics, and returns an :class:`~repro.exp.runner.ExperimentResult`,
-* :mod:`repro.exp.events` -- the structured event log,
+* :mod:`repro.exp.runner` -- builds the network, runs it, and returns an
+  :class:`~repro.exp.runner.ExperimentResult`,
+* :mod:`repro.exp.links` -- the link sampler: per-link series, connection
+  losses and the live shading gauges,
 * :mod:`repro.exp.metrics` -- CDFs, time-binned PDR series, per-channel
   PDRs, loss censuses,
 * :mod:`repro.exp.report` -- fixed-width tables for benchmark output,
@@ -20,7 +21,6 @@ This package mirrors that pipeline in-process:
 
 from repro.exp.config import ExperimentConfig, parse_interval_spec
 from repro.exp.runner import ExperimentResult, ExperimentRunner, run_experiment
-from repro.exp.events import EventLog
 from repro.exp.artifacts import write_artifacts
 from repro.exp.portable import PortableResult
 from repro.exp.cache import ResultCache
@@ -34,7 +34,6 @@ __all__ = [
     "ExperimentResult",
     "ExperimentRunner",
     "run_experiment",
-    "EventLog",
     "write_artifacts",
     "PortableResult",
     "ResultCache",

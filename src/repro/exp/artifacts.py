@@ -9,7 +9,7 @@ adds every observation channel the description switched on::
       experiment.yml       the description (reproduces the run bit-exactly)
       results.jsonl        raw per-event records (requests, RTTs, losses,
                            link-statistics samples)
-      events.jsonl         the run's structured event log, verbatim
+      events.jsonl         connection losses, one line per end of each
       summary.txt          derived tables + terminal plots
       trace.jsonl          trace: the cross-layer records, one per line
       trace.pdump          trace: the on-link bytes as a packet dump
@@ -184,7 +184,15 @@ def write_artifacts(result: ExperimentResult, outdir: str | Path) -> Path:
     (out / "experiment.yml").write_text(config.to_yaml())
     write_results_log(result, out / "results.jsonl")
     with (out / "events.jsonl").open("w") as fh:
-        result.events.write_jsonl(fh)
+        for loss in result.conn_losses:
+            record = {
+                "t": loss.time_ns,
+                "kind": "conn-loss",
+                "node": loss.node,
+                "peer": loss.peer,
+                "role": loss.role,
+            }
+            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
     (out / "summary.txt").write_text(render_summary(result))
     if config.trace:
         jsonl = JsonlSink(out / "trace.jsonl")

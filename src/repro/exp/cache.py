@@ -26,7 +26,7 @@ from repro.exp.config import ExperimentConfig
 from repro.exp.portable import PortableResult
 
 #: Bumped whenever the pickled :class:`PortableResult` layout changes.
-RESULT_CACHE_VERSION = "result-v1"
+RESULT_CACHE_VERSION = "result-v2"
 
 
 @dataclass

@@ -13,7 +13,7 @@ The shared metric implementations live in :class:`ResultMetricsMixin`,
 which both result classes inherit; the contract is only that ``self`` has
 ``producers`` (objects with ``node.node_id`` / ``requests_sent`` /
 ``acks_received`` / ``pdr`` / ``request_times`` / ``rtt_samples``),
-``events``, and ``link_series``.
+``conn_losses``, and ``link_series``.
 """
 
 from __future__ import annotations
@@ -22,41 +22,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exp.config import ExperimentConfig
-from repro.exp.events import EventLog
+from repro.exp.links import ConnLoss, LinkKey, LinkSeries
 from repro.sim.units import SEC
 from repro.trace.record import TraceRecord
-
-#: Link direction labels: ``up`` is coordinator -> subordinate (towards the
-#: consumer under our role convention), ``down`` the reverse.
-DIRECTIONS = ("up", "down")
-
-LinkKey = Tuple[int, int]  # (coordinator addr, subordinate addr)
-
-
-@dataclass
-class LinkSeries:
-    """Cumulative per-link statistics over time (one direction)."""
-
-    times_s: List[float] = field(default_factory=list)
-    tx_attempts: List[int] = field(default_factory=list)
-    tx_acked: List[int] = field(default_factory=list)
-
-    def binned_pdr(self) -> Tuple[List[float], List[float]]:
-        """Per-sample-bin link-layer PDR (acked/attempted deltas)."""
-        times, pdrs = [], []
-        for i in range(1, len(self.times_s)):
-            attempts = self.tx_attempts[i] - self.tx_attempts[i - 1]
-            acked = self.tx_acked[i] - self.tx_acked[i - 1]
-            if attempts > 0:
-                times.append(self.times_s[i])
-                pdrs.append(acked / attempts)
-        return times, pdrs
-
-    def overall_pdr(self) -> float:
-        """Whole-run link-layer PDR."""
-        if not self.tx_attempts or self.tx_attempts[-1] == 0:
-            return 1.0
-        return self.tx_acked[-1] / self.tx_attempts[-1]
 
 
 class ResultMetricsMixin:
@@ -110,13 +78,11 @@ class ResultMetricsMixin:
     def connection_losses(self) -> List[Tuple[float, int, int]]:
         """(time_s, node, peer) per supervision-timeout loss (deduplicated:
         one entry per loss, from the coordinator's point of view)."""
-        losses = []
-        for record in self.events.of_kind("conn-loss"):
-            if record.get("role") == "coordinator":
-                losses.append(
-                    (record.time_ns / SEC, record.get("node"), record.get("peer"))
-                )
-        return losses
+        return [
+            (loss.time_ns / SEC, loss.node, loss.peer)
+            for loss in self.conn_losses
+            if loss.role == "coordinator"
+        ]
 
     def num_connection_losses(self) -> int:
         """Count of connection losses in the run."""
@@ -181,11 +147,10 @@ class PortableResult(ResultMetricsMixin):
     producers: List[PortableProducer]
     #: The consumer's per-producer request tally.
     consumer_requests: Dict[int, int]
-    events: EventLog
-    #: (link, direction) -> cumulative series.
+    #: Supervision-timeout losses, one record per end, in close order.
+    conn_losses: List[ConnLoss]
+    #: (link, direction) -> cumulative series (per-channel totals included).
     link_series: Dict[Tuple[LinkKey, str], LinkSeries]
-    #: (link, direction) -> accumulated per-channel [attempts, acked].
-    link_channels: Dict[Tuple[LinkKey, str], List[List[int]]]
     #: Precomputed per-node average BLE current (µA); None for 802.15.4.
     node_currents_ua: Optional[Dict[int, float]]
     #: Cross-layer trace records (empty unless the config enabled tracing).
@@ -210,9 +175,8 @@ class PortableResult(ResultMetricsMixin):
                 PortableProducer.from_producer(p) for p in result.producers
             ],
             consumer_requests=dict(result.consumer.requests_by_producer),
-            events=result.events,
+            conn_losses=result.conn_losses,
             link_series=result.link_series,
-            link_channels=result.link_channels,
             node_currents_ua=result.fleet_current_ua(),
             trace_records=list(getattr(result, "trace_records", ())),
             metrics=getattr(result, "metrics", None),

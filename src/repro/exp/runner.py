@@ -6,17 +6,17 @@ fixed cadence (so a 24-hour run stores kilobytes, not gigabytes), runs the
 kernel, and returns an :class:`ExperimentResult` with everything the
 figure/table benches need.
 
-Link statistics survive reconnects: the sampler tracks per-connection
-last-seen snapshots and accumulates deltas into per-link totals keyed by
-the (coordinator, subordinate) address pair, so a link that went through
-five connection generations still has one continuous time series.
+Link statistics survive reconnects: the :class:`~repro.exp.links.LinkSampler`
+takes deltas per connection and accumulates them into per-link totals
+keyed by the (coordinator, subordinate) identity pair, so a link that went
+through five connection generations still has one continuous time series.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.ble.config import BleConfig, SchedulerPolicy
 from repro.ble.chanmap import ChannelMap
@@ -27,18 +27,13 @@ from repro.exp.config import (
     ExperimentConfig,
     parse_interval_spec,
 )
-from repro.exp.events import EventLog
-from repro.exp.portable import (
-    LinkKey,
-    LinkSeries,
-    PortableResult,
-    ResultMetricsMixin,
-)
+from repro.exp.links import ConnLoss, LinkKey, LinkSampler, LinkSeries
+from repro.exp.portable import PortableResult, ResultMetricsMixin
 from repro.obs.registry import METRICS
 from repro.obs.sampler import MetricsSnapshotter
 from repro.phy.medium import InterferenceModel
 from repro.sim import RngRegistry
-from repro.sim.units import MSEC, SEC, s_to_ns
+from repro.sim.units import MSEC, s_to_ns
 from repro.spans.hub import SPANS
 from repro.testbed.dynamic import DynamicBleNetwork
 from repro.testbed.iotlab import JAMMED_CHANNEL
@@ -65,11 +60,10 @@ class ExperimentResult(ResultMetricsMixin):
     config: ExperimentConfig
     producers: List[Producer]
     consumer: Consumer
-    events: EventLog
-    #: (link, direction) -> cumulative series.
+    #: Supervision-timeout losses, one record per end, in close order.
+    conn_losses: List[ConnLoss]
+    #: (link, direction) -> cumulative series (per-channel totals included).
     link_series: Dict[Tuple[LinkKey, str], LinkSeries]
-    #: (link, direction) -> accumulated per-channel [attempts, acked].
-    link_channels: Dict[Tuple[LinkKey, str], List[List[int]]]
     #: The network object (BleNetwork or CsmaNetwork) for deep inspection.
     network: object
     #: Cross-layer trace records, when the config asked for them (or the
@@ -231,8 +225,6 @@ class ExperimentRunner:
                 abort_event_on_crc_error=cfg.abort_event_on_crc_error,
             )
 
-        from repro.sim import RngRegistry
-
         if cfg.drift_ppms is not None:
             ppms = list(cfg.drift_ppms)
         else:
@@ -334,12 +326,9 @@ class ExperimentRunner:
             TRACE.attach_sim(net.sim)
         if SPANS.enabled:
             SPANS.attach_sim(net.sim)
-        events = EventLog()
-
-        # connection-loss hooks (BLE only; 802.15.4 has no connections)
-        if is_ble:
-            for node in net.nodes:
-                self._hook_losses(node, events)
+        # link series, connection losses and the shading gauges (BLE only;
+        # 802.15.4 has no connections)
+        links = LinkSampler(net, s_to_ns(cfg.sample_period_s)) if is_ble else None
 
         consumer = Consumer(net.nodes[0])
         traffic = TrafficConfig(
@@ -381,27 +370,21 @@ class ExperimentRunner:
             )
             driver.install(s_to_ns(cfg.warmup_s), stop_at)
 
-        link_series: Dict[Tuple[LinkKey, str], LinkSeries] = {}
-        link_channels: Dict[Tuple[LinkKey, str], List[List[int]]] = {}
-        flush_sampler = None
-        if is_ble:
-            flush_sampler = self._start_sampler(net, link_series, link_channels)
-
+        # The link sampler starts before the snapshotter and finishes
+        # before it: both tick at the same instants, the sampler first, so
+        # each snapshot row reads the shading gauges set at that instant.
+        if links is not None:
+            links.start()
         snapper = None
         if METRICS.enabled:
             snapper = MetricsSnapshotter(
-                net.sim,
-                METRICS,
-                s_to_ns(cfg.sample_period_s),
-                network=net if is_ble else None,
+                net.sim, METRICS, s_to_ns(cfg.sample_period_s)
             )
             snapper.start()
 
         net.sim.run(until=s_to_ns(cfg.total_runtime_s))
-        if flush_sampler is not None:
-            # final partial window: the kernel stops *before* the horizon's
-            # events, so the last periodic sample never lands at the end
-            flush_sampler()
+        if links is not None:
+            links.finish()
         spans_payload = None
         if SPANS.enabled:
             # Journeys still in flight flush as lost at the horizon; the
@@ -420,102 +403,14 @@ class ExperimentRunner:
             config=cfg,
             producers=producers,
             consumer=consumer,
-            events=events,
-            link_series=link_series,
-            link_channels=link_channels,
+            conn_losses=links.losses if links is not None else [],
+            link_series=links.series if links is not None else {},
             network=net,
             trace_records=list(ring.records()) if ring is not None else [],
             metrics=metrics_payload,
             workload=driver.summary() if driver is not None else None,
             spans=spans_payload,
         )
-
-    def _hook_losses(self, node: Any, events: EventLog) -> None:
-        from repro.ble.conn import DisconnectReason
-
-        def on_close(conn: Any, reason: Any, node: Any = node) -> None:
-            if reason is DisconnectReason.SUPERVISION_TIMEOUT:
-                my_role = conn.endpoint_of(node.controller).role
-                events.emit(
-                    node.sim.now,
-                    "conn-loss",
-                    node=node.node_id,
-                    peer=conn.peer_of(node.controller).identity,
-                    role=my_role.value,
-                )
-
-        node.controller.conn_close_listeners.append(on_close)
-
-    def _start_sampler(
-        self,
-        net: Any,
-        link_series: Dict[Tuple[LinkKey, str], LinkSeries],
-        link_channels: Dict[Tuple[LinkKey, str], List[List[int]]],
-    ) -> Callable[[], None]:
-        """Schedule periodic link sampling; returns a final-flush closure.
-
-        The returned closure takes one extra sample at the current sim time
-        (the end of the run) unless the last periodic sample already landed
-        there -- without it the final partial window would be dropped,
-        because the kernel never dispatches events at the horizon itself.
-        """
-        cfg = self.config
-        period = s_to_ns(cfg.sample_period_s)
-        # per-(conn-generation, direction) last-seen snapshots
-        last_seen: Dict[Tuple[int, str], Tuple[int, ...]] = {}
-        last_channels: Dict[Tuple[int, str], List[Tuple[int, int]]] = {}
-        totals: Dict[Tuple[LinkKey, str], List[int]] = {}
-        last_sample_ns = [-1]
-
-        def collect() -> None:
-            now_s = net.sim.now / SEC
-            last_sample_ns[0] = net.sim.now
-            for node in net.nodes:
-                for conn in node.controller.connections:
-                    if conn.coord.controller is not node.controller:
-                        continue
-                    key: LinkKey = (
-                        conn.coord.controller.identity,
-                        conn.sub.controller.identity,
-                    )
-                    for direction, ep in (("up", conn.coord), ("down", conn.sub)):
-                        snap = ep.stats.snapshot()
-                        prev = last_seen.get((conn.conn_id, direction), (0, 0, 0, 0))
-                        last_seen[(conn.conn_id, direction)] = snap
-                        total = totals.setdefault((key, direction), [0, 0])
-                        total[0] += snap[0] - prev[0]  # tx attempts
-                        total[1] += snap[1] - prev[1]  # tx acked
-                        series = link_series.setdefault(
-                            (key, direction), LinkSeries()
-                        )
-                        series.times_s.append(now_s)
-                        series.tx_attempts.append(total[0])
-                        series.tx_acked.append(total[1])
-                        # per-channel accumulation
-                        chan_now = [
-                            (c[0], c[1]) for c in ep.stats.per_channel
-                        ]
-                        chan_prev = last_channels.get(
-                            (conn.conn_id, direction), [(0, 0)] * 37
-                        )
-                        last_channels[(conn.conn_id, direction)] = chan_now
-                        chan_total = link_channels.setdefault(
-                            (key, direction), [[0, 0] for _ in range(37)]
-                        )
-                        for ch in range(37):
-                            chan_total[ch][0] += chan_now[ch][0] - chan_prev[ch][0]
-                            chan_total[ch][1] += chan_now[ch][1] - chan_prev[ch][1]
-
-        def sample() -> None:
-            collect()
-            net.sim.after(period, sample)
-
-        def flush() -> None:
-            if last_sample_ns[0] != net.sim.now:
-                collect()
-
-        net.sim.after(period, sample)
-        return flush
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

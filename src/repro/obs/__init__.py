@@ -13,7 +13,7 @@ Modules:
 * :mod:`repro.obs.registry` -- instruments, per-scope registries, and the
   :data:`~repro.obs.registry.METRICS` hub singleton.
 * :mod:`repro.obs.sampler` -- the sim-time snapshotter that turns registry
-  states into time series (including the shading-onset gauge).
+  states into time series.
 * :mod:`repro.obs.export` -- ``metrics.json`` documents, Prometheus text
   exposition, and cross-repetition merging.
 * :mod:`repro.obs.wallclock` -- the one sanctioned host-clock import for

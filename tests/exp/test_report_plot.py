@@ -3,7 +3,6 @@
 import math
 
 from repro.exp.asciiplot import render_cdf, render_heat_rows, render_series
-from repro.exp.events import EventLog
 from repro.exp.report import format_table
 
 
@@ -116,21 +115,3 @@ class TestPlots:
         assert "?" in out
         assert "node 1" in out
         assert "scale" in out
-
-
-class TestEventLog:
-    def test_emit_and_filter(self):
-        log = EventLog()
-        log.emit(10, "conn-loss", node=1, peer=2)
-        log.emit(20, "reconnect", node=1)
-        log.emit(30, "conn-loss", node=3, peer=4)
-        assert log.count("conn-loss") == 2
-        losses = list(log.of_kind("conn-loss"))
-        assert losses[0].get("node") == 1
-        assert losses[1].time_ns == 30
-        assert len(log) == 3
-
-    def test_get_default(self):
-        log = EventLog()
-        log.emit(1, "x", a=1)
-        assert next(iter(log)).get("missing", 42) == 42

@@ -34,6 +34,20 @@ class TestRoundTrip:
         assert loaded.num_connection_losses() == portable.num_connection_losses()
         assert loaded.fleet_current_ua() == portable.fleet_current_ua()
 
+    def test_round_trip_preserves_connection_losses(self, tmp_path):
+        # a drifting line whose 3 -> 2 link is lost at 175 s
+        config = ExperimentConfig(
+            name="losses", topology="line", n_nodes=4, conn_interval="75",
+            duration_s=180.0, drift_ppm_span=80.0, seed=4,
+        )
+        lossy = run_experiment(config).to_portable()
+        assert lossy.num_connection_losses() == 1
+        cache = ResultCache(tmp_path)
+        cache.put(config, lossy)
+        loaded = cache.get(config)
+        assert loaded.conn_losses == lossy.conn_losses
+        assert loaded.connection_losses() == lossy.connection_losses()
+
     def test_pickle_stability(self, portable):
         clone = pickle.loads(pickle.dumps(portable))
         assert clone == portable
@@ -144,7 +158,7 @@ class TestKeyInvalidation:
     def test_version_tag_changes_the_key(self, tmp_path):
         config = ExperimentConfig()
         old = ResultCache(tmp_path, version=RESULT_CACHE_VERSION)
-        new = ResultCache(tmp_path, version="result-v2")
+        new = ResultCache(tmp_path, version=RESULT_CACHE_VERSION + "-next")
         assert old.key_for(config) != new.key_for(config)
 
     def test_same_config_same_key_across_instances(self, tmp_path):

@@ -5,8 +5,8 @@ shortcuts the instrumented ones cannot: an idle connection event runs
 ``Connection._idle_exchange`` instead of the exchange loop.  So each
 workload here runs with trace, metrics and spans off, then with each one
 on in turn, and every observable output must be the same: the CoAP
-counts, every round-trip time, the link sampler's series and per-channel
-counts, the connection losses and the medium's loss draws.
+counts, every round-trip time, the link sampler's series (per-channel
+counts included), the connection losses and the medium's loss draws.
 """
 
 import dataclasses
@@ -38,8 +38,7 @@ def observed(config: ExperimentConfig) -> dict:
         "coap_acked": result.coap_acked(),
         "rtts": result.rtts_s(),
         "link_series": result.link_series,
-        "link_channels": result.link_channels,
-        "connection_losses": result.num_connection_losses(),
+        "conn_losses": result.conn_losses,
         "packets_sampled": medium.packets_sampled,
         "packets_lost": medium.packets_lost,
     }
