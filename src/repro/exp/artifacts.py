@@ -28,9 +28,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.exp.asciiplot import render_cdf, render_series
+from repro.exp.links import ConnLoss
 from repro.exp.metrics import aggregate_binned_pdr, cdf, summarize_rtt
 from repro.exp.report import format_table
 from repro.exp.runner import ExperimentResult
@@ -92,6 +93,25 @@ def write_results_log(result: ExperimentResult, path: Path) -> int:
                 )
                 count += 1
     return count
+
+
+def dumps_events(losses: Iterable[ConnLoss]) -> str:
+    """The ``events.jsonl`` document: one compact ``conn-loss`` line per
+    end of each connection loss, in close order (empty without losses)."""
+    return "".join(
+        json.dumps(
+            {
+                "t": loss.time_ns,
+                "kind": "conn-loss",
+                "node": loss.node,
+                "peer": loss.peer,
+                "role": loss.role,
+            },
+            separators=(",", ":"),
+        )
+        + "\n"
+        for loss in losses
+    )
 
 
 def render_summary(result: ExperimentResult) -> str:
@@ -183,16 +203,7 @@ def write_artifacts(result: ExperimentResult, outdir: str | Path) -> Path:
     config = result.config
     (out / "experiment.yml").write_text(config.to_yaml())
     write_results_log(result, out / "results.jsonl")
-    with (out / "events.jsonl").open("w") as fh:
-        for loss in result.conn_losses:
-            record = {
-                "t": loss.time_ns,
-                "kind": "conn-loss",
-                "node": loss.node,
-                "peer": loss.peer,
-                "role": loss.role,
-            }
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+    (out / "events.jsonl").write_text(dumps_events(result.conn_losses))
     (out / "summary.txt").write_text(render_summary(result))
     if config.trace:
         jsonl = JsonlSink(out / "trace.jsonl")

@@ -144,10 +144,3 @@ def test_loss_exports_list_both_ends_in_close_order(results, tmp_path):
     assert result.connection_losses() == [
         (c.time_ns / SEC, c.node, c.peer) for c in losses[::2]
     ]
-
-
-def test_a_run_without_losses_writes_an_empty_event_log(results, tmp_path):
-    result = results("line4")
-    assert result.conn_losses == []
-    out = write_artifacts(result, tmp_path)
-    assert (out / "events.jsonl").read_text() == ""

@@ -3,7 +3,10 @@
 import math
 
 from repro.exp.asciiplot import render_cdf, render_heat_rows, render_series
+from repro.exp.links import ConnLoss
+from repro.exp.portable import ResultMetricsMixin
 from repro.exp.report import format_table
+from repro.sim.units import SEC
 
 
 class TestTable:
@@ -115,3 +118,18 @@ class TestPlots:
         assert "?" in out
         assert "node 1" in out
         assert "scale" in out
+
+
+class TestEventLog:
+    def test_emit_and_filter(self):
+        """``connection_losses()`` keeps one entry per loss: the
+        coordinator's end, in close order."""
+        log = ResultMetricsMixin()
+        log.conn_losses = [
+            ConnLoss(10, 1, 2, "coordinator"),
+            ConnLoss(10, 2, 1, "subordinate"),
+            ConnLoss(30, 3, 4, "coordinator"),
+            ConnLoss(30, 4, 3, "subordinate"),
+        ]
+        assert log.connection_losses() == [(10 / SEC, 1, 2), (30 / SEC, 3, 4)]
+        assert log.num_connection_losses() == 2
