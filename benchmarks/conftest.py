@@ -11,16 +11,20 @@ Python simulator reproduces the same dynamics in minutes).  Scale factors:
 Benches use ``benchmark.pedantic(..., rounds=1)``: a run *is* the
 measurement; repeating a deterministic simulation would only burn time.
 
-Parallel/caching hookup (opt-in): benches that execute many independent
-runs route them through :class:`repro.exp.parallel.ParallelEngine` with
+Every bench that executes more than one independent run hands the list
+to :func:`run_configs`, which runs it through
+:class:`repro.exp.parallel.ParallelEngine` with
 
 * ``REPRO_WORKERS`` (int, default 1) -- worker processes; >1 shards runs,
 * ``REPRO_CACHE_DIR`` (path, default unset) -- on-disk result cache, so a
   re-run of the same bench replays instantly.
 
-Both default to the previous serial, uncached behaviour, and the engine is
+Both default to serial, uncached, in-process runs, and the engine is
 deterministic per ``(config, seed)``, so the printed figures are identical
-under any worker count.
+under any worker count.  The two ablations that patch
+``ExperimentRunner._build_ble`` (interval uniqueness, collision action)
+stay serial: the engine's work items are configs, and the patch is not a
+config field.
 """
 
 import os
@@ -33,41 +37,24 @@ def duration_scale() -> float:
     return float(os.environ.get("REPRO_DURATION_SCALE", "1.0"))
 
 
-def engine_workers() -> int:
-    """Worker processes for grid benches (``REPRO_WORKERS``, default 1)."""
-    return int(os.environ.get("REPRO_WORKERS", "1"))
-
-
-def engine_cache_dir():
-    """Result-cache directory (``REPRO_CACHE_DIR``), or ``None``."""
-    return os.environ.get("REPRO_CACHE_DIR") or None
-
-
-def engine_kwargs() -> dict:
-    """Keyword arguments wiring a bench into the parallel engine."""
-    return {"max_workers": engine_workers(), "cache_dir": engine_cache_dir()}
-
-
-@pytest.fixture
-def grid_runner():
-    """Run a list of :class:`ExperimentConfig`s via the sharded engine.
-
-    Returns the per-config :class:`~repro.exp.portable.PortableResult`s in
-    input order; raises if any run failed after retries.
-    """
+def run_configs(configs):
+    """Run ``configs`` through the parallel engine and return their
+    results in input order; raises if any run failed after retries."""
     from repro.exp.parallel import run_grid
 
-    def runner(configs):
-        outcomes, stats = run_grid(configs, **engine_kwargs())
-        failed = [o for o in outcomes if not o.ok]
-        if failed:
-            raise RuntimeError(
-                f"{len(failed)} runs failed, first: {failed[0].error}"
-            )
-        print(f"[engine] {stats.summary()}")
-        return [o.result for o in outcomes]
-
-    return runner
+    outcomes, stats = run_grid(
+        configs,
+        max_workers=int(os.environ.get("REPRO_WORKERS", "1")),
+        cache_dir=os.environ.get("REPRO_CACHE_DIR") or None,
+    )
+    failed = [o for o in outcomes if not o.ok]
+    if failed:
+        raise RuntimeError(
+            f"{len(failed)} of {len(outcomes)} runs failed, "
+            f"first: {failed[0].error}"
+        )
+    print(f"[engine] {stats.summary()}")
+    return [o.result for o in outcomes]
 
 
 def scaled(seconds: float, minimum: float = 30.0) -> float:

@@ -46,7 +46,7 @@ def run_variant(action: str, duration_s: float, seeds=(1, 2, 3)):
 
         runner._build_ble = patched_build
         result = runner.run()
-        net = result.network
+        net = runner.network
         total_rejects += sum(n.statconn.collision_rejects for n in net.nodes)
         total_losses += result.num_connection_losses()
         pdr += result.coap_pdr()

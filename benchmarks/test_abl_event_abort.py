@@ -10,41 +10,37 @@ off (hypothetical controller) -- turning it off recovers a large part of
 the delivery rate, confirming the mechanism.
 """
 
-from repro.exp import ExperimentConfig, run_experiment
+from repro.exp import ExperimentConfig
 from repro.exp.report import format_table
 
-from conftest import banner, scaled
+from conftest import banner, run_configs, scaled
 
 
 def run_pair(duration_s: float, seeds=(10, 11)):
-    out = {}
-    for abort in (True, False):
-        pdr_sum = 0.0
-        aborts = 0
-        for seed in seeds:
-            result = run_experiment(
-                ExperimentConfig(
-                    name=f"abort-{abort}",
-                    conn_interval="2000",
-                    producer_interval_s=1.0,
-                    producer_jitter_s=0.5,
-                    duration_s=duration_s,
-                    warmup_s=25.0,
-                    drain_s=15.0,
-                    seed=seed,
-                    abort_event_on_crc_error=abort,
-                )
-            )
-            pdr_sum += result.coap_pdr()
-            aborts += sum(
-                ep.stats.events_crc_abort
-                for node in result.network.nodes
-                for conn in node.controller.connections
-                for ep in (conn.coord, conn.sub)
-                if conn.coord.controller is node.controller
-            )
-        out[abort] = (pdr_sum / len(seeds), aborts)
-    return out
+    keys = [(abort, seed) for abort in (True, False) for seed in seeds]
+    configs = [
+        ExperimentConfig(
+            name=f"abort-{abort}",
+            conn_interval="2000",
+            producer_interval_s=1.0,
+            producer_jitter_s=0.5,
+            duration_s=duration_s,
+            warmup_s=25.0,
+            drain_s=15.0,
+            seed=seed,
+            abort_event_on_crc_error=abort,
+        )
+        for abort, seed in keys
+    ]
+    pdr_sum = {True: 0.0, False: 0.0}
+    aborts = {True: 0, False: 0}
+    for (abort, _), result in zip(keys, run_configs(configs)):
+        pdr_sum[abort] += result.coap_pdr()
+        aborts[abort] += sum(n.crc_aborts for n in result.nodes)
+    return {
+        abort: (pdr_sum[abort] / len(seeds), aborts[abort])
+        for abort in (True, False)
+    }
 
 
 def test_abl_event_abort(run_once):

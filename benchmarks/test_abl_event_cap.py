@@ -7,29 +7,27 @@ capacity/fairness trade-off and why 6 ms (at 75 ms intervals) reproduces
 the paper's ~75 % Fig. 9a result.
 """
 
-from repro.exp import ExperimentConfig, run_experiment
+from repro.exp import ExperimentConfig
 from repro.exp.report import format_table
 
-from conftest import banner, scaled
+from conftest import banner, run_configs, scaled
 
 CAPS_MS = (3.0, 6.0, 12.0, 0.0)  # 0 = unbounded
 
 
 def run_sweep(duration_s: float):
-    out = {}
-    for cap in CAPS_MS:
-        result = run_experiment(
-            ExperimentConfig(
-                name=f"cap-{cap}",
-                producer_interval_s=0.1,
-                producer_jitter_s=0.05,
-                duration_s=duration_s,
-                seed=10,
-                max_event_len_ms=cap,
-            )
+    configs = [
+        ExperimentConfig(
+            name=f"cap-{cap}",
+            producer_interval_s=0.1,
+            producer_jitter_s=0.05,
+            duration_s=duration_s,
+            seed=10,
+            max_event_len_ms=cap,
         )
-        out[cap] = result.coap_pdr()
-    return out
+        for cap in CAPS_MS
+    ]
+    return {cap: r.coap_pdr() for cap, r in zip(CAPS_MS, run_configs(configs))}
 
 
 def test_abl_event_length_cap(run_once):

@@ -14,55 +14,55 @@ cannot fix the abort-limited radio -- buffers trade loss for delay only up
 to the link's real capacity.
 """
 
-from repro.exp import ExperimentConfig, run_experiment
+from repro.exp import ExperimentConfig
 from repro.exp.report import format_table
 
-from conftest import banner, scaled
+from conftest import banner, run_configs, scaled
 
 INTERVALS = ("75", "500", "1000", "2000")
 BUFFER_SIZES = (1536, 6144, 24576)
 
 
 def run_interval_sweep(duration_s: float):
-    out = {}
-    for interval in INTERVALS:
-        result = run_experiment(
-            ExperimentConfig(
-                name=f"buf-iv-{interval}",
-                conn_interval=interval,
-                duration_s=duration_s,
-                warmup_s=25.0,
-                drain_s=15.0,
-                seed=10,
-            )
+    configs = [
+        ExperimentConfig(
+            name=f"buf-iv-{interval}",
+            conn_interval=interval,
+            duration_s=duration_s,
+            warmup_s=25.0,
+            drain_s=15.0,
+            seed=10,
         )
-        out[interval] = (
+        for interval in INTERVALS
+    ]
+    return {
+        interval: (
             result.coap_pdr(),
-            max(n.pktbuf.peak_used for n in result.network.nodes),
-            sum(n.netif.drops_pktbuf for n in result.network.nodes),
+            max(n.pktbuf_peak for n in result.nodes),
+            sum(n.pktbuf_drops for n in result.nodes),
         )
-    return out
+        for interval, result in zip(INTERVALS, run_configs(configs))
+    }
 
 
 def run_buffer_sweep(duration_s: float, seeds=(10, 11)):
-    out = {}
-    for size in BUFFER_SIZES:
-        pdr = 0.0
-        for seed in seeds:
-            result = run_experiment(
-                ExperimentConfig(
-                    name=f"buf-sz-{size}",
-                    conn_interval="2000",
-                    duration_s=duration_s,
-                    warmup_s=25.0,
-                    drain_s=15.0,
-                    seed=seed,
-                    pktbuf_bytes=size,
-                )
-            )
-            pdr += result.coap_pdr()
-        out[size] = pdr / len(seeds)
-    return out
+    keys = [(size, seed) for size in BUFFER_SIZES for seed in seeds]
+    configs = [
+        ExperimentConfig(
+            name=f"buf-sz-{size}",
+            conn_interval="2000",
+            duration_s=duration_s,
+            warmup_s=25.0,
+            drain_s=15.0,
+            seed=seed,
+            pktbuf_bytes=size,
+        )
+        for size, seed in keys
+    ]
+    pdr = dict.fromkeys(BUFFER_SIZES, 0.0)
+    for (size, _), result in zip(keys, run_configs(configs)):
+        pdr[size] += result.coap_pdr()
+    return {size: total / len(seeds) for size, total in pdr.items()}
 
 
 def test_abl_interval_vs_buffer_pressure(run_once):

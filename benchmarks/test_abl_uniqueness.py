@@ -43,7 +43,7 @@ def run_variant(unique: bool, duration_s: float, seeds=(1, 2, 3)):
             runner._build_ble = build
         result = runner.run()
         losses += result.num_connection_losses()
-        for node in result.network.nodes:
+        for node in runner.network.nodes:
             intervals = node.controller.used_intervals_ns()
             if len(set(intervals)) != len(intervals):
                 collisions_present += 1

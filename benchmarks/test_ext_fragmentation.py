@@ -15,10 +15,10 @@ channel on both stacks: 802.15.4 delivery must decay with the fragment
 count while BLE stays near-lossless.
 """
 
-from repro.exp import ExperimentConfig, run_experiment
+from repro.exp import ExperimentConfig
 from repro.exp.report import format_table
 
-from conftest import banner, scaled
+from conftest import banner, run_configs, scaled
 
 PAYLOADS = (39, 250, 500, 900)
 #: Elevated BER (~17 % loss per 120-byte frame): MAC retries still mostly
@@ -27,39 +27,35 @@ LOSSY_BER = 2.0e-4
 
 
 def run_matrix(duration_s: float):
-    cells = {}
-    for link_layer in ("ble", "802154"):
-        for payload in PAYLOADS:
-            result = run_experiment(
-                ExperimentConfig(
-                    name=f"frag-{link_layer}-{payload}",
-                    link_layer=link_layer,
-                    topology="line",
-                    n_nodes=3,
-                    payload_len=payload,
-                    producer_interval_s=2.0,
-                    producer_jitter_s=1.0,
-                    duration_s=duration_s,
-                    seed=16,
-                    base_ber=LOSSY_BER,
-                )
-            )
-            fragmented = 0
-            timeouts = 0
-            if link_layer == "802154":
-                fragmented = sum(
-                    n.netif.tx_fragmented_datagrams for n in result.network.nodes
-                )
-                timeouts = sum(
-                    n.netif.reassembler.timeouts for n in result.network.nodes
-                )
-            losses = (
-                result.num_connection_losses() if link_layer == "ble" else 0
-            )
-            cells[(link_layer, payload)] = (
-                result.coap_pdr(), fragmented, timeouts, losses
-            )
-    return cells
+    keys = [
+        (link_layer, payload)
+        for link_layer in ("ble", "802154")
+        for payload in PAYLOADS
+    ]
+    configs = [
+        ExperimentConfig(
+            name=f"frag-{link_layer}-{payload}",
+            link_layer=link_layer,
+            topology="line",
+            n_nodes=3,
+            payload_len=payload,
+            producer_interval_s=2.0,
+            producer_jitter_s=1.0,
+            duration_s=duration_s,
+            seed=16,
+            base_ber=LOSSY_BER,
+        )
+        for link_layer, payload in keys
+    ]
+    return {
+        key: (
+            result.coap_pdr(),
+            sum(n.fragmented for n in result.nodes),
+            sum(n.reassembly_timeouts for n in result.nodes),
+            result.num_connection_losses(),
+        )
+        for key, result in zip(keys, run_configs(configs))
+    }
 
 
 def test_ext_fragmentation_vs_segmentation(run_once):

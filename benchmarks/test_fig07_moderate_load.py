@@ -8,26 +8,27 @@ mean hop counts (7.5 vs 2.14 hops -> factor ~3.5).
 Base duration: 900 s (paper: 3600 s), scaled by REPRO_DURATION_SCALE.
 """
 
-from repro.exp import ExperimentConfig, run_experiment
+from repro.exp import ExperimentConfig
 from repro.exp.asciiplot import render_cdf, render_series
 from repro.exp.metrics import aggregate_binned_pdr, cdf, percentile, summarize_rtt
 from repro.exp.report import format_table
 
-from conftest import banner, scaled
+from conftest import banner, run_configs, scaled
+
+TOPOLOGIES = ("tree", "line")
 
 
 def run_pair(duration_s: float):
-    results = {}
-    for topology in ("tree", "line"):
-        results[topology] = run_experiment(
-            ExperimentConfig(
-                name=f"fig7-{topology}",
-                topology=topology,
-                duration_s=duration_s,
-                seed=7,
-            )
+    configs = [
+        ExperimentConfig(
+            name=f"fig7-{topology}",
+            topology=topology,
+            duration_s=duration_s,
+            seed=7,
         )
-    return results
+        for topology in TOPOLOGIES
+    ]
+    return dict(zip(TOPOLOGIES, run_configs(configs)))
 
 
 def test_fig07_moderate_load(run_once):

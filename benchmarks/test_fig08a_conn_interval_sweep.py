@@ -9,31 +9,30 @@ intervals push delays into the seconds.
 Base duration: 240 s per configuration (paper: 3600 s each).
 """
 
-from repro.exp import ExperimentConfig, run_experiment
+from repro.exp import ExperimentConfig
 from repro.exp.asciiplot import render_cdf
 from repro.exp.metrics import cdf, percentile
 from repro.exp.report import format_table
 
-from conftest import banner, scaled
+from conftest import banner, run_configs, scaled
 
 INTERVALS_MS = (25, 50, 75, 100, 250, 500, 750)
 
 
 def run_sweep(duration_s: float):
-    out = {}
-    for interval in INTERVALS_MS:
-        result = run_experiment(
-            ExperimentConfig(
-                name=f"fig8a-{interval}",
-                conn_interval=str(interval),
-                duration_s=duration_s,
-                warmup_s=10.0,
-                drain_s=8.0,
-                seed=8,
-            )
+    configs = [
+        ExperimentConfig(
+            name=f"fig8a-{interval}",
+            conn_interval=str(interval),
+            duration_s=duration_s,
+            warmup_s=10.0,
+            drain_s=8.0,
+            seed=8,
         )
-        out[interval] = result.rtts_s()
-    return out
+        for interval in INTERVALS_MS
+    ]
+    results = run_configs(configs)
+    return {i: r.rtts_s() for i, r in zip(INTERVALS_MS, results)}
 
 
 def test_fig08a_interval_sweep(run_once):

@@ -8,30 +8,32 @@ long as the offered load stays within capacity; only the overload point
 Base duration: 300 s per configuration (paper: 3600 s each).
 """
 
-from repro.exp import ExperimentConfig, run_experiment
+from repro.exp import ExperimentConfig
 from repro.exp.asciiplot import render_cdf
 from repro.exp.metrics import cdf, percentile
 from repro.exp.report import format_table
 
-from conftest import banner, scaled
+from conftest import banner, run_configs, scaled
 
 PRODUCER_INTERVALS_S = (0.1, 0.5, 1.0, 5.0, 10.0, 30.0)
 
 
 def run_sweep(duration_s: float):
-    out = {}
-    for interval_s in PRODUCER_INTERVALS_S:
-        result = run_experiment(
-            ExperimentConfig(
-                name=f"fig8b-{interval_s}",
-                producer_interval_s=interval_s,
-                producer_jitter_s=interval_s / 2,
-                duration_s=duration_s,
-                seed=9,
-            )
+    configs = [
+        ExperimentConfig(
+            name=f"fig8b-{interval_s}",
+            producer_interval_s=interval_s,
+            producer_jitter_s=interval_s / 2,
+            duration_s=duration_s,
+            seed=9,
         )
-        out[interval_s] = (result.rtts_s(), result.coap_pdr())
-    return out
+        for interval_s in PRODUCER_INTERVALS_S
+    ]
+    results = run_configs(configs)
+    return {
+        i: (r.rtts_s(), r.coap_pdr())
+        for i, r in zip(PRODUCER_INTERVALS_S, results)
+    }
 
 
 def test_fig08b_producer_interval_sweep(run_once):

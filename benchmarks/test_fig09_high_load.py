@@ -14,25 +14,23 @@ Two configurations on the tree:
 Base duration: 300 s (paper: 3600 s).
 """
 
-from repro.exp import ExperimentConfig, run_experiment
+from repro.exp import ExperimentConfig
 from repro.exp.asciiplot import render_heat_rows, render_series
 from repro.exp.metrics import aggregate_binned_pdr, producer_binned_pdr
 from repro.exp.report import format_table
 
-from conftest import banner, scaled
+from conftest import banner, run_configs, scaled
 
 
 def run_both(duration_s: float):
-    high = run_experiment(
+    return run_configs([
         ExperimentConfig(
             name="fig9a",
             producer_interval_s=0.1,
             producer_jitter_s=0.05,
             duration_s=duration_s,
             seed=10,
-        )
-    )
-    burst = run_experiment(
+        ),
         ExperimentConfig(
             name="fig9b",
             conn_interval="2000",
@@ -42,9 +40,8 @@ def run_both(duration_s: float):
             warmup_s=25.0,
             drain_s=15.0,
             seed=10,
-        )
-    )
-    return high, burst
+        ),
+    ])
 
 
 def test_fig09_high_load(run_once):
@@ -52,14 +49,14 @@ def test_fig09_high_load(run_once):
     duration = scaled(300)
     high, burst = run_once(run_both, duration)
 
-    drops_high = sum(n.netif.drops_pktbuf for n in high.network.nodes)
+    drops_high = sum(n.pktbuf_drops for n in high.nodes)
     print(format_table(
         ["scenario", "CoAP PDR", "pktbuf drops", "conn losses"],
         [
             ["(a) 100 ms producers, 75 ms itvl", f"{high.coap_pdr():.3f}",
              drops_high, high.num_connection_losses()],
             ["(b) 1 s producers, 2000 ms itvl", f"{burst.coap_pdr():.3f}",
-             sum(n.netif.drops_pktbuf for n in burst.network.nodes),
+             sum(n.pktbuf_drops for n in burst.nodes),
              burst.num_connection_losses()],
         ],
         title="(paper: (a) ~75 % with buffer-overflow losses, (b) lower still)",
@@ -71,7 +68,7 @@ def test_fig09_high_load(run_once):
     heat = {}
     for producer in high.producers:
         _, pdrs = producer_binned_pdr(producer, bin_s=bin_s, t_end_s=end_s)
-        heat[f"node {producer.node.node_id}"] = pdrs
+        heat[f"node {producer.node_id}"] = pdrs
     print("\nFig 9(a): per-producer CoAP PDR heat rows (time -->)")
     print(render_heat_rows(heat))
 

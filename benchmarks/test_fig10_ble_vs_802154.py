@@ -10,12 +10,12 @@ interval-quantized ones.
 Base duration: 300 s per stack (paper: 3600 s).
 """
 
-from repro.exp import ExperimentConfig, run_experiment
+from repro.exp import ExperimentConfig
 from repro.exp.asciiplot import render_cdf, render_series
 from repro.exp.metrics import aggregate_binned_pdr, cdf, percentile
 from repro.exp.report import format_table
 
-from conftest import banner, scaled
+from conftest import banner, run_configs, scaled
 
 SCENARIOS = (
     ("IEEE 802.15.4", dict(link_layer="802154")),
@@ -25,14 +25,11 @@ SCENARIOS = (
 
 
 def run_all(duration_s: float):
-    out = {}
-    for label, overrides in SCENARIOS:
-        out[label] = run_experiment(
-            ExperimentConfig(
-                name=label, duration_s=duration_s, seed=11, **overrides
-            )
-        )
-    return out
+    configs = [
+        ExperimentConfig(name=label, duration_s=duration_s, seed=11, **overrides)
+        for label, overrides in SCENARIOS
+    ]
+    return dict(zip((label for label, _ in SCENARIOS), run_configs(configs)))
 
 
 def test_fig10_ble_vs_802154(run_once):
@@ -80,7 +77,7 @@ def test_fig10_ble_vs_802154(run_once):
     assert m154.coap_pdr() < min(ble25.coap_pdr(), ble75.coap_pdr())
     assert ble75.coap_pdr() > 0.99
     assert m154.coap_pdr() < 0.99
-    drops = sum(n.netif.drops_mac for n in m154.network.nodes)
+    drops = sum(n.mac_drops for n in m154.nodes)
     assert drops > 0, "802.15.4 losses must come from MAC retry exhaustion"
     # who wins on latency: 802.15.4, by a wide margin against BLE 75 ms
     assert percentile(m154.rtts_s(), 0.5) < percentile(ble75.rtts_s(), 0.5) / 2

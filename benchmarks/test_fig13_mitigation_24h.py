@@ -12,12 +12,12 @@ Base duration: 2400 s per configuration (paper: 86400 s), so the static
 runs have room for a few shading events.
 """
 
-from repro.exp import ExperimentConfig, run_experiment
+from repro.exp import ExperimentConfig
 from repro.exp.asciiplot import render_cdf
 from repro.exp.metrics import cdf, percentile
 from repro.exp.report import format_table
 
-from conftest import banner, scaled
+from conftest import banner, run_configs, scaled
 
 # §6.3's evaluation text quotes the tree AND the star ("decreases the
 # overall link layer packet delivery rates ... from 98 % to 96 % in the
@@ -34,19 +34,18 @@ CONFIGS = [
 
 
 def run_all(duration_s: float):
-    out = {}
-    for topology, interval in CONFIGS:
-        out[(topology, interval)] = run_experiment(
-            ExperimentConfig(
-                name=f"fig13-{topology}-{interval}",
-                topology=topology,
-                conn_interval=interval,
-                duration_s=duration_s,
-                sample_period_s=max(10.0, duration_s / 100),
-                seed=1,
-            )
+    configs = [
+        ExperimentConfig(
+            name=f"fig13-{topology}-{interval}",
+            topology=topology,
+            conn_interval=interval,
+            duration_s=duration_s,
+            sample_period_s=max(10.0, duration_s / 100),
+            seed=1,
         )
-    return out
+        for topology, interval in CONFIGS
+    ]
+    return dict(zip(CONFIGS, run_configs(configs)))
 
 
 def test_fig13_static_vs_random_intervals(run_once):

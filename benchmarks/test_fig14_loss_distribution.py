@@ -9,30 +9,29 @@ paper's plot) essentially never do.
 Base duration: 2 seeds x 900 s per configuration (paper: 5 x 3600 s).
 """
 
-from repro.exp import ExperimentConfig, run_experiment
+from repro.exp import ExperimentConfig
 from repro.exp.report import format_table
 
-from conftest import banner, scaled
+from conftest import banner, run_configs, scaled
 
 STATIC = ("25", "50", "75", "100", "500")
 RANDOM = ("[15:35]", "[40:60]", "[65:85]", "[90:110]", "[490:510]")
 
 
 def run_grid(duration_s: float, seeds=(1, 2)):
-    losses = {}
-    for spec in STATIC + RANDOM:
-        total = 0
-        for seed in seeds:
-            result = run_experiment(
-                ExperimentConfig(
-                    name=f"fig14-{spec}-{seed}",
-                    conn_interval=spec,
-                    duration_s=duration_s,
-                    seed=seed,
-                )
-            )
-            total += result.num_connection_losses()
-        losses[spec] = total
+    keys = [(spec, seed) for spec in STATIC + RANDOM for seed in seeds]
+    configs = [
+        ExperimentConfig(
+            name=f"fig14-{spec}-{seed}",
+            conn_interval=spec,
+            duration_s=duration_s,
+            seed=seed,
+        )
+        for spec, seed in keys
+    ]
+    losses = dict.fromkeys(STATIC + RANDOM, 0)
+    for (spec, _), result in zip(keys, run_configs(configs)):
+        losses[spec] += result.num_connection_losses()
     return losses
 
 

@@ -7,18 +7,16 @@ one seed x a scaled duration per cell and print the same four grids.
 
 Base duration: 150 s per cell (60 cells; paper: 5 x 3600 s each).  This is
 the heaviest bench -- REPRO_DURATION_SCALE trades runtime for fidelity,
-and it is the flagship consumer of the parallel engine hookup:
-``REPRO_WORKERS=4 REPRO_CACHE_DIR=.repro-cache pytest
+and ``REPRO_WORKERS=4 REPRO_CACHE_DIR=.repro-cache pytest
 benchmarks/test_fig15_full_grid.py`` shards the 60 cells across four
 worker processes and replays instantly on a second invocation.
 """
 
 from repro.exp import ExperimentConfig
 from repro.exp.metrics import percentile
-from repro.exp.parallel import run_grid as engine_run_grid
 from repro.exp.report import format_table
 
-from conftest import banner, engine_kwargs, scaled
+from conftest import banner, run_configs, scaled
 
 PRODUCER_INTERVALS_S = (0.1, 0.5, 1.0, 5.0, 10.0, 30.0)
 CONN_SPECS = (
@@ -44,13 +42,8 @@ def run_grid(duration_s: float):
                     seed=15,
                 )
             )
-    outcomes, stats = engine_run_grid(configs, **engine_kwargs())
-    failed = [o for o in outcomes if not o.ok]
-    assert not failed, f"{len(failed)} grid runs failed, first: {failed[0].error}"
-    print(f"\n[engine] {stats.summary()}")
     cells = {}
-    for key, outcome in zip(keys, outcomes):
-        result = outcome.result
+    for key, result in zip(keys, run_configs(configs)):
         rtts = result.rtts_s()
         cells[key] = {
             "ll_pdr": result.link_pdr_overall(),

@@ -48,8 +48,7 @@ def test_sec54_energy_numbers(run_once):
         forwarder = run_experiment(
             ExperimentConfig(name="e", duration_s=duration, seed=2)
         )
-        fwd_node = forwarder.network.nodes[1]  # 3 connections, mid-tree
-        fwd_ua = model.controller_current_ua(fwd_node.controller, duration + 8)
+        fwd_ua = forwarder.nodes[1].current_ua  # 3 connections, mid-tree
         return coord_ua, sub_ua, fwd_ua
 
     coord_ua, sub_ua, fwd_ua = run_once(measure)

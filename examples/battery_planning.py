@@ -70,8 +70,8 @@ def simulated_forwarder(model: EnergyModel) -> None:
     result = run_experiment(ExperimentConfig(name="energy", duration_s=120, seed=2))
     rows = []
     for node_id in (0, 1, 4, 10):  # root, forwarders, leaf
-        node = result.network.nodes[node_id]
-        current = model.controller_current_ua(node.controller, 120.0)
+        # averaged over the whole run, warm-up and drain included
+        current = result.nodes[node_id].current_ua
         life = model.forwarder_battery_life_coin_cell(current)
         role = (
             "consumer/root"

@@ -33,6 +33,7 @@ def main() -> None:
             n_nodes=6,
             conn_interval=interval,
             confirmable=True,           # CON requests arm the RFC 7252 timers
+            metrics=True,               # count retransmissions and give-ups
             producer_interval_s=2.0,
             producer_jitter_s=1.0,
             duration_s=duration,
@@ -42,10 +43,11 @@ def main() -> None:
         )
         print(f"running line network with {interval} ms connection interval ...")
         result = run_experiment(config)
+        scopes = result.metrics["scopes"].values()
         retransmissions = sum(
-            p.endpoint.retransmissions for p in result.producers
+            s["counters"].get("coap.retransmissions", 0) for s in scopes
         )
-        timeouts = sum(p.endpoint.timeouts for p in result.producers)
+        timeouts = sum(s["counters"].get("coap.timeouts", 0) for s in scopes)
         rtt = summarize_rtt(result.rtts_s())
         rows.append(
             [

@@ -60,7 +60,7 @@ def write_results_log(result: ExperimentResult, path: Path) -> int:
                 record = {
                     "type": "request",
                     "t_s": sent_at / SEC,
-                    "producer": producer.node.node_id,
+                    "producer": producer.node_id,
                     "acked": sent_at in acked,
                 }
                 if sent_at in rtt_of:

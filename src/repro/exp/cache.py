@@ -23,10 +23,10 @@ from pathlib import Path
 from typing import Optional
 
 from repro.exp.config import ExperimentConfig
-from repro.exp.portable import PortableResult
+from repro.exp.runner import ExperimentResult
 
-#: Bumped whenever the pickled :class:`PortableResult` layout changes.
-RESULT_CACHE_VERSION = "result-v2"
+#: Bumped whenever the pickled :class:`ExperimentResult` layout changes.
+RESULT_CACHE_VERSION = "result-v3"
 
 
 @dataclass
@@ -56,7 +56,7 @@ class CacheStats:
 
 
 class ResultCache:
-    """A directory of pickled :class:`PortableResult`s keyed by config hash.
+    """A directory of pickled :class:`ExperimentResult`s keyed by config hash.
 
     :param cache_dir: root directory (created on first store).
     :param version: result-format tag mixed into every key; override to
@@ -79,7 +79,7 @@ class ResultCache:
         key = self.key_for(config)
         return self.root / key[:2] / f"{key}.pkl"
 
-    def get(self, config: ExperimentConfig) -> Optional[PortableResult]:
+    def get(self, config: ExperimentConfig) -> Optional[ExperimentResult]:
         """The cached result for ``config``, or ``None`` (counted as a miss).
 
         A corrupt or unreadable entry is deleted and reported as a miss --
@@ -102,7 +102,7 @@ class ResultCache:
         self.stats.hits += 1
         return result
 
-    def put(self, config: ExperimentConfig, result: PortableResult) -> Path:
+    def put(self, config: ExperimentConfig, result: ExperimentResult) -> Path:
         """Store ``result`` under ``config``'s key (atomic); returns the path."""
         path = self.path_for(config)
         path.parent.mkdir(parents=True, exist_ok=True)

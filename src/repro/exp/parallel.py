@@ -9,8 +9,8 @@ results cached without changing a single metric.  This module provides
 * **Sharding** -- each ``(config, seed)`` work item runs in its own worker
   process (process-per-item: crash isolation is exact and a hung run can be
   killed without poisoning a pool); completed
-  :class:`~repro.exp.portable.PortableResult`s stream back over pipes as
-  they finish.
+  :class:`~repro.exp.runner.ExperimentResult`s (plain picklable data)
+  stream back over pipes as they finish.
 * **Caching** -- an optional :class:`~repro.exp.cache.ResultCache` is
   consulted before any process is spawned and fed after every successful
   run, so re-running a sweep replays instantly.
@@ -39,23 +39,11 @@ from typing import Any, Callable, Deque, List, Optional, Sequence
 
 from repro.exp.cache import CacheStats, ResultCache
 from repro.exp.config import ExperimentConfig
-from repro.exp.portable import PortableResult
+from repro.exp.runner import ExperimentResult, run_experiment
 from repro.obs.wallclock import monotonic
 
 #: Default attempts per work item (1 initial + 1 retry).
 DEFAULT_MAX_ATTEMPTS = 2
-
-
-def execute_portable(config: ExperimentConfig) -> PortableResult:
-    """The default work function: run the experiment, flatten the result.
-
-    Imported lazily so worker processes under ``spawn`` pay the import cost
-    once, and so this module never drags the full runner in for callers
-    that only want the data types.
-    """
-    from repro.exp.runner import run_experiment
-
-    return run_experiment(config).to_portable()
 
 
 @dataclass
@@ -63,7 +51,7 @@ class RunOutcome:
     """What happened to one work item."""
 
     config: ExperimentConfig
-    result: Optional[PortableResult] = None
+    result: Optional[ExperimentResult] = None
     #: Served from the result cache (no process was spawned).
     cached: bool = False
     #: Execution attempts consumed (0 for cache hits).
@@ -202,7 +190,7 @@ class ParallelEngine:
         enforceable on the in-process path).
     :param max_attempts: total tries per item before it is reported failed.
     :param run_fn: the work function (must be picklable for ``spawn``);
-        defaults to :func:`execute_portable`.
+        defaults to :func:`~repro.exp.runner.run_experiment`.
     :param progress: optional callback receiving :class:`ProgressEvent`s.
     """
 
@@ -212,7 +200,7 @@ class ParallelEngine:
         cache: ResultCache | str | os.PathLike | None = None,
         timeout_s: Optional[float] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        run_fn: Callable[[ExperimentConfig], PortableResult] = execute_portable,
+        run_fn: Callable[[ExperimentConfig], ExperimentResult] = run_experiment,
         progress: Optional[Callable[[ProgressEvent], None]] = None,
     ) -> None:
         if max_workers is not None and max_workers < 1:

@@ -2,11 +2,11 @@
 
 Runs an :class:`~repro.exp.config.ExperimentConfig` across derived seeds and
 aggregates the headline metrics, like the paper's Appendix B grid does for
-its 5x1 h cells.  With ``max_workers > 1`` or a ``cache_dir`` the
-repetitions go through :class:`~repro.exp.parallel.ParallelEngine`, which
-shards them across worker processes and serves previously computed runs
-from the on-disk result cache; the aggregated numbers are identical either
-way because the simulator is deterministic per ``(config, seed)``.
+its 5x1 h cells.  The repetitions go through
+:class:`~repro.exp.parallel.ParallelEngine`: in-process with one worker,
+sharded across worker processes with more, and served from the on-disk
+result cache when one is given.  The aggregated numbers are identical
+either way because the simulator is deterministic per ``(config, seed)``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from typing import Callable, List, Optional
 
 from repro.exp.config import ExperimentConfig
 from repro.exp.metrics import percentile
-from repro.exp.runner import run_experiment
+from repro.exp.parallel import ParallelEngine
+from repro.exp.runner import ExperimentResult
 
 #: Stride between repetition seed blocks.  Repetition ``k`` of base seed
 #: ``s`` uses ``s * SEED_STRIDE + k``, so the 5-seed sets of distinct base
@@ -45,16 +46,11 @@ def repetition_configs(config: ExperimentConfig, n: int) -> List[ExperimentConfi
 
 @dataclass
 class RepeatedResult:
-    """Aggregate over N repetitions of one configuration.
-
-    ``results`` holds :class:`~repro.exp.runner.ExperimentResult`s on the
-    in-process path and picklable
-    :class:`~repro.exp.portable.PortableResult`s when the parallel engine
-    ran the repetitions; both expose the same metric methods.
-    """
+    """Aggregate over N repetitions of one configuration (one
+    :class:`~repro.exp.runner.ExperimentResult` per repetition)."""
 
     config: ExperimentConfig
-    results: List = field(default_factory=list)
+    results: List[ExperimentResult] = field(default_factory=list)
 
     @property
     def n(self) -> int:
@@ -103,27 +99,16 @@ def run_repetitions(
 
     :param max_workers: >1 shards repetitions across worker processes.
     :param cache_dir: enables the on-disk result cache (also with 1 worker).
-    :param progress: forwarded to the engine when it is used.
+    :param progress: forwarded to the engine.
     """
     if n < 1:
         raise ValueError("need at least one repetition")
-    aggregate = RepeatedResult(config=config)
-    configs = repetition_configs(config, n)
-    if max_workers == 1 and cache_dir is None:
-        # classic path: full (non-portable) results, deep inspection allowed
-        for rep_config in configs:
-            aggregate.results.append(run_experiment(rep_config))
-        return aggregate
-
-    from repro.exp.parallel import ParallelEngine
-
     engine = ParallelEngine(
         max_workers=max_workers, cache=cache_dir, progress=progress
     )
-    outcomes = engine.run(configs)
+    outcomes = engine.run(repetition_configs(config, n))
     failed = [o for o in outcomes if not o.ok]
     if failed:
         details = "; ".join(f"seed={o.config.seed}: {o.error}" for o in failed)
         raise RuntimeError(f"{len(failed)}/{n} repetitions failed: {details}")
-    aggregate.results = [o.result for o in outcomes]
-    return aggregate
+    return RepeatedResult(config=config, results=[o.result for o in outcomes])

@@ -3,8 +3,9 @@
 Builds the configured network (BLE or 802.15.4), attaches the
 producer/consumer workload, samples cumulative per-link statistics at a
 fixed cadence (so a 24-hour run stores kilobytes, not gigabytes), runs the
-kernel, and returns an :class:`ExperimentResult` with everything the
-figure/table benches need.
+kernel, and returns an :class:`ExperimentResult`: plain, picklable data
+with everything the figure/table benches need, including a per-node
+counter table read off the network at the end of the run.
 
 Link statistics survive reconnects: the :class:`~repro.exp.links.LinkSampler`
 takes deltas per connection and accumulates them into per-link totals
@@ -22,18 +23,18 @@ from repro.ble.config import BleConfig, SchedulerPolicy
 from repro.ble.chanmap import ChannelMap
 from repro.core.statconn import StatconnConfig
 from repro.core.intervals import IntervalPolicy, StaticIntervalPolicy
+from repro.energy import EnergyModel
 from repro.exp.config import (
     SPATIAL_TOPOLOGIES,
     ExperimentConfig,
     parse_interval_spec,
 )
 from repro.exp.links import ConnLoss, LinkKey, LinkSampler, LinkSeries
-from repro.exp.portable import PortableResult, ResultMetricsMixin
 from repro.obs.registry import METRICS
 from repro.obs.sampler import MetricsSnapshotter
 from repro.phy.medium import InterferenceModel
 from repro.sim import RngRegistry
-from repro.sim.units import MSEC, s_to_ns
+from repro.sim.units import MSEC, SEC, s_to_ns
 from repro.spans.hub import SPANS
 from repro.testbed.dynamic import DynamicBleNetwork
 from repro.testbed.iotlab import JAMMED_CHANNEL
@@ -47,25 +48,121 @@ from repro.workload.driver import WorkloadDriver
 from repro.workload.spec import WorkloadSpec
 
 @dataclass
-class ExperimentResult(ResultMetricsMixin):
-    """Everything a run produced.
+class ProducerRecord:
+    """The measurements of one producer, detached from its node."""
 
-    Holds live objects (the network, the producers) for deep inspection;
-    :meth:`to_portable` flattens it into the picklable
-    :class:`~repro.exp.portable.PortableResult` the parallel engine and the
-    result cache traffic in.  The metric methods are shared with the
-    portable form via :class:`~repro.exp.portable.ResultMetricsMixin`.
+    node_id: int
+    requests_sent: int
+    acks_received: int
+    send_failures: int
+    request_times: List[int]
+    #: (send_time_ns, rtt_ns) per acknowledged request.
+    rtt_samples: List[Tuple[int, int]]
+    ack_times: List[int]
+
+    @classmethod
+    def of(cls, producer: Producer) -> "ProducerRecord":
+        """Record a live :class:`~repro.testbed.traffic.Producer`."""
+        return cls(
+            node_id=producer.node.node_id,
+            requests_sent=producer.requests_sent,
+            acks_received=producer.acks_received,
+            send_failures=producer.send_failures,
+            request_times=producer.request_times,
+            rtt_samples=producer.rtt_samples,
+            ack_times=producer.ack_times,
+        )
+
+    @property
+    def pdr(self) -> float:
+        """Acknowledgements received / requests sent (1.0 before traffic)."""
+        if self.requests_sent == 0:
+            return 1.0
+        return self.acks_received / self.requests_sent
+
+
+@dataclass
+class ConsumerRecord:
+    """The consumer's per-producer request tally."""
+
+    requests_by_producer: Dict[int, int]
+
+    @property
+    def total_requests(self) -> int:
+        """Requests that reached the consumer."""
+        return sum(self.requests_by_producer.values())
+
+
+@dataclass
+class NodeCounters:
+    """One node's counters at the end of a run: what the benches read."""
+
+    #: Packets dropped for want of packet-buffer space.
+    pktbuf_drops: int
+    #: Peak packet-buffer occupancy (bytes).
+    pktbuf_peak: int
+    #: 802.15.4 frames given up after the MAC's retries; 0 on BLE.
+    mac_drops: int = 0
+    #: 802.15.4 datagrams sent as RFC 4944 fragments; 0 on BLE.
+    fragmented: int = 0
+    #: 802.15.4 reassemblies that timed out; 0 on BLE.
+    reassembly_timeouts: int = 0
+    #: Connection events aborted on a CRC error at this node's end of each
+    #: connection still open at the end; 0 on 802.15.4.
+    crc_aborts: int = 0
+    #: Average BLE current over the run (µA, §5.4 model); None on 802.15.4.
+    current_ua: Optional[float] = None
+
+
+def _node_counters(net: Any, config: ExperimentConfig) -> List[NodeCounters]:
+    """The per-node counter table, indexed by node id."""
+    if config.link_layer != "ble":
+        return [
+            NodeCounters(
+                pktbuf_drops=node.netif.drops_pktbuf,
+                pktbuf_peak=node.pktbuf.peak_used,
+                mac_drops=node.netif.drops_mac,
+                fragmented=node.netif.tx_fragmented_datagrams,
+                reassembly_timeouts=node.netif.reassembler.timeouts,
+            )
+            for node in net.nodes
+        ]
+    energy = EnergyModel()
+    return [
+        NodeCounters(
+            pktbuf_drops=node.netif.drops_pktbuf,
+            pktbuf_peak=node.pktbuf.peak_used,
+            crc_aborts=sum(
+                conn.endpoint_of(node.controller).stats.events_crc_abort
+                for conn in node.controller.connections
+            ),
+            current_ua=energy.controller_current_ua(
+                node.controller, config.total_runtime_s
+            ),
+        )
+        for node in net.nodes
+    ]
+
+
+@dataclass
+class ExperimentResult:
+    """Everything a run produced, as plain picklable data.
+
+    :func:`run_experiment`, a worker process of
+    :class:`~repro.exp.parallel.ParallelEngine` and the result cache all
+    hand back equal results.  A caller that needs the live network builds an
+    :class:`ExperimentRunner` and reads ``runner.network`` after the run.
     """
 
     config: ExperimentConfig
-    producers: List[Producer]
-    consumer: Consumer
+    producers: List[ProducerRecord]
+    consumer: ConsumerRecord
+    #: Per-node counters, indexed by node id.
+    nodes: List[NodeCounters]
     #: Supervision-timeout losses, one record per end, in close order.
     conn_losses: List[ConnLoss]
     #: (link, direction) -> cumulative series (per-channel totals included).
     link_series: Dict[Tuple[LinkKey, str], LinkSeries]
-    #: The network object (BleNetwork or CsmaNetwork) for deep inspection.
-    network: object
     #: Cross-layer trace records, when the config asked for them (or the
     #: caller pre-configured :data:`repro.trace.TRACE` with its own sinks,
     #: in which case this stays empty and the sinks hold the trace).
@@ -82,46 +179,83 @@ class ExperimentResult(ResultMetricsMixin):
     #: asked for span collection; ``None`` otherwise.
     spans: Optional[dict] = None
 
-    def to_portable(self) -> PortableResult:
-        """Flatten into the picklable form (see :mod:`repro.exp.portable`)."""
-        return PortableResult.from_result(self)
+    # -- CoAP metrics -------------------------------------------------------
+
+    def coap_sent(self) -> int:
+        """Total CoAP requests sent."""
+        return sum(p.requests_sent for p in self.producers)
+
+    def coap_acked(self) -> int:
+        """Total CoAP acknowledgements received."""
+        return sum(p.acks_received for p in self.producers)
+
+    def coap_pdr(self) -> float:
+        """Overall CoAP packet delivery rate (the paper's headline metric)."""
+        sent = self.coap_sent()
+        return self.coap_acked() / sent if sent else 1.0
+
+    def coap_pdr_per_producer(self) -> Dict[int, float]:
+        """Per-producer PDR (the rows of Fig. 9's heatmap)."""
+        return {p.node_id: p.pdr for p in self.producers}
+
+    def rtts_s(self) -> List[float]:
+        """All CoAP round-trip times in seconds."""
+        return [rtt / SEC for p in self.producers for _, rtt in p.rtt_samples]
+
+    def coap_losses(self) -> int:
+        """Requests that never got acknowledged."""
+        return self.coap_sent() - self.coap_acked()
+
+    # -- link-layer metrics -------------------------------------------------
+
+    def link_pdr_overall(self) -> float:
+        """Network-wide link-layer PDR over the whole run."""
+        attempts = acked = 0
+        for series in self.link_series.values():
+            if series.tx_attempts:
+                attempts += series.tx_attempts[-1]
+                acked += series.tx_acked[-1]
+        return acked / attempts if attempts else 1.0
+
+    def upstream_series(self, child: int) -> Optional[LinkSeries]:
+        """The child's upstream (towards-consumer) link series."""
+        for (key, direction), series in self.link_series.items():
+            if direction == "up" and key[0] == child:
+                return series
+        return None
+
+    def connection_losses(self) -> List[Tuple[float, int, int]]:
+        """(time_s, node, peer) per supervision-timeout loss (deduplicated:
+        one entry per loss, from the coordinator's point of view)."""
+        return [
+            (loss.time_ns / SEC, loss.node, loss.peer)
+            for loss in self.conn_losses
+            if loss.role == "coordinator"
+        ]
+
+    def num_connection_losses(self) -> int:
+        """Count of connection losses in the run."""
+        return len(self.connection_losses())
 
     # -- energy metrics (§5.4 integration) -----------------------------------
 
-    def node_current_ua(
-        self, node_id: int, include_idle_board: bool = False
-    ) -> Optional[float]:
-        """Average BLE current of one node over the run (µA), from the
-        controller's recorded event counters and the §5.4 charge model.
-
-        Only meaningful for BLE runs; returns ``None`` for 802.15.4.
-        """
-        if self.config.link_layer != "ble":
-            return None
-        from repro.energy import EnergyModel
-
-        node = self.network.nodes[node_id]
-        return EnergyModel().controller_current_ua(
-            node.controller,
-            self.config.total_runtime_s,
-            include_idle_board=include_idle_board,
-        )
-
-    def fleet_current_ua(self) -> Optional[Dict[int, Optional[float]]]:
+    def fleet_current_ua(self) -> Optional[Dict[int, float]]:
         """Per-node average BLE currents (µA), or ``None`` for 802.15.4."""
         if self.config.link_layer != "ble":
             return None
-        return {
-            node.node_id: self.node_current_ua(node.node_id)
-            for node in self.network.nodes
-        }
+        return {node_id: node.current_ua for node_id, node in enumerate(self.nodes)}
 
 
 class ExperimentRunner:
-    """Builds and executes one configured experiment."""
+    """Builds and executes one configured experiment.
+
+    After :meth:`run`, ``network`` holds the live network (BleNetwork,
+    DynamicBleNetwork or CsmaNetwork) for deep inspection.
+    """
 
     def __init__(self, config: ExperimentConfig) -> None:
         self.config = config
+        self.network: Any = None
 
     # -- construction helpers --------------------------------------------------
 
@@ -322,6 +456,7 @@ class ExperimentRunner:
             net = self._build_ble()
         else:
             net = self._build_802154()
+        self.network = net
         if TRACE.enabled:
             TRACE.attach_sim(net.sim)
         if SPANS.enabled:
@@ -401,11 +536,11 @@ class ExperimentRunner:
             }
         return ExperimentResult(
             config=cfg,
-            producers=producers,
-            consumer=consumer,
+            producers=[ProducerRecord.of(p) for p in producers],
+            consumer=ConsumerRecord(consumer.requests_by_producer),
+            nodes=_node_counters(net, cfg),
             conn_losses=links.losses if links is not None else [],
             link_series=links.series if links is not None else {},
-            network=net,
             trace_records=list(ring.records()) if ring is not None else [],
             metrics=metrics_payload,
             workload=driver.summary() if driver is not None else None,

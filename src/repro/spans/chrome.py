@@ -8,7 +8,7 @@ chart with the per-hop phase decomposition stacked under each hop.
 
 The exporter works on the *exported payload* (plain dicts), not the live
 span objects, so it applies equally to a fresh run and to spans shipped
-through :class:`repro.exp.portable.PortableResult` or the result cache.
+from a worker process or the result cache.
 
 Timestamps are microseconds as the format requires; integer nanoseconds
 divide exactly into (possibly fractional) microsecond floats, and

@@ -72,8 +72,8 @@ def records_to_jsonl(records: Iterable[TraceRecord]) -> str:
 class RingBufferSink:
     """Keeps every record in memory, oldest first.
 
-    The experiment runner uses this sink to ship a run's full trace through
-    :class:`~repro.exp.portable.PortableResult`.
+    The experiment runner uses this sink to ship a run's full trace on
+    :class:`~repro.exp.runner.ExperimentResult`.
     """
 
     def __init__(self) -> None:

@@ -10,8 +10,8 @@ import os
 
 import pytest
 
-from repro.exp import ExperimentConfig
-from repro.exp.parallel import ParallelEngine, execute_portable, run_grid
+from repro.exp import ExperimentConfig, run_experiment
+from repro.exp.parallel import ParallelEngine, run_grid
 from repro.exp.repeat import run_repetitions
 
 SHORT = dict(duration_s=10.0, warmup_s=4.0, drain_s=3.0)
@@ -50,13 +50,13 @@ def _metrics_blob(results):
 def _raise_for_marked(config):
     if config.name.startswith("boom"):
         raise RuntimeError(f"injected failure for {config.name}")
-    return execute_portable(config)
+    return run_experiment(config)
 
 
 def _hard_exit_for_marked(config):
     if config.name.startswith("boom"):
         os._exit(17)  # simulates a segfaulting worker: no exception, no result
-    return execute_portable(config)
+    return run_experiment(config)
 
 
 class TestDeterminismUnderSharding:

@@ -12,27 +12,27 @@ SHORT = dict(duration_s=10.0, warmup_s=4.0, drain_s=3.0)
 
 
 @pytest.fixture(scope="module")
-def portable():
-    """One short run, flattened (module-scoped: the run is the slow part)."""
-    return run_experiment(ExperimentConfig(name="cache", seed=7, **SHORT)).to_portable()
+def result():
+    """One short run (module-scoped: the run is the slow part)."""
+    return run_experiment(ExperimentConfig(name="cache", seed=7, **SHORT))
 
 
 class TestRoundTrip:
-    def test_disk_round_trip_is_equal(self, tmp_path, portable):
+    def test_disk_round_trip_is_equal(self, tmp_path, result):
         cache = ResultCache(tmp_path)
-        cache.put(portable.config, portable)
-        loaded = cache.get(portable.config)
-        assert loaded == portable  # dataclass equality, all fields deep
+        cache.put(result.config, result)
+        loaded = cache.get(result.config)
+        assert loaded == result  # dataclass equality, all fields deep
 
-    def test_round_trip_preserves_metrics(self, tmp_path, portable):
+    def test_round_trip_preserves_metrics(self, tmp_path, result):
         cache = ResultCache(tmp_path)
-        cache.put(portable.config, portable)
-        loaded = cache.get(portable.config)
-        assert loaded.coap_pdr() == portable.coap_pdr()
-        assert loaded.rtts_s() == portable.rtts_s()
-        assert loaded.link_pdr_overall() == portable.link_pdr_overall()
-        assert loaded.num_connection_losses() == portable.num_connection_losses()
-        assert loaded.fleet_current_ua() == portable.fleet_current_ua()
+        cache.put(result.config, result)
+        loaded = cache.get(result.config)
+        assert loaded.coap_pdr() == result.coap_pdr()
+        assert loaded.rtts_s() == result.rtts_s()
+        assert loaded.link_pdr_overall() == result.link_pdr_overall()
+        assert loaded.num_connection_losses() == result.num_connection_losses()
+        assert loaded.fleet_current_ua() == result.fleet_current_ua()
 
     def test_round_trip_preserves_connection_losses(self, tmp_path):
         # a drifting line whose 3 -> 2 link is lost at 175 s
@@ -40,7 +40,7 @@ class TestRoundTrip:
             name="losses", topology="line", n_nodes=4, conn_interval="75",
             duration_s=180.0, drift_ppm_span=80.0, seed=4,
         )
-        lossy = run_experiment(config).to_portable()
+        lossy = run_experiment(config)
         assert lossy.num_connection_losses() == 1
         cache = ResultCache(tmp_path)
         cache.put(config, lossy)
@@ -48,37 +48,37 @@ class TestRoundTrip:
         assert loaded.conn_losses == lossy.conn_losses
         assert loaded.connection_losses() == lossy.connection_losses()
 
-    def test_pickle_stability(self, portable):
-        clone = pickle.loads(pickle.dumps(portable))
-        assert clone == portable
+    def test_pickle_stability(self, result):
+        clone = pickle.loads(pickle.dumps(result))
+        assert clone == result
 
 
 class TestAccounting:
-    def test_hit_miss_counters(self, tmp_path, portable):
+    def test_hit_miss_counters(self, tmp_path, result):
         cache = ResultCache(tmp_path)
-        config = portable.config
+        config = result.config
         assert cache.get(config) is None
         assert (cache.stats.hits, cache.stats.misses) == (0, 1)
-        cache.put(config, portable)
+        cache.put(config, result)
         assert cache.stats.stores == 1
         assert cache.get(config) is not None
         assert (cache.stats.hits, cache.stats.misses) == (1, 1)
         assert cache.stats.hit_rate == 0.5
         assert "1 hits / 1 misses" in cache.stats.summary()
 
-    def test_contains_and_entry_count(self, tmp_path, portable):
+    def test_contains_and_entry_count(self, tmp_path, result):
         cache = ResultCache(tmp_path)
-        assert portable.config not in cache
+        assert result.config not in cache
         assert cache.entry_count() == 0
-        cache.put(portable.config, portable)
-        assert portable.config in cache
+        cache.put(result.config, result)
+        assert result.config in cache
         assert cache.entry_count() == 1
 
-    def test_corrupt_entry_is_a_miss_and_deleted(self, tmp_path, portable):
+    def test_corrupt_entry_is_a_miss_and_deleted(self, tmp_path, result):
         cache = ResultCache(tmp_path)
-        path = cache.put(portable.config, portable)
+        path = cache.put(result.config, result)
         path.write_bytes(b"not a pickle")
-        assert cache.get(portable.config) is None
+        assert cache.get(result.config) is None
         assert not path.exists()
         assert cache.stats.misses == 1
 
@@ -168,9 +168,9 @@ class TestKeyInvalidation:
             ExperimentConfig(seed=5)
         )
 
-    def test_key_shards_into_subdirectories(self, tmp_path, portable):
+    def test_key_shards_into_subdirectories(self, tmp_path, result):
         cache = ResultCache(tmp_path)
-        path = cache.put(portable.config, portable)
-        key = cache.key_for(portable.config)
+        path = cache.put(result.config, result)
+        key = cache.key_for(result.config)
         assert path.parent.name == key[:2]
         assert path.name == f"{key}.pkl"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exp import ExperimentConfig, run_experiment
+from repro.exp import ExperimentConfig, ExperimentRunner, run_experiment
 from repro.exp.metrics import aggregate_binned_pdr
 
 
@@ -77,10 +77,11 @@ def test_802154_runs_same_workload():
 
 
 def test_random_interval_config_applies_policy():
-    result = run_experiment(
+    runner = ExperimentRunner(
         ExperimentConfig(name="r", conn_interval="[65:85]", seed=8, **SHORT)
     )
-    net = result.network
+    result = runner.run()
+    net = runner.network
     for node in net.nodes:
         intervals = node.controller.used_intervals_ns()
         assert len(set(intervals)) == len(intervals), (
@@ -112,8 +113,7 @@ def test_energy_helpers(tree_result):
     # the root serves three subordinate-role links: it must draw more than
     # a leaf producer
     assert currents[0] > currents[14]
-    with_idle = tree_result.node_current_ua(0, include_idle_board=True)
-    assert with_idle == pytest.approx(currents[0] + 15.0)
+    assert currents == {i: n.current_ua for i, n in enumerate(tree_result.nodes)}
 
 
 def test_energy_helpers_none_for_802154():
@@ -121,7 +121,7 @@ def test_energy_helpers_none_for_802154():
         ExperimentConfig(name="e154", link_layer="802154", seed=2,
                          duration_s=10.0, warmup_s=2.0, drain_s=2.0)
     )
-    assert result.node_current_ua(0) is None
+    assert result.nodes[0].current_ua is None
     assert result.fleet_current_ua() is None
 
 
@@ -136,25 +136,27 @@ class TestDynamicTopology:
     """The §9 future-work mode wired through the experiment framework."""
 
     def test_dynamic_experiment_end_to_end(self):
-        result = run_experiment(
+        runner = ExperimentRunner(
             ExperimentConfig(
                 name="dyn", topology="dynamic", seed=21,
                 duration_s=60.0, warmup_s=40.0, drain_s=5.0,
             )
         )
-        net = result.network
+        result = runner.run()
+        net = runner.network
         assert net.fully_joined()
         assert result.coap_pdr() > 0.95
         assert len(result.link_series) > 0  # sampler works on dynamic nets
 
     def test_dynamic_with_static_interval_spec(self):
-        result = run_experiment(
+        runner = ExperimentRunner(
             ExperimentConfig(
                 name="dyn75", topology="dynamic", conn_interval="75", seed=22,
                 duration_s=30.0, warmup_s=40.0, drain_s=5.0, n_nodes=8,
             )
         )
-        net = result.network
+        runner.run()
+        net = runner.network
         assert net.fully_joined()
         for node in net.nodes:
             for interval in node.controller.used_intervals_ns():

@@ -14,7 +14,7 @@ import dataclasses
 import pytest
 
 from repro.exp.config import ExperimentConfig
-from repro.exp.runner import run_experiment
+from repro.exp.runner import ExperimentRunner
 
 #: Short versions of the perfbench workloads: the static-interval line,
 #: the paper's tree with its fan-in, and a self-forming mesh (advertising,
@@ -30,8 +30,9 @@ WORKLOADS = {
 
 
 def observed(config: ExperimentConfig) -> dict:
-    result = run_experiment(config)
-    medium = result.network.medium
+    runner = ExperimentRunner(config)
+    result = runner.run()
+    medium = runner.network.medium
     return {
         "coap_sent": result.coap_sent(),
         "coap_served": result.consumer.total_requests,

@@ -139,7 +139,7 @@ def test_trace_is_stable_across_repeated_runs():
 
 @pytest.mark.parametrize("filename", sorted(SCENARIOS))
 def test_trace_survives_worker_shipping_byte_identical(filename):
-    """PortableResult carries the trace through the worker pipe unchanged:
+    """The result carries the trace through the worker pipe unchanged:
     max_workers=1 executes inline in this process, max_workers=4 forks --
     the serialized traces must match each other and the golden."""
     config = SCENARIOS[filename]
@@ -165,9 +165,8 @@ def test_trace_records_pickle_through_portable():
     import pickle
 
     result = run_experiment(TWO_NODE)
-    portable = result.to_portable()
-    clone = pickle.loads(pickle.dumps(portable))
-    assert clone.trace_records == portable.trace_records
+    clone = pickle.loads(pickle.dumps(result))
+    assert clone.trace_records == result.trace_records
     assert records_to_jsonl(clone.trace_records) == records_to_jsonl(
         result.trace_records
     )
