@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.ble.chanmap import ChannelMap
 from repro.ble.config import ConnParams, CsaVariant, SchedulerPolicy
-from repro.ble.csa import Csa1, Csa2, ChannelSelection
+from repro.ble.csa import CSA2_BLOCK_MASK, Csa1, Csa2, ChannelSelection
 from repro.ble.pdu import DataPdu, Llid
 from repro.obs.registry import METRICS
 from repro.phy.frames import T_IFS_NS, ble_air_time_ns, ble_air_time_table
@@ -295,6 +295,12 @@ class Connection:
             self.csa = Csa2(access_address)
         else:
             self.csa = Csa1(hop_increment)
+        # The CSA#2 block of channels the coming events read from, the map
+        # it was built for and the event counter of its first entry; empty
+        # until the first event (and for CSA#1, which is asked every event).
+        self._chan_block: Tuple[int, ...] = ()
+        self._chan_block_map: Optional[ChannelMap] = None
+        self._chan_block_base = 0
 
         self.coord = Endpoint(self, coordinator, Role.COORDINATOR)
         self.sub = Endpoint(self, subordinate, Role.SUBORDINATE)
@@ -315,7 +321,7 @@ class Connection:
         )
         self._widening_base = subordinate.config.window_widening_base_ns
         self._sub_clock = subordinate.clock
-        # Channel -> PER of an empty packet, for _idle_exchange: with no
+        # Channel -> PER of an empty packet, for the idle event: with no
         # bursts configured it is time-invariant, so it survives across
         # events until the interference model's change stamp moves.
         self._per_memo: Dict[int, float] = {}
@@ -332,6 +338,7 @@ class Connection:
         self._sub_alternate = (
             subordinate.config.scheduler_policy is SchedulerPolicy.ALTERNATE
         )
+        self._idle_eligible = self._idle_eligibility()
         self._sub_latency_credit = 0
         self._pending_params: Optional[ConnParams] = None
         self._pending_chan_map: Optional[ChannelMap] = None
@@ -529,19 +536,68 @@ class Connection:
             end = t0 + max_len
         return end
 
+    def _idle_eligibility(self) -> bool:
+        """The per-connection half of the idle event's selection.
+
+        True when neither end runs the ALTERNATE policy, the subordinate
+        has no latency and a CRC error ends the event: then an event whose
+        radios are free, whose window hits and whose queues are empty has
+        nothing to decide but the loss draws.  Computed when the connection
+        is built and at each parameter update.
+        """
+        return (
+            not self._coord_alternate
+            and not self._sub_alternate
+            and self.params.latency == 0
+            and self.coord.controller.config.abort_event_on_crc_error
+        )
+
+    def _select_channel(self) -> int:
+        """The event's channel when the held CSA#2 block does not cover it.
+
+        CSA#2 hands back its memoized block holding the counter, which the
+        connection keeps with the map it was built for and reads until the
+        block ends or the map changes.  CSA#1 is stateful and is asked
+        every event.
+        """
+        counter = self.event_counter & 0xFFFF
+        chan_map = self.chan_map
+        csa = self.csa
+        if isinstance(csa, Csa2):
+            offset = counter & CSA2_BLOCK_MASK
+            self._chan_block = csa.block(counter, chan_map)
+            self._chan_block_map = chan_map
+            self._chan_block_base = self.event_counter - offset
+            return self._chan_block[offset]
+        return csa.channel_for_event(counter, chan_map)
+
     def _run_event(self) -> None:
-        """Execute one connection event (the composite transaction)."""
+        """Execute one connection event (the composite transaction).
+
+        An idle event -- nothing queued at either end, both radios free,
+        the subordinate's window hit, instrumentation off, the stock loss
+        sampler and a connection eligible by :meth:`_idle_eligibility` --
+        plays its one empty <-> empty exchange inline (DESIGN §11); every
+        other event runs the general arbitration and :meth:`_exchange_loop`.
+        """
         if not self.open:
             return
         sim = self.sim
+        now = sim._now  # kernel time is frozen for the whole event
         t0 = self.anchor_true
-        coord_ctrl = self.coord.controller
-        sub_ctrl = self.sub.controller
+        coord, sub = self.coord, self.sub
+        coord_ctrl = coord.controller
+        sub_ctrl = sub.controller
+        csched = coord_ctrl.scheduler
+        ssched = sub_ctrl.scheduler
         interval_true = self._interval_true
-        trace_on = TRACE.enabled
-        metrics_on = METRICS.enabled
 
-        channel = self.csa.channel_for_event(self.event_counter & 0xFFFF, self.chan_map)
+        i = self.event_counter - self._chan_block_base
+        block = self._chan_block
+        if i < len(block) and self._chan_block_map is self.chan_map:
+            channel = block[i]
+        else:
+            channel = self._select_channel()
 
         # --- subordinate's view: does its window catch the anchor? ---------
         # It predicts the anchor on its own clock from the last resync and
@@ -557,168 +613,268 @@ class Connection:
         widening = self._widening_base + int(dt * self._sca_sum_ppm * 1e-6)
         window_hit = pred - widening <= t0 <= pred + widening
 
-        # --- subordinate latency: may it sleep through this event? ---------
-        latency_skip = False
-        if self.params.latency > 0 and not self.sub.tx_queue:
-            if self._sub_latency_credit > 0:
-                self._sub_latency_credit -= 1
-                latency_skip = True
+        medium = self.medium
+        if (
+            self._idle_eligible
+            and window_hit
+            and not coord.tx_queue
+            and not sub.tx_queue
+            and t0 >= csched._busy_until
+            and t0 >= ssched._busy_until
+            and not (TRACE.enabled or METRICS.enabled or SPANS.enabled)
+            and "packet_lost" not in medium.__dict__
+            and type(medium).packet_lost is BleMedium.packet_lost
+        ):
+            # --- the idle event: one empty <-> empty exchange ---------------
+            # What the loop would do with both queues empty: the pinned
+            # empties' SN/NESN/MD bits, the resync, last_rx_valid, the link
+            # and medium counters, and one rng draw per packet when PER > 0.
+            # Both packets share one channel and length, and kernel time is
+            # frozen, so they share one PER.  Bursts make it time-dependent;
+            # without them it is memoized across events for as long as the
+            # interference model's own change stamp is current and unchanged.
+            interf = medium.interference
+            if interf.bursts:
+                per = interf.packet_error_rate(channel, 10, now)
             else:
-                self._sub_latency_credit = self.params.latency
-
-        # --- radio arbitration on both nodes --------------------------------
-        # is_free() inlined (`at_ns >= _busy_until`): two calls per event.
-        coord_free = t0 >= coord_ctrl.scheduler._busy_until
-        sub_free = t0 >= sub_ctrl.scheduler._busy_until
-        # The ALTERNATE check is hoisted to a per-connection flag so the
-        # default EARLIEST_WINS policy never pays a _policy_yield call.
-        coord_yield = (
-            coord_free
-            and self._coord_alternate
-            and self._policy_yield(coord_ctrl, self._coord_activity, t0)
-        )
-        sub_yield = (
-            sub_free
-            and self._sub_alternate
-            and self._policy_yield(sub_ctrl, self._sub_activity, t0)
-        )
-
-        coord_runs = coord_free and not coord_yield
-        sub_listens = (
-            sub_free and not sub_yield and window_hit and not latency_skip
-        )
-
-        if trace_on:
-            TRACE.emit(
-                t0, "ble", "conn_event",
-                conn=self.conn_id, event=self.event_counter, anchor=t0,
-                channel=channel, interval_ns=self.params.interval_ns,
-                widening=widening, window_hit=window_hit,
-                coord_runs=coord_runs, sub_listens=sub_listens,
-            )
-
-        if not coord_free:
-            self.coord.stats.events_skipped_radio += 1
-            coord_ctrl.scheduler.deny(self._coord_activity)
-            if metrics_on:
-                METRICS.inc(coord_ctrl.name, "ble.conn_events_skipped_radio")
-        elif coord_yield:
-            self.coord.stats.events_skipped_policy += 1
-            coord_ctrl.scheduler.deny(self._coord_activity)
-            if metrics_on:
-                METRICS.inc(coord_ctrl.name, "ble.conn_events_skipped_policy")
-        if not sub_free:
-            self.sub.stats.events_skipped_radio += 1
-            sub_ctrl.scheduler.deny(self._sub_activity)
-            if metrics_on:
-                METRICS.inc(sub_ctrl.name, "ble.conn_events_skipped_radio")
-        elif sub_yield:
-            self.sub.stats.events_skipped_policy += 1
-            sub_ctrl.scheduler.deny(self._sub_activity)
-            if metrics_on:
-                METRICS.inc(sub_ctrl.name, "ble.conn_events_skipped_policy")
-        elif not window_hit:
-            self.sub.stats.events_missed_window += 1
-            if metrics_on:
-                METRICS.inc(sub_ctrl.name, "ble.conn_events_missed_window")
-
-        event_end = t0
-        if coord_runs and sub_listens:
-            if metrics_on:
-                METRICS.inc(coord_ctrl.name, "ble.conn_events_served")
-                METRICS.inc(sub_ctrl.name, "ble.conn_events_served")
-            medium = self.medium
-            if (
-                not self.coord.tx_queue
-                and not self.sub.tx_queue
-                and not (trace_on or metrics_on or SPANS.enabled)
-                and coord_ctrl.config.abort_event_on_crc_error
-                and "packet_lost" not in medium.__dict__
-                and type(medium).packet_lost is BleMedium.packet_lost
-            ):
-                end = self._idle_exchange(t0, channel)
+                memo = self._per_memo
+                stamp = interf._chan_stamp
+                if (
+                    stamp != self._per_memo_stamp
+                    or stamp[0] != id(interf.jammed_channels)
+                    or stamp[1] != len(interf.channel_per)
+                ):
+                    memo.clear()
+                per = memo.get(channel)
+                if per is None:
+                    per = interf.packet_error_rate(channel, 10, now)
+                    memo[channel] = per
+                    self._per_memo_stamp = interf._chan_stamp
+            air = self._empty_air_ns
+            event_row = coord.stats.per_channel_events[channel]
+            event_row[0] += 1
+            pdu = coord._outstanding
+            if pdu is None:
+                pdu = coord._empty_pdu
+                pdu.sn = coord.sn
+                coord._outstanding = pdu
+            pdu.nesn = coord.nesn
+            pdu.md = False
+            coord.stats.tx_empty += 1
+            medium.packets_sampled += 1
+            end = t0 + air
+            if per > 0.0 and medium.rng.random() < per:
+                medium.packets_lost += 1
+                coord.stats.events_crc_abort += 1
+                event_row[1] += 1
             else:
-                end = self._exchange_loop(t0, channel, interval_true)
-            csched = coord_ctrl.scheduler
-            ssched = sub_ctrl.scheduler
-            if trace_on or metrics_on:
-                csched.claim(self._coord_activity, t0, end)
-                ssched.claim(self._sub_activity, t0, end)
-            elif t0 < csched._busy_until or t0 < ssched._busy_until:
-                # Overlap: delegate to claim() for its diagnostic raise --
-                # the radio-exclusivity invariant must keep firing.
-                csched.claim(self._coord_activity, t0, end)
-                ssched.claim(self._sub_activity, t0, end)
-            else:
-                # Inlined RadioScheduler.claim fast path (instrumentation
-                # off; both exchange paths guarantee end >= t0).
-                dur = end - t0
-                csched._busy_until = end
-                csched._busy_owner = self._coord_activity
-                csched.busy_ns_total += dur
-                csched.claims += 1
-                self._coord_activity.consec_skips = 0
-                ssched._busy_until = end
-                ssched._busy_owner = self._sub_activity
-                ssched.busy_ns_total += dur
-                ssched.claims += 1
-                self._sub_activity.consec_skips = 0
-            # Inlined note_conn_event x2 (energy accounting).
+                self._sync_true = t0
+                self._sync_counter = self.event_counter
+                self._sync_local = self._sub_clock.to_local(t0)
+                sub.last_rx_valid = end
+                if pdu.nesn != sub.sn:
+                    sub.sn ^= 1
+                    sub._outstanding = None
+                if pdu.sn == sub.nesn:
+                    sub.nesn ^= 1
+                sub.stats.events_active += 1
+
+                pdu = sub._outstanding
+                if pdu is None:
+                    pdu = sub._empty_pdu
+                    pdu.sn = sub.sn
+                    sub._outstanding = pdu
+                pdu.nesn = sub.nesn
+                pdu.md = False
+                sub.stats.tx_empty += 1
+                medium.packets_sampled += 1
+                end += T_IFS_NS + air
+                if per > 0.0 and medium.rng.random() < per:
+                    medium.packets_lost += 1
+                    sub.stats.events_crc_abort += 1
+                    event_row[1] += 1
+                else:
+                    coord.last_rx_valid = end
+                    if pdu.nesn != coord.sn:
+                        coord.sn ^= 1
+                        coord._outstanding = None
+                    if pdu.sn == coord.nesn:
+                        coord.nesn ^= 1
+                    coord.stats.events_active += 1
+            # Inlined RadioScheduler.claim (both radios were free at t0)
+            # and note_conn_event (energy accounting), once per end.
             dur = end - t0
+            csched._busy_until = end
+            csched._busy_owner = self._coord_activity
+            csched.busy_ns_total += dur
+            csched.claims += 1
+            self._coord_activity.consec_skips = 0
+            ssched._busy_until = end
+            ssched._busy_owner = self._sub_activity
+            ssched.busy_ns_total += dur
+            ssched.claims += 1
+            self._sub_activity.consec_skips = 0
             coord_ctrl.conn_events_coord += 1
             coord_ctrl.conn_event_ns += dur
             sub_ctrl.conn_events_sub += 1
             sub_ctrl.conn_event_ns += dur
             event_end = end
-        elif coord_runs:
-            # TX into the void: one unanswered packet, then the event closes.
-            spans_on = SPANS.enabled
-            retx = (trace_on or spans_on) and self.coord._outstanding is not None
-            pdu = self.coord.build_tx_pdu()
-            if trace_on:
-                self.coord._trace_tx(pdu, t0, retx)
-            dur = ble_air_time_ns(len(pdu.payload), self.phy)
-            if spans_on:
-                tag = pdu.tag
-                if type(tag) is tuple and tag[0] == "kframe":
-                    # Nobody listened: on-air but lost for span purposes.
-                    SPANS.ll_tx(
-                        tag[2], t0, t0 + dur, len(pdu.payload),
-                        True, retx, t0, interval_true,
-                    )
-            if not pdu.is_empty:
-                self.coord.stats.per_channel[channel][0] += 1
-                if metrics_on:
-                    METRICS.inc_vec(
-                        coord_ctrl.name, "ble.pdus_by_channel", channel,
-                        label_key="channel",
-                    )
-            end = t0 + dur + T_IFS_NS + ble_air_time_ns(0, self.phy)
-            coord_ctrl.scheduler.claim(self._coord_activity, t0, end)
-            coord_ctrl.note_conn_event(Role.COORDINATOR, end - t0)
-            event_end = end
-        elif sub_listens:
-            # Subordinate listens but the coordinator never transmits.
-            listen_end = min(pred + widening, t0 + interval_true // 2)
-            sub_ctrl.scheduler.claim(self._sub_activity, t0, max(t0, listen_end))
-            sub_ctrl.note_conn_event(Role.SUBORDINATE, max(0, listen_end - t0))
-            event_end = max(t0, listen_end)
+        else:
+            # --- every other event: arbitration, then the exchange loop -----
+            trace_on = TRACE.enabled
+            metrics_on = METRICS.enabled
 
-        if not self.open:
-            return  # torn down by a control procedure during the event
+            # Subordinate latency: may it sleep through this event?
+            latency_skip = False
+            if self.params.latency > 0 and not sub.tx_queue:
+                if self._sub_latency_credit > 0:
+                    self._sub_latency_credit -= 1
+                    latency_skip = True
+                else:
+                    self._sub_latency_credit = self.params.latency
+
+            # Radio arbitration on both nodes.  is_free() inlined
+            # (`at_ns >= _busy_until`): two calls per event.
+            coord_free = t0 >= csched._busy_until
+            sub_free = t0 >= ssched._busy_until
+            # The ALTERNATE check is hoisted to a per-connection flag so the
+            # default EARLIEST_WINS policy never pays a _policy_yield call.
+            coord_yield = (
+                coord_free
+                and self._coord_alternate
+                and self._policy_yield(coord_ctrl, self._coord_activity, t0)
+            )
+            sub_yield = (
+                sub_free
+                and self._sub_alternate
+                and self._policy_yield(sub_ctrl, self._sub_activity, t0)
+            )
+
+            coord_runs = coord_free and not coord_yield
+            sub_listens = (
+                sub_free and not sub_yield and window_hit and not latency_skip
+            )
+
+            if trace_on:
+                TRACE.emit(
+                    t0, "ble", "conn_event",
+                    conn=self.conn_id, event=self.event_counter, anchor=t0,
+                    channel=channel, interval_ns=self.params.interval_ns,
+                    widening=widening, window_hit=window_hit,
+                    coord_runs=coord_runs, sub_listens=sub_listens,
+                )
+
+            if not coord_free:
+                coord.stats.events_skipped_radio += 1
+                csched.deny(self._coord_activity)
+                if metrics_on:
+                    METRICS.inc(coord_ctrl.name, "ble.conn_events_skipped_radio")
+            elif coord_yield:
+                coord.stats.events_skipped_policy += 1
+                csched.deny(self._coord_activity)
+                if metrics_on:
+                    METRICS.inc(coord_ctrl.name, "ble.conn_events_skipped_policy")
+            if not sub_free:
+                sub.stats.events_skipped_radio += 1
+                ssched.deny(self._sub_activity)
+                if metrics_on:
+                    METRICS.inc(sub_ctrl.name, "ble.conn_events_skipped_radio")
+            elif sub_yield:
+                sub.stats.events_skipped_policy += 1
+                ssched.deny(self._sub_activity)
+                if metrics_on:
+                    METRICS.inc(sub_ctrl.name, "ble.conn_events_skipped_policy")
+            elif not window_hit:
+                sub.stats.events_missed_window += 1
+                if metrics_on:
+                    METRICS.inc(sub_ctrl.name, "ble.conn_events_missed_window")
+
+            event_end = t0
+            if coord_runs and sub_listens:
+                if metrics_on:
+                    METRICS.inc(coord_ctrl.name, "ble.conn_events_served")
+                    METRICS.inc(sub_ctrl.name, "ble.conn_events_served")
+                end = self._exchange_loop(t0, channel, interval_true)
+                if trace_on or metrics_on:
+                    csched.claim(self._coord_activity, t0, end)
+                    ssched.claim(self._sub_activity, t0, end)
+                elif t0 < csched._busy_until or t0 < ssched._busy_until:
+                    # Overlap: delegate to claim() for its diagnostic raise --
+                    # the radio-exclusivity invariant must keep firing.
+                    csched.claim(self._coord_activity, t0, end)
+                    ssched.claim(self._sub_activity, t0, end)
+                else:
+                    # Inlined RadioScheduler.claim fast path (instrumentation
+                    # off; the exchange loop guarantees end >= t0).
+                    dur = end - t0
+                    csched._busy_until = end
+                    csched._busy_owner = self._coord_activity
+                    csched.busy_ns_total += dur
+                    csched.claims += 1
+                    self._coord_activity.consec_skips = 0
+                    ssched._busy_until = end
+                    ssched._busy_owner = self._sub_activity
+                    ssched.busy_ns_total += dur
+                    ssched.claims += 1
+                    self._sub_activity.consec_skips = 0
+                # Inlined note_conn_event x2 (energy accounting).
+                dur = end - t0
+                coord_ctrl.conn_events_coord += 1
+                coord_ctrl.conn_event_ns += dur
+                sub_ctrl.conn_events_sub += 1
+                sub_ctrl.conn_event_ns += dur
+                event_end = end
+            elif coord_runs:
+                # TX into the void: one unanswered packet, then the event
+                # closes.
+                spans_on = SPANS.enabled
+                retx = (trace_on or spans_on) and coord._outstanding is not None
+                pdu = coord.build_tx_pdu()
+                if trace_on:
+                    coord._trace_tx(pdu, t0, retx)
+                dur = ble_air_time_ns(len(pdu.payload), self.phy)
+                if spans_on:
+                    tag = pdu.tag
+                    if type(tag) is tuple and tag[0] == "kframe":
+                        # Nobody listened: on-air but lost for span purposes.
+                        SPANS.ll_tx(
+                            tag[2], t0, t0 + dur, len(pdu.payload),
+                            True, retx, t0, interval_true,
+                        )
+                if not pdu.is_empty:
+                    coord.stats.per_channel[channel][0] += 1
+                    if metrics_on:
+                        METRICS.inc_vec(
+                            coord_ctrl.name, "ble.pdus_by_channel", channel,
+                            label_key="channel",
+                        )
+                end = t0 + dur + T_IFS_NS + ble_air_time_ns(0, self.phy)
+                csched.claim(self._coord_activity, t0, end)
+                coord_ctrl.note_conn_event(Role.COORDINATOR, end - t0)
+                event_end = end
+            elif sub_listens:
+                # Subordinate listens but the coordinator never transmits.
+                listen_end = min(pred + widening, t0 + interval_true // 2)
+                ssched.claim(self._sub_activity, t0, max(t0, listen_end))
+                sub_ctrl.note_conn_event(Role.SUBORDINATE, max(0, listen_end - t0))
+                event_end = max(t0, listen_end)
+
+            if not self.open:
+                return  # torn down by a control procedure during the event
 
         # --- supervision timeout (both sides judge independently) ----------
         timeout = self._timeout_ns
-        now = sim.now if sim.now > t0 else t0
-        if trace_on:
+        if now < t0:
+            now = t0
+        if TRACE.enabled:
             TRACE.emit(
                 now, "ble", "conn_event_end",
                 conn=self.conn_id, event=self.event_counter,
                 end=event_end, now=now, timeout_ns=timeout,
             )
         if (
-            now - self.coord.last_rx_valid >= timeout
-            or now - self.sub.last_rx_valid >= timeout
+            now - coord.last_rx_valid >= timeout
+            or now - sub.last_rx_valid >= timeout
         ):
             self.close(DisconnectReason.SUPERVISION_TIMEOUT)
             return
@@ -734,8 +890,9 @@ class Connection:
                 self.params.interval_ns
             )
             self._timeout_ns = self.params.effective_supervision_timeout_ns()
+            self._idle_eligible = self._idle_eligibility()
             interval_true = self._interval_true
-            if trace_on:
+            if TRACE.enabled:
                 TRACE.emit(
                     None, "ble", "param_update",
                     conn=self.conn_id, interval_ns=self.params.interval_ns,
@@ -925,97 +1082,4 @@ class Connection:
         event_row[0] += 1
         if lost_c or lost_s:
             event_row[1] += 1
-        return t
-
-    def _idle_exchange(self, t0: int, channel: int) -> int:
-        """One empty <-> empty exchange, uninstrumented; returns its end time.
-
-        ``_run_event`` takes this path instead of :meth:`_exchange_loop`
-        when neither endpoint has a PDU queued, tracing, metrics and spans
-        are off, the medium samples loss with the stock
-        :meth:`BleMedium.packet_lost`, and a CRC error ends the event.  The
-        loop would then trade one pair of pinned empty PDUs, and this path
-        has the same effects: SN, NESN and MD bits, the subordinate's
-        resync, ``last_rx_valid``, the link and medium counters, and one
-        ``medium.rng.random()`` draw per packet, skipped when the PER is 0.
-        It computes no event budget: the first exchange always runs in
-        full, and an empty PDU fires no upper-layer callback that could
-        queue another.
-        """
-        coord, sub = self.coord, self.sub
-        medium = self.medium
-        interf = medium.interference
-        # Both packets share one channel and one length (an empty PDU plus
-        # 10 bytes of overhead), and kernel time is frozen inside the event,
-        # so they share one PER.  Bursts make it time-dependent; without
-        # them it is memoized across events for as long as the model's own
-        # change stamp is current and unchanged.
-        if interf.bursts:
-            per = interf.packet_error_rate(channel, 10, self.sim.now)
-        else:
-            memo = self._per_memo
-            stamp = interf._chan_stamp
-            if (
-                stamp != self._per_memo_stamp
-                or stamp[0] != id(interf.jammed_channels)
-                or stamp[1] != len(interf.channel_per)
-            ):
-                memo.clear()
-            per = memo.get(channel)
-            if per is None:
-                per = interf.packet_error_rate(channel, 10, self.sim.now)
-                memo[channel] = per
-                self._per_memo_stamp = interf._chan_stamp
-        air = self._empty_air_ns
-        event_row = coord.stats.per_channel_events[channel]
-        event_row[0] += 1
-
-        pdu = coord._outstanding
-        if pdu is None:
-            pdu = coord._empty_pdu
-            pdu.sn = coord.sn
-            coord._outstanding = pdu
-        pdu.nesn = coord.nesn
-        pdu.md = False
-        coord.stats.tx_empty += 1
-        medium.packets_sampled += 1
-        t = t0 + air
-        if per > 0.0 and medium.rng.random() < per:
-            medium.packets_lost += 1
-            coord.stats.events_crc_abort += 1
-            event_row[1] += 1
-            return t
-        self._sync_true = t0
-        self._sync_counter = self.event_counter
-        self._sync_local = self._sub_clock.to_local(t0)
-        sub.last_rx_valid = t
-        if pdu.nesn != sub.sn:
-            sub.sn ^= 1
-            sub._outstanding = None
-        if pdu.sn == sub.nesn:
-            sub.nesn ^= 1
-        sub.stats.events_active += 1
-
-        pdu = sub._outstanding
-        if pdu is None:
-            pdu = sub._empty_pdu
-            pdu.sn = sub.sn
-            sub._outstanding = pdu
-        pdu.nesn = sub.nesn
-        pdu.md = False
-        sub.stats.tx_empty += 1
-        medium.packets_sampled += 1
-        t += T_IFS_NS + air
-        if per > 0.0 and medium.rng.random() < per:
-            medium.packets_lost += 1
-            sub.stats.events_crc_abort += 1
-            event_row[1] += 1
-            return t
-        coord.last_rx_valid = t
-        if pdu.nesn != coord.sn:
-            coord.sn ^= 1
-            coord._outstanding = None
-        if pdu.sn == coord.nesn:
-            coord.nesn ^= 1
-        coord.stats.events_active += 1
         return t

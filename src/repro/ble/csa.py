@@ -18,12 +18,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Protocol, Tuple
 
+import numpy as np
+
 from repro.ble.chanmap import ChannelMap
 
 #: log2 of the memoized CSA#2 table block: channels are precomputed in
-#: blocks of 256 consecutive event counters, built lazily on first access,
-#: so a short run never pays for the full 65536-counter period.
-CSA2_BLOCK_SHIFT = 8
+#: blocks of 1,024 consecutive event counters, built lazily on first
+#: access, so a short run never pays for the full 65536-counter period.
+CSA2_BLOCK_SHIFT = 10
 CSA2_BLOCK_SIZE = 1 << CSA2_BLOCK_SHIFT
 CSA2_BLOCK_MASK = CSA2_BLOCK_SIZE - 1
 #: Number of blocks covering the 16-bit event-counter period.
@@ -73,9 +75,10 @@ class Csa1:
         return chan_map.remap(unmapped % chan_map.num_used)
 
 
-# PERM runs once per connection event; table-driven byte reversal keeps it
-# off the profile.
+# Table-driven byte reversal for PERM: a tuple for the scalar reference
+# path, an array for the vectorized block builder.
 _REVERSED_BYTE = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_REVERSED_BYTE_ARRAY = np.array(_REVERSED_BYTE, dtype=np.int64)
 
 
 def _perm(value: int) -> int:
@@ -105,11 +108,6 @@ class Csa2:
         # chan_map, counter), so the table is exact memoization, not an
         # approximation; a chan_map update simply starts a new table.
         self._tables: Dict[ChannelMap, List[Optional[Tuple[int, ...]]]] = {}
-        # Identity-keyed alias of the active map's blocks: a connection asks
-        # about the same ChannelMap object every event, and an `is` check is
-        # far cheaper than hashing a 37-entry tuple per event.
-        self._last_map: Optional[ChannelMap] = None
-        self._last_blocks: List[Optional[Tuple[int, ...]]] = []
 
     def _prn_e(self, event_counter: int) -> int:
         """Pseudo-random number for one event (spec Figure 4.44)."""
@@ -120,48 +118,47 @@ class Csa2:
         return (u ^ cid) & 0xFFFF
 
     def _build_block(self, block: int, chan_map: ChannelMap) -> Tuple[int, ...]:
-        """Precompute channels for one block of consecutive event counters.
+        """Compute the channels of one block of consecutive event counters.
 
-        The PRN pipeline (``_prn_e`` = 3x PERM+MAM) is fused inline: blocks
-        are rebuilt on every reconnect (fresh access address), so the build
-        itself sits on the hot path of churny scenarios.
+        The PRN pipeline (``_prn_e`` = 3x PERM+MAM), the unmapped channel
+        and the remapping run as numpy array operations over the whole
+        block: blocks are rebuilt on every reconnect (fresh access
+        address), so the build itself sits on the hot path of churny
+        scenarios.  Every intermediate stays below 2^21, so int64 is exact.
         """
-        used = set(chan_map.used)
-        table = chan_map.used
-        num_used = chan_map.num_used
         cid = self.channel_identifier
-        rev = _REVERSED_BYTE
+        rev = _REVERSED_BYTE_ARRAY
         base = block << CSA2_BLOCK_SHIFT
-        out = []
-        append = out.append
-        for counter in range(base, base + CSA2_BLOCK_SIZE):
-            u = (counter ^ cid) & 0xFFFF
+        u = np.arange(base, base + CSA2_BLOCK_SIZE, dtype=np.int64) ^ cid
+        for _ in range(3):
             u = ((rev[u & 0xFF] | (rev[u >> 8] << 8)) * 17 + cid) & 0xFFFF
-            u = ((rev[u & 0xFF] | (rev[u >> 8] << 8)) * 17 + cid) & 0xFFFF
-            u = ((rev[u & 0xFF] | (rev[u >> 8] << 8)) * 17 + cid) & 0xFFFF
-            prn = u ^ cid
-            unmapped = prn % 37
-            if unmapped in used:
-                append(unmapped)
-            else:
-                # (num_used * prn) >> 16 < num_used, so ChannelMap.remap's
-                # defensive modulo is a no-op here.
-                append(table[(num_used * prn) >> 16])
-        return tuple(out)
+        prn = u ^ cid
+        unmapped = prn % 37
+        used = np.zeros(37, dtype=bool)
+        table = np.array(chan_map.used, dtype=np.int64)
+        used[table] = True
+        # (num_used * prn) >> 16 < num_used, so ChannelMap.remap's
+        # defensive modulo is a no-op here.
+        remapped = table[(chan_map.num_used * prn) >> 16]
+        return tuple(np.where(used[unmapped], unmapped, remapped).tolist())
+
+    def block(self, event_counter: int, chan_map: ChannelMap) -> Tuple[int, ...]:
+        """The memoized block of channels holding ``event_counter``.
+
+        Entry ``event_counter & CSA2_BLOCK_MASK`` of the result is that
+        event's channel.  A connection keeps the block and reads the
+        following events from it, so this runs once per block or channel
+        map change, not per event.
+        """
+        blocks = self._tables.get(chan_map)
+        if blocks is None:
+            blocks = self._tables[chan_map] = [None] * CSA2_NUM_BLOCKS
+        block_idx = (event_counter & 0xFFFF) >> CSA2_BLOCK_SHIFT
+        channels = blocks[block_idx]
+        if channels is None:
+            channels = blocks[block_idx] = self._build_block(block_idx, chan_map)
+        return channels
 
     def channel_for_event(self, event_counter: int, chan_map: ChannelMap) -> int:
         """Data channel index for ``event_counter`` (pure function)."""
-        counter = event_counter & 0xFFFF
-        if chan_map is self._last_map:
-            blocks = self._last_blocks
-        else:
-            blocks = self._tables.get(chan_map)
-            if blocks is None:
-                blocks = self._tables[chan_map] = [None] * CSA2_NUM_BLOCKS
-            self._last_map = chan_map
-            self._last_blocks = blocks
-        block_idx = counter >> CSA2_BLOCK_SHIFT
-        block = blocks[block_idx]
-        if block is None:
-            block = blocks[block_idx] = self._build_block(block_idx, chan_map)
-        return block[counter & CSA2_BLOCK_MASK]
+        return self.block(event_counter, chan_map)[event_counter & CSA2_BLOCK_MASK]

@@ -76,6 +76,12 @@ class CoapEndpoint:
         self.rng = rng or random.Random(node.node_id ^ 0xC0A9)
         self._resources: Dict[str, ResourceHandler] = {}
         self._pending: Dict[Tuple[bytes, int], _Pending] = {}
+        # MID and token advance in lockstep, so each names at most one
+        # pending request: these index ``_pending`` for O(1) matching.  A
+        # lost NON request never leaves it, so a walk would grow with the
+        # run.
+        self._key_by_mid: Dict[int, Tuple[bytes, int]] = {}
+        self._key_by_token: Dict[bytes, Tuple[bytes, int]] = {}
         self._next_mid = self.rng.randrange(0, 0x10000)
         self._next_token = self.rng.randrange(0, 0x10000)
         # Statistics.
@@ -150,15 +156,16 @@ class CoapEndpoint:
                 node=self.node.node_id, mid=mid, token=token.hex(),
                 path=path, confirmable=confirmable,
             )
-        self._pending[(token, mid)] = pending
+        key = (token, mid)
+        self._pending[key] = pending
+        self._key_by_mid[mid] = key
+        self._key_by_token[token] = key
         if confirmable:
             timeout = int(
                 ACK_TIMEOUT_NS * (1 + (ACK_RANDOM_FACTOR - 1) * self.rng.random())
             )
             pending.timeout_ns = timeout
-            pending.timer = self.node.sim.after(
-                timeout, self._retransmit, (token, mid)
-            )
+            pending.timer = self.node.sim.after(timeout, self._retransmit, key)
         return True
 
     def _transmit(self, message: CoapMessage, dst: Ipv6Address) -> bool:
@@ -171,7 +178,7 @@ class CoapEndpoint:
         if pending is None:
             return
         if pending.retransmits_left <= 0:
-            del self._pending[key]
+            self._forget(key)
             self.timeouts += 1
             if METRICS.enabled:
                 METRICS.inc(f"node{self.node.node_id}", "coap.timeouts")
@@ -247,25 +254,22 @@ class CoapEndpoint:
             SPANS.response_leg()
         self.node.udp.sendto(reply.encode(), src, src_port, self.port)
 
+    def _forget(self, key: Tuple[bytes, int]) -> _Pending:
+        """Remove one request from the pending table and its indexes."""
+        del self._key_by_token[key[0]]
+        del self._key_by_mid[key[1]]
+        return self._pending.pop(key)
+
     def _complete(self, message: CoapMessage) -> None:
         """Match a response/ACK against the pending table."""
-        pending = None
-        matched_key: Optional[Tuple[bytes, int]] = None
         if message.mtype is CoapType.ACK and message.code is CoapCode.EMPTY:
             # empty ACKs carry no token: match by message id
-            for key, cand in self._pending.items():
-                if key[1] == message.mid:
-                    pending = self._pending.pop(key)
-                    matched_key = key
-                    break
+            key = self._key_by_mid.get(message.mid)
         else:
-            for key in list(self._pending):
-                if key[0] == message.token:
-                    pending = self._pending.pop(key)
-                    matched_key = key
-                    break
-        if pending is None:
+            key = self._key_by_token.get(message.token)
+        if key is None:
             return  # duplicate or stale response
+        pending = self._forget(key)
         if pending.timer is not None:
             pending.timer.cancel()
             pending.timer = None  # cancelled handles must not be retained
@@ -281,9 +285,7 @@ class CoapEndpoint:
                 self.node.sim.now, "coap", "response",
                 node=self.node.node_id, mid=message.mid, rtt_ns=rtt_ns,
             )
-        if SPANS.enabled and matched_key is not None:
-            SPANS.journey_complete(
-                self.node.node_id, matched_key[0], matched_key[1], "ok"
-            )
+        if SPANS.enabled:
+            SPANS.journey_complete(self.node.node_id, key[0], key[1], "ok")
         if pending.on_response is not None:
             pending.on_response(message, rtt_ns)

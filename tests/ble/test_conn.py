@@ -466,15 +466,15 @@ def count_calls(monkeypatch, conn, name):
 def test_idle_events_skip_the_exchange_loop(plane, monkeypatch):
     conn = plane.connect(0, 1, params=PARAMS_75MS, anchor0=MSEC)
     loop = count_calls(monkeypatch, conn, "_exchange_loop")
-    idle = count_calls(monkeypatch, conn, "_idle_exchange")
+    stats = conn.coord.stats
     plane.sim.run(until=1 * SEC)
-    assert (len(loop), len(idle)) == (0, 14)
+    assert (len(loop), stats.events_active) == (0, 14)
     TRACE.configure(sinks=[])
     try:
         plane.sim.run(until=2 * SEC)
     finally:
         TRACE.reset()
-    assert (len(loop), len(idle)) == (13, 14)
+    assert (len(loop), stats.events_active) == (13, 27)
 
 
 def test_queued_data_takes_the_exchange_loop(plane, monkeypatch):
@@ -492,6 +492,5 @@ def test_exchange_loop_runs_when_crc_errors_do_not_abort(make_plane, monkeypatch
     )
     conn = plane.connect(0, 1, params=PARAMS_75MS, anchor0=MSEC)
     loop = count_calls(monkeypatch, conn, "_exchange_loop")
-    idle = count_calls(monkeypatch, conn, "_idle_exchange")
     plane.sim.run(until=1 * SEC)
-    assert (len(loop), len(idle)) == (14, 0)
+    assert (len(loop), conn.coord.stats.events_active) == (14, 14)

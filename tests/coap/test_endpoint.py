@@ -1,6 +1,6 @@
 """Tests for the gcoap-equivalent endpoint (client + server)."""
 
-from repro.sim.units import SEC
+from repro.sim.units import MSEC, SEC
 from repro.testbed.topology import BleNetwork
 from repro.coap import CoapEndpoint
 from repro.coap.message import CoapCode, CoapMessage, CoapType
@@ -126,3 +126,73 @@ def test_stale_response_ignored():
     net.nodes[0].udp.sendto(stray.encode(), net.nodes[1].mesh_local, 5683, 5683)
     net.run(6 * SEC)
     assert client.responses_received == 0
+
+
+# -- matching among requests that were never answered ---------------------
+
+
+def deaf_client(n_dead):
+    """A client whose ``n_dead`` NON requests to a deaf peer stay pending
+    for good (a lost NON request has no timeout), in sending order."""
+    net, _, client = linked_pair(with_server=False)
+    answered = []
+    for i in range(n_dead):
+        assert client.request(
+            net.nodes[0].mesh_local, "sense", b"x",
+            on_response=lambda msg, rtt, i=i: answered.append((i, msg.code)),
+        )
+        net.run(net.sim.now + 50 * MSEC)
+    net.run(net.sim.now + 5 * SEC)
+    assert len(client._pending) == n_dead
+    return net, client, list(client._pending), answered
+
+
+def answer(net, client, message):
+    """Deliver ``message`` from the peer to the client, through the stack."""
+    net.nodes[0].udp.sendto(message.encode(), net.nodes[1].mesh_local, 5683, 5683)
+    net.run(net.sim.now + 2 * SEC)
+
+
+def test_empty_ack_matches_by_mid_among_dead_requests():
+    net, client, keys, answered = deaf_client(60)
+    token, mid = keys[41]
+    ack = CoapMessage(CoapType.ACK, CoapCode.EMPTY, mid=mid)
+    answer(net, client, ack)
+    assert answered == [(41, CoapCode.EMPTY)]
+    assert (token, mid) not in client._pending
+    assert mid not in client._key_by_mid and token not in client._key_by_token
+    answer(net, client, ack)  # a duplicate finds nothing
+    assert answered == [(41, CoapCode.EMPTY)]
+    assert client.responses_received == 1 and len(client._pending) == 59
+
+
+def test_response_matches_by_token_among_dead_requests():
+    net, client, keys, answered = deaf_client(60)
+    token, _ = keys[17]
+    # the MID names another pending request: a non-empty ACK goes by token
+    other_mid = keys[3][1]
+    answer(net, client, CoapMessage(
+        CoapType.ACK, CoapCode.CONTENT, mid=other_mid, token=token, payload=b"23C",
+    ))
+    assert answered == [(17, CoapCode.CONTENT)]
+    assert keys[3] in client._pending and keys[17] not in client._pending
+    assert len(client._pending) == len(client._key_by_mid) == 59
+
+
+def test_con_give_up_leaves_the_indexes():
+    net, client, keys, answered = deaf_client(20)
+    timeouts = []
+    assert client.request(
+        net.nodes[0].mesh_local, "sense", b"x", confirmable=True,
+        on_response=lambda msg, rtt: answered.append(("con", msg.code)),
+        on_timeout=lambda: timeouts.append(net.sim.now),
+    )
+    token, mid = list(client._pending)[-1]
+    net.run(net.sim.now + 130 * SEC)
+    assert len(timeouts) == 1 and client.timeouts == 1
+    assert (token, mid) not in client._pending
+    assert mid not in client._key_by_mid and token not in client._key_by_token
+    assert list(client._pending) == keys
+    assert len(client._key_by_mid) == len(client._key_by_token) == 20
+    answer(net, client, CoapMessage(CoapType.ACK, CoapCode.EMPTY, mid=mid))
+    assert answered == []  # a late ACK matches nothing

@@ -1,12 +1,15 @@
 """Turning an instrumentation channel on must not change what a run does.
 
 The trace goldens pin the *traced* run only.  Uninstrumented runs take
-shortcuts the instrumented ones cannot: an idle connection event runs
-``Connection._idle_exchange`` instead of the exchange loop.  So each
-workload here runs with trace, metrics and spans off, then with each one
-on in turn, and every observable output must be the same: the CoAP
-counts, every round-trip time, the link sampler's series (per-channel
-counts included), the connection losses and the medium's loss draws.
+shortcuts the instrumented ones cannot: ``Connection._run_event`` plays an
+idle connection event's empty <-> empty exchange inline instead of running
+the exchange loop.  So each workload here runs with trace, metrics and
+spans off, then with each one on in turn, and every observable output must
+be the same: the CoAP counts, every round-trip time, the link sampler's
+series (per-channel counts included), the connection losses, the medium's
+loss draws and the per-node counter table (the current draw, which the
+inline exchange's connection-event counts and durations feed, CRC aborts
+and packet-buffer drops).
 """
 
 import dataclasses
@@ -17,8 +20,9 @@ from repro.exp.config import ExperimentConfig
 from repro.exp.runner import ExperimentRunner
 
 #: Short versions of the perfbench workloads: the static-interval line,
-#: the paper's tree with its fan-in, and a self-forming mesh (advertising,
-#: scanning and RPL next to the data).
+#: the paper's tree with its fan-in, a self-forming mesh (advertising,
+#: scanning and RPL next to the data) and the 7x7 grid (range-gated
+#: medium, up to 6 hops).
 WORKLOADS = {
     "line": dict(topology="line", n_nodes=4, duration_s=20.0, warmup_s=3.0,
                  drain_s=2.0),
@@ -26,6 +30,8 @@ WORKLOADS = {
                  duration_s=10.0, warmup_s=5.0, drain_s=2.0),
     "mesh": dict(topology="dynamic", n_nodes=8, conn_interval="[65:85]",
                  duration_s=10.0, warmup_s=30.0, drain_s=2.0),
+    "grid": dict(topology="grid", n_nodes=49, conn_interval="[65:85]",
+                 duration_s=3.0, warmup_s=5.0, drain_s=2.0),
 }
 
 
@@ -42,6 +48,7 @@ def observed(config: ExperimentConfig) -> dict:
         "conn_losses": result.conn_losses,
         "packets_sampled": medium.packets_sampled,
         "packets_lost": medium.packets_lost,
+        "nodes": result.nodes,
     }
 
 
