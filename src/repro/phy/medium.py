@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.registry import METRICS
-from repro.phy.frames import ble_air_time_ns
 from repro.phy.spatial import Geometry
 from repro.sim.kernel import Simulator
+from repro.sim.units import USEC
 from repro.trace.tracer import TRACE
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -288,7 +288,12 @@ class BleMedium:
         return heard
 
     def packet_lost(self, channel: int, nbytes: int) -> bool:
-        """Sample whether one packet on ``channel`` is corrupted on air."""
+        """Sample whether one packet on ``channel`` is corrupted on air.
+
+        ``nbytes`` is the packet's whole on-air size in LE 1M framing
+        (payload plus preamble, access address, header and CRC), so its
+        air time is ``nbytes`` x 8 us.
+        """
         per = self.interference.packet_error_rate(channel, nbytes, self.sim.now)
         self.packets_sampled += 1
         if per <= 0.0:
@@ -304,7 +309,7 @@ class BleMedium:
             )
         if METRICS.enabled:
             METRICS.inc("phy", "phy.packets_sampled")
-            METRICS.inc("phy", "phy.airtime_ns", ble_air_time_ns(nbytes))
+            METRICS.inc("phy", "phy.airtime_ns", nbytes * 8 * USEC)
             if lost:
                 METRICS.inc("phy", "phy.ber_drops")
         return lost

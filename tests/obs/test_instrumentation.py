@@ -112,6 +112,22 @@ class TestAccuracy:
         assert dispatched == sorted(dispatched)
 
 
+class TestBleAirtime:
+    def test_counts_eight_us_per_sampled_byte_of_full_size_pdus(self):
+        # 200 B CoAP payloads fill 251 B link-layer PDUs: 261 B on air
+        result = run_experiment(ExperimentConfig(
+            name="air", seed=9, payload_len=200, trace=True, metrics=True,
+            **THREE_HOP,
+        ))
+        sizes = [
+            r.get("nbytes") for r in result.trace_records
+            if r.layer == "phy" and r.kind == "packet"
+        ]
+        assert max(sizes) == 261
+        airtime = result.metrics["scopes"]["phy"]["counters"]["phy.airtime_ns"]
+        assert airtime == sum(n * 8_000 for n in sizes)
+
+
 class TestDisabledPath:
     def test_default_run_has_no_payload_and_hub_stays_idle(self):
         result = run_experiment(
