@@ -33,7 +33,6 @@ from repro.ble.chanmap import ChannelMap
 from repro.ble.config import ConnParams, CsaVariant, SchedulerPolicy
 from repro.ble.csa import CSA2_BLOCK_MASK, Csa1, Csa2, ChannelSelection
 from repro.ble.pdu import DataPdu, Llid
-from repro.obs.registry import METRICS
 from repro.phy.frames import T_IFS_NS, ble_air_time_ns, ble_air_time_table
 from repro.phy.medium import BleMedium
 from repro.sim.kernel import Simulator, Timer
@@ -73,6 +72,8 @@ class LinkStats:
 
     #: Data PDU transmission attempts (retransmissions count again).
     tx_data_attempts: int = 0
+    #: The attempts that retransmitted an unacknowledged data PDU.
+    tx_data_retx: int = 0
     #: Data PDUs acknowledged by the peer (delivered exactly once).
     tx_data_acked: int = 0
     #: Unique data PDUs received (duplicates excluded).
@@ -100,15 +101,6 @@ class LinkStats:
     per_channel_events: List[List[int]] = field(
         default_factory=lambda: [[0, 0] for _ in range(37)]
     )
-
-    def snapshot(self) -> Tuple[int, int, int, int]:
-        """(tx_attempts, tx_acked, rx_unique, events_active) for sampling."""
-        return (
-            self.tx_data_attempts,
-            self.tx_data_acked,
-            self.rx_data_unique,
-            self.events_active,
-        )
 
 
 class Endpoint:
@@ -169,8 +161,8 @@ class Endpoint:
             pdu = self.tx_queue[0] if self.tx_queue else self._empty_pdu
             pdu.sn = self.sn
             self._outstanding = pdu
-        elif pdu.payload and METRICS.enabled:
-            METRICS.inc(self.controller.name, "ble.retransmissions")
+        elif pdu.payload:
+            self.stats.tx_data_retx += 1
         pdu.nesn = self.nesn
         pdu.md = len(self.tx_queue) > (1 if pdu.payload else 0)
         if pdu.payload:
@@ -422,9 +414,6 @@ class Connection:
                 None, "ble", "conn_close",
                 conn=self.conn_id, reason=reason.value,
             )
-        if METRICS.enabled and reason is DisconnectReason.SUPERVISION_TIMEOUT:
-            METRICS.inc(self.coord.controller.name, "ble.supervision_resets")
-            METRICS.inc(self.sub.controller.name, "ble.supervision_resets")
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None  # cancelled handles must not be retained
@@ -575,7 +564,7 @@ class Connection:
         """Execute one connection event (the composite transaction).
 
         An idle event -- nothing queued at either end, both radios free,
-        the subordinate's window hit, instrumentation off, the stock loss
+        the subordinate's window hit, tracing and spans off, the stock loss
         sampler and a connection eligible by :meth:`_idle_eligibility` --
         plays its one empty <-> empty exchange inline (DESIGN §11); every
         other event runs the general arbitration and :meth:`_exchange_loop`.
@@ -621,7 +610,7 @@ class Connection:
             and not sub.tx_queue
             and t0 >= csched._busy_until
             and t0 >= ssched._busy_until
-            and not (TRACE.enabled or METRICS.enabled or SPANS.enabled)
+            and not (TRACE.enabled or SPANS.enabled)
             and "packet_lost" not in medium.__dict__
             and type(medium).packet_lost is BleMedium.packet_lost
         ):
@@ -662,6 +651,7 @@ class Connection:
             pdu.md = False
             coord.stats.tx_empty += 1
             medium.packets_sampled += 1
+            medium.bytes_sampled += 10
             end = t0 + air
             if per > 0.0 and medium.rng.random() < per:
                 medium.packets_lost += 1
@@ -688,6 +678,7 @@ class Connection:
                 pdu.md = False
                 sub.stats.tx_empty += 1
                 medium.packets_sampled += 1
+                medium.bytes_sampled += 10
                 end += T_IFS_NS + air
                 if per > 0.0 and medium.rng.random() < per:
                     medium.packets_lost += 1
@@ -722,7 +713,6 @@ class Connection:
         else:
             # --- every other event: arbitration, then the exchange loop -----
             trace_on = TRACE.enabled
-            metrics_on = METRICS.enabled
 
             # Subordinate latency: may it sleep through this event?
             latency_skip = False
@@ -767,45 +757,29 @@ class Connection:
             if not coord_free:
                 coord.stats.events_skipped_radio += 1
                 csched.deny(self._coord_activity)
-                if metrics_on:
-                    METRICS.inc(coord_ctrl.name, "ble.conn_events_skipped_radio")
             elif coord_yield:
                 coord.stats.events_skipped_policy += 1
                 csched.deny(self._coord_activity)
-                if metrics_on:
-                    METRICS.inc(coord_ctrl.name, "ble.conn_events_skipped_policy")
             if not sub_free:
                 sub.stats.events_skipped_radio += 1
                 ssched.deny(self._sub_activity)
-                if metrics_on:
-                    METRICS.inc(sub_ctrl.name, "ble.conn_events_skipped_radio")
             elif sub_yield:
                 sub.stats.events_skipped_policy += 1
                 ssched.deny(self._sub_activity)
-                if metrics_on:
-                    METRICS.inc(sub_ctrl.name, "ble.conn_events_skipped_policy")
             elif not window_hit:
                 sub.stats.events_missed_window += 1
-                if metrics_on:
-                    METRICS.inc(sub_ctrl.name, "ble.conn_events_missed_window")
 
             event_end = t0
             if coord_runs and sub_listens:
-                if metrics_on:
-                    METRICS.inc(coord_ctrl.name, "ble.conn_events_served")
-                    METRICS.inc(sub_ctrl.name, "ble.conn_events_served")
                 end = self._exchange_loop(t0, channel, interval_true)
-                if trace_on or metrics_on:
-                    csched.claim(self._coord_activity, t0, end)
-                    ssched.claim(self._sub_activity, t0, end)
-                elif t0 < csched._busy_until or t0 < ssched._busy_until:
-                    # Overlap: delegate to claim() for its diagnostic raise --
-                    # the radio-exclusivity invariant must keep firing.
+                if trace_on or t0 < csched._busy_until or t0 < ssched._busy_until:
+                    # claim() traces the claim, and an overlap needs its
+                    # diagnostic raise: radio exclusivity must keep firing.
                     csched.claim(self._coord_activity, t0, end)
                     ssched.claim(self._sub_activity, t0, end)
                 else:
-                    # Inlined RadioScheduler.claim fast path (instrumentation
-                    # off; the exchange loop guarantees end >= t0).
+                    # Inlined RadioScheduler.claim fast path (tracing off;
+                    # the exchange loop guarantees end >= t0).
                     dur = end - t0
                     csched._busy_until = end
                     csched._busy_owner = self._coord_activity
@@ -843,11 +817,6 @@ class Connection:
                         )
                 if not pdu.is_empty:
                     coord.stats.per_channel[channel][0] += 1
-                    if metrics_on:
-                        METRICS.inc_vec(
-                            coord_ctrl.name, "ble.pdus_by_channel", channel,
-                            label_key="channel",
-                        )
                 end = t0 + dur + T_IFS_NS + ble_air_time_ns(0, self.phy)
                 csched.claim(self._coord_activity, t0, end)
                 coord_ctrl.note_conn_event(Role.COORDINATOR, end - t0)
@@ -929,7 +898,6 @@ class Connection:
         # instrumentation flags only toggle between runs, never inside a
         # connection event, and the PHY / abort policy are fixed per event.
         trace_on = TRACE.enabled
-        metrics_on = METRICS.enabled
         spans_on = SPANS.enabled
         air = ble_air_time_table(self.phy)
         abort_on_crc = coord.controller.config.abort_event_on_crc_error
@@ -956,11 +924,6 @@ class Connection:
                 coord._trace_tx(pdu_c, t, retx_c)
             if pdu_c.payload or pdu_c.llid is not llid_cont:  # not is_empty
                 coord_chan_row[0] += 1
-                if metrics_on:
-                    METRICS.inc_vec(
-                        coord.controller.name, "ble.pdus_by_channel", channel,
-                        label_key="channel",
-                    )
             len_c = len(pdu_c.payload)
             lost_c = packet_lost(channel, len_c + 10)
             t += air[len_c]
@@ -979,10 +942,6 @@ class Connection:
                         channel=channel, len=len_c,
                     )
                 coord.stats.events_crc_abort += 1
-                if metrics_on:
-                    METRICS.inc(
-                        coord.controller.name, "ble.conn_events_crc_abort"
-                    )
                 if abort_on_crc:
                     break
                 # ablation: keep the event open and retry after one IFS
@@ -1014,11 +973,6 @@ class Connection:
                 sub._trace_tx(pdu_s, t, retx_s)
             if pdu_s.payload or pdu_s.llid is not llid_cont:  # not is_empty
                 sub_chan_row[0] += 1
-                if metrics_on:
-                    METRICS.inc_vec(
-                        sub.controller.name, "ble.pdus_by_channel", channel,
-                        label_key="channel",
-                    )
             len_s = len(pdu_s.payload)
             lost_s = packet_lost(channel, len_s + 10)
             t += air[len_s]
@@ -1037,10 +991,6 @@ class Connection:
                         channel=channel, len=len_s,
                     )
                 sub.stats.events_crc_abort += 1
-                if metrics_on:
-                    METRICS.inc(
-                        sub.controller.name, "ble.conn_events_crc_abort"
-                    )
                 if abort_on_crc:
                     break
                 if t + T_IFS_NS + MIN_EXCHANGE_NS > budget_end:

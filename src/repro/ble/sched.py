@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Protocol, Tuple
 
-from repro.obs.registry import METRICS
 from repro.trace.tracer import TRACE
 
 #: The busy-until sentinel of a fail-stopped radio: far beyond any
@@ -94,11 +93,6 @@ class RadioScheduler:
         if self._busy_until >= FAIL_STOP_NS:
             self._busy_until = now_ns
 
-    @property
-    def busy_until(self) -> int:
-        """End of the current claim (past values mean: free now)."""
-        return self._busy_until
-
     def claim(self, owner: RadioActivity, start_ns: int, end_ns: int) -> None:
         """Mark the radio busy for [start, end).
 
@@ -122,9 +116,6 @@ class RadioScheduler:
         self.busy_ns_total += end_ns - start_ns
         self.claims += 1
         owner.consec_skips = 0
-        if METRICS.enabled:
-            METRICS.inc(self.name, "radio.claims")
-            METRICS.inc(self.name, "radio.busy_ns", end_ns - start_ns)
 
     def deny(self, activity: RadioActivity) -> None:
         """Record that ``activity`` was denied the radio (skip streak +1)."""
@@ -132,8 +123,6 @@ class RadioScheduler:
         self.denials += 1
         if TRACE.enabled:
             TRACE.emit(None, "ble", "radio_deny", node=self.name)
-        if METRICS.enabled:
-            METRICS.inc(self.name, "radio.denials")
 
     def next_demand_after(
         self, after_ns: int, exclude: Optional[RadioActivity] = None

@@ -19,7 +19,6 @@ from repro.coap.message import (
     CoapMessage,
     CoapType,
 )
-from repro.obs.registry import METRICS, RTT_BUCKETS_S
 from repro.sim.kernel import Timer
 from repro.sim.units import SEC
 from repro.sixlowpan.ipv6 import Ipv6Address
@@ -148,8 +147,6 @@ class CoapEndpoint:
         if not sent:
             return False
         self.requests_sent += 1
-        if METRICS.enabled:
-            METRICS.inc(f"node{self.node.node_id}", "coap.requests")
         if TRACE.enabled:
             TRACE.emit(
                 self.node.sim.now, "coap", "request",
@@ -180,8 +177,6 @@ class CoapEndpoint:
         if pending.retransmits_left <= 0:
             self._forget(key)
             self.timeouts += 1
-            if METRICS.enabled:
-                METRICS.inc(f"node{self.node.node_id}", "coap.timeouts")
             if TRACE.enabled:
                 TRACE.emit(
                     self.node.sim.now, "coap", "timeout",
@@ -196,8 +191,6 @@ class CoapEndpoint:
             return
         pending.retransmits_left -= 1
         self.retransmissions += 1
-        if METRICS.enabled:
-            METRICS.inc(f"node{self.node.node_id}", "coap.retransmissions")
         if TRACE.enabled:
             TRACE.emit(
                 self.node.sim.now, "coap", "retransmit",
@@ -275,11 +268,6 @@ class CoapEndpoint:
             pending.timer = None  # cancelled handles must not be retained
         self.responses_received += 1
         rtt_ns = self.node.sim.now - pending.sent_at
-        if METRICS.enabled:
-            METRICS.observe(
-                f"node{self.node.node_id}", "coap.rtt_seconds",
-                rtt_ns / SEC, RTT_BUCKETS_S,
-            )
         if TRACE.enabled:
             TRACE.emit(
                 self.node.sim.now, "coap", "response",

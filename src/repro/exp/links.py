@@ -14,10 +14,10 @@ connection and direction:
   on-air ``addr`` rotates, the identity does not);
 * a window with attempts sets or clears its link's "below
   :data:`SHADING_PDR_THRESHOLD`" flag in O(1), counting each new below-run
-  as an onset.  While :data:`~repro.obs.registry.METRICS` is on, every
-  sample sets ``obs:shading.links_degraded`` (links whose latest window
-  is below) and ``obs:shading.onsets_total`` (below-runs so far): the
-  online form of :func:`repro.core.shading.detect_degradation_spans`.
+  as an onset.  ``degraded`` (links whose latest window is below) and
+  ``onsets`` (below-runs so far) are the online form of
+  :func:`repro.core.shading.detect_degradation_spans`; a metered run's
+  snapshotter reads them into the ``obs:shading.*`` gauges.
 
 A close listener on every controller records each end of a connection
 lost to a supervision timeout as a :class:`ConnLoss`.
@@ -34,7 +34,6 @@ from functools import partial
 from typing import Any, Dict, List, Set, Tuple
 
 from repro.ble.conn import Connection, DisconnectReason, LinkStats
-from repro.obs.registry import METRICS
 from repro.phy.channels import BLE_NUM_DATA_CHANNELS
 from repro.sim.units import SEC
 
@@ -112,8 +111,8 @@ class LinkSampler:
         # (conn_id, direction) -> (attempts, acked, per-channel rows) at
         # the connection's last sample
         self._last: Dict[Tuple[int, str], Tuple[int, int, List[Tuple[int, int]]]] = {}
-        self._degraded: Set[Tuple[LinkKey, str]] = set()
-        self._onsets = 0
+        self.degraded: Set[Tuple[LinkKey, str]] = set()
+        self.onsets = 0
         self._sampled_at = -1
         for node in net.nodes:
             node.controller.conn_close_listeners.append(partial(self._on_close, node))
@@ -158,9 +157,6 @@ class LinkSampler:
                 link = (controller.identity, conn.sub.controller.identity)
                 self._window(now_s, conn.conn_id, (link, "up"), conn.coord.stats)
                 self._window(now_s, conn.conn_id, (link, "down"), conn.sub.stats)
-        if METRICS.enabled:
-            METRICS.set_gauge("obs", "shading.links_degraded", len(self._degraded))
-            METRICS.set_gauge("obs", "shading.onsets_total", self._onsets)
 
     def _window(
         self, now_s: float, conn_id: int, key: Tuple[LinkKey, str], stats: LinkStats
@@ -189,8 +185,8 @@ class LinkSampler:
 
         if d_attempts > 0:  # an idle window is no PDR evidence either way
             if d_acked / d_attempts < SHADING_PDR_THRESHOLD:
-                if key not in self._degraded:
-                    self._degraded.add(key)
-                    self._onsets += 1
+                if key not in self.degraded:
+                    self.degraded.add(key)
+                    self.onsets += 1
             else:
-                self._degraded.discard(key)
+                self.degraded.discard(key)

@@ -507,13 +507,13 @@ class ExperimentRunner:
 
         # The link sampler starts before the snapshotter and finishes
         # before it: both tick at the same instants, the sampler first, so
-        # each snapshot row reads the shading gauges set at that instant.
+        # each snapshot row reads the shading state of that instant.
         if links is not None:
             links.start()
         snapper = None
         if METRICS.enabled:
             snapper = MetricsSnapshotter(
-                net.sim, METRICS, s_to_ns(cfg.sample_period_s)
+                net, METRICS, s_to_ns(cfg.sample_period_s), links, producers, driver
             )
             snapper.start()
 

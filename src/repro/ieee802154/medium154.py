@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.obs.registry import METRICS
 from repro.phy.medium import InterferenceModel
 from repro.sim.kernel import Simulator
 
@@ -54,6 +53,8 @@ class CsmaMedium:
         self.collisions = 0
         #: Total frames transmitted.
         self.frames_sent = 0
+        #: Total air time of the transmitted frames.
+        self.airtime_ns = 0
 
     def channel_busy(self, channel: int) -> bool:
         """Clear channel assessment: any energy on ``channel`` right now?"""
@@ -88,22 +89,16 @@ class CsmaMedium:
             on_delivered=on_delivered,
         )
         self.frames_sent += 1
-        if METRICS.enabled:
-            METRICS.inc("phy", "phy.frames_sent")
-            METRICS.inc("phy", "phy.airtime_ns", duration_ns)
+        self.airtime_ns += duration_ns
         # collision: any concurrent same-channel transmission corrupts both
         for other in self._active:
             if other.channel == channel and other.end_ns > now:
                 if not other.corrupted:
                     other.corrupted = True
                     self.collisions += 1
-                    if METRICS.enabled:
-                        METRICS.inc("phy", "phy.collisions")
                 if not frame.corrupted:
                     frame.corrupted = True
                     self.collisions += 1
-                    if METRICS.enabled:
-                        METRICS.inc("phy", "phy.collisions")
         self._active.append(frame)
         self.sim.at(frame.end_ns, self._finish, frame)
 

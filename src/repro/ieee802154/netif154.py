@@ -45,6 +45,9 @@ class Netif154:
         self._next_tag = mac.rng.randrange(0, 0x10000)
         self.tx_packets = 0
         self.tx_fragmented_datagrams = 0
+        #: frag.fragment() calls and fragments, before the pktbuf check.
+        self.fragmentations = 0
+        self.fragments_made = 0
         self.rx_packets = 0
         self.drops_pktbuf = 0
         self.drops_mac = 0
@@ -90,6 +93,8 @@ class Netif154:
         tag = self._next_tag
         self._next_tag = (self._next_tag + 1) & 0xFFFF
         fragments = frag.fragment(raw, tag, FRAME_BUDGET)
+        self.fragmentations += 1
+        self.fragments_made += len(fragments)
         total = sum(len(f) for f in fragments)
         if not self.pktbuf.try_alloc(total):
             self.drops_pktbuf += 1

@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Callable, Deque, Optional
 
 from repro.ble.conn import Connection, Endpoint
 from repro.ble.pdu import DataPdu, Llid
-from repro.obs.registry import METRICS
 from repro.spans.hub import SPANS
 from repro.trace.tracer import TRACE
 
@@ -125,6 +124,9 @@ class _CocEnd:
         self.sdus_received = 0
         self.credits_returned = 0
         self.bytes_sent = 0
+        #: Pumps stopped by a full LL buffer pool, or by no credit (§5.2).
+        self.pool_stalls = 0
+        self.credit_stalls = 0
 
         ll_end.on_rx_pdu = self._on_ll_rx
         ll_end.on_pdu_acked = self._on_ll_acked
@@ -168,10 +170,7 @@ class _CocEnd:
             )
             if not ok:
                 self._stalled_on_pool = True
-                if METRICS.enabled:
-                    METRICS.inc(
-                        self.ll_end.controller.name, "l2cap.pool_stalls"
-                    )
+                self.pool_stalls += 1
                 return
             self._stalled_on_pool = False
             self.credits -= 1
@@ -187,15 +186,10 @@ class _CocEnd:
                     frame_len=len(frame), credits_left=self.credits,
                     last=is_last,
                 )
-        if (
-            METRICS.enabled
-            and self.credits == 0
-            and self.tx_sdus
-            and not self.tx_sdus[0].complete
-        ):
+        if self.credits == 0 and self.tx_sdus and not self.tx_sdus[0].complete:
             # the head SDU still has frames to push but the peer owes us
             # credits: the back-pressure situation of §5.2
-            METRICS.inc(self.ll_end.controller.name, "l2cap.credit_stalls")
+            self.credit_stalls += 1
 
     def _build_kframe(self, rec: _SduRecord) -> tuple[bytes, bool]:
         """Produce the next K-frame of ``rec`` (without sending it)."""

@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING, Callable, List, Union
 
 from repro.net.fib import ForwardingTable
 from repro.net.nib import NeighborCache
-from repro.obs.registry import METRICS
 from repro.sixlowpan.ipv6 import Ipv6Address, Ipv6Packet
 from repro.spans.hub import SPANS
 from repro.trace.tracer import TRACE
@@ -86,8 +85,6 @@ class Ipv6Stack:
     def send(self, packet: Ipv6Packet) -> bool:
         """Originate a packet from this node."""
         self.originated += 1
-        if METRICS.enabled:
-            METRICS.inc(f"node{self.node_id}", "ip.originated")
         if TRACE.enabled:
             TRACE.emit(
                 None, "ip", "originate",
@@ -120,8 +117,6 @@ class Ipv6Stack:
         packet.hop_limit -= 1
         if self._route(packet):
             self.forwarded += 1
-            if METRICS.enabled:
-                METRICS.inc(f"node{self.node_id}", "ip.forwarded")
             if TRACE.enabled:
                 TRACE.emit(
                     None, "ip", "forward",
@@ -136,8 +131,6 @@ class Ipv6Stack:
             self._drop(packet, "no-handler")
             return
         self.delivered += 1
-        if METRICS.enabled:
-            METRICS.inc(f"node{self.node_id}", "ip.delivered")
         if TRACE.enabled:
             TRACE.emit(
                 None, "ip", "deliver",
@@ -149,10 +142,6 @@ class Ipv6Stack:
         """Account one dropped packet; every drop cause routes through here."""
         if SPANS.enabled:
             SPANS.drop(cause)
-        if METRICS.enabled:
-            METRICS.inc_vec(
-                f"node{self.node_id}", "ip.drops", cause, label_key="cause"
-            )
         if TRACE.enabled:
             TRACE.emit(
                 None, "ip", "drop",

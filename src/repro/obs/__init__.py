@@ -1,19 +1,17 @@
 """Runtime observability: metrics, snapshots, and their export.
 
 ``repro.obs`` is the aggregate companion of :mod:`repro.trace`: where the
-tracer records *every* event for offline inspection, the metrics hub keeps
-cheap always-on aggregates -- counters, gauges, and fixed-bucket streaming
-histograms -- the way RIOT exposes statistics on real nodes.  Both follow
-the same hot-path contract: a module-level singleton that is never rebound,
-guarded by one ``enabled`` attribute, so the cost with the subsystem
-disabled is one attribute load and one branch.
+tracer records *every* event for offline inspection, a metered run samples
+the counters every layer keeps anyway -- the way RIOT exposes statistics
+on real nodes -- into counters, gauges, and fixed-bucket streaming
+histograms, so metering costs one sample per period, not a hook per event.
 
 Modules:
 
 * :mod:`repro.obs.registry` -- instruments, per-scope registries, and the
   :data:`~repro.obs.registry.METRICS` hub singleton.
-* :mod:`repro.obs.sampler` -- the sim-time snapshotter that turns registry
-  states into time series.
+* :mod:`repro.obs.sampler` -- the metric catalogue and the sim-time
+  snapshotter that reads it into the registries and their time series.
 * :mod:`repro.obs.export` -- ``metrics.json`` documents, Prometheus text
   exposition, and cross-repetition merging.
 * :mod:`repro.obs.wallclock` -- the one sanctioned host-clock import for

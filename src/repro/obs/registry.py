@@ -1,13 +1,9 @@
 """Metric instruments, per-scope registries, and the process-wide hub.
 
-Instrumented code throughout the stack guards its updates with::
-
-    if METRICS.enabled:
-        METRICS.inc("node3", "ble.conn_events_served")
-
-:data:`METRICS` is a module-level singleton that is *never replaced*, so
-the hot-path cost with metrics disabled is one attribute load and one
-branch -- the same discipline as :data:`repro.trace.tracer.TRACE`.
+:data:`METRICS` is a module-level singleton that is *never replaced*.  The
+simulated stack never writes to it: a metered run's snapshotter
+(:mod:`repro.obs.sampler`) copies the stack's own counters in at each
+sample, and the span hub adds its ``spans.*`` instruments per journey.
 
 Scopes are keyed by *node name* (``node3``) or subsystem (``sim``,
 ``phy``), never by connection id: :class:`repro.ble.conn.Connection` draws
@@ -289,13 +285,12 @@ class MetricsRegistry:
 
 
 class MetricsHub:
-    """The emission gate and scope table every instrumented module uses."""
+    """The on/off switch of a metered run and its scope table."""
 
     __slots__ = ("enabled", "_scopes")
 
     def __init__(self) -> None:
-        #: The hot-path gate; instrumented code checks this before touching
-        #: any registry state.
+        #: True while a metered run collects into this hub.
         self.enabled = False
         self._scopes: Dict[str, MetricsRegistry] = {}
 
@@ -320,7 +315,7 @@ class MetricsHub:
         """The live scope table (read-only by convention)."""
         return self._scopes
 
-    # -- hot-path helpers (one call per instrument update) ------------------
+    # -- helpers (one call per instrument update) ----------------------------
 
     def inc(self, scope: str, name: str, n: int = 1) -> None:
         """Increment counter ``name`` in ``scope``."""

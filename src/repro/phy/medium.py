@@ -22,10 +22,8 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.registry import METRICS
 from repro.phy.spatial import Geometry
 from repro.sim.kernel import Simulator
-from repro.sim.units import USEC
 from repro.trace.tracer import TRACE
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -162,6 +160,8 @@ class BleMedium:
         self.packets_sampled = 0
         #: Total packets reported lost (diagnostics).
         self.packets_lost = 0
+        #: On-air bytes of the sampled packets (8 us each at LE 1M).
+        self.bytes_sampled = 0
         #: Registered node addresses -> owner object (controllers register
         #: once at construction; a duplicate address is a wiring bug).
         self.nodes: Dict[int, object] = {}
@@ -290,12 +290,12 @@ class BleMedium:
     def packet_lost(self, channel: int, nbytes: int) -> bool:
         """Sample whether one packet on ``channel`` is corrupted on air.
 
-        ``nbytes`` is the packet's whole on-air size in LE 1M framing
-        (payload plus preamble, access address, header and CRC), so its
-        air time is ``nbytes`` x 8 us.
+        ``nbytes`` is its whole LE 1M on-air size, framing included, so
+        its air time is ``nbytes`` x 8 us.
         """
         per = self.interference.packet_error_rate(channel, nbytes, self.sim.now)
         self.packets_sampled += 1
+        self.bytes_sampled += nbytes
         if per <= 0.0:
             lost = False
         else:
@@ -307,11 +307,6 @@ class BleMedium:
                 self.sim.now, "phy", "packet",
                 channel=channel, nbytes=nbytes, lost=lost,
             )
-        if METRICS.enabled:
-            METRICS.inc("phy", "phy.packets_sampled")
-            METRICS.inc("phy", "phy.airtime_ns", nbytes * 8 * USEC)
-            if lost:
-                METRICS.inc("phy", "phy.ber_drops")
         return lost
 
     def usable_channels(self, channels: Iterable[int]) -> List[int]:

@@ -30,7 +30,6 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.obs.registry import METRICS
 from repro.trace.record import callback_name
 from repro.trace.tracer import TRACE
 
@@ -106,6 +105,8 @@ class Simulator:
         self._heap: List[_Entry] = []
         #: Cancelled-but-not-yet-popped timers (makes pending() O(1)).
         self._n_cancelled: int = 0
+        #: Callbacks that have returned, over every run() call.
+        self.events_dispatched: int = 0
 
     @property
     def now(self) -> int:
@@ -201,16 +202,16 @@ class Simulator:
         :returns: the number of callbacks executed during this call.
 
         The dispatch loop is chosen once per call: the plain loop unless
-        tracing or metrics are enabled, so the common uninstrumented run
-        pays no per-event predicate.  Hubs are configured and reset between
-        runs; one switched on inside a run takes effect at the next call.
+        tracing is enabled, so an untraced run pays no per-event predicate.
+        The tracer is configured and reset between runs; one switched on
+        inside a run takes effect at the next call.
         """
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
         self._stopped = False
         try:
-            if TRACE.enabled or METRICS.enabled:
+            if TRACE.enabled:
                 executed = self._loop_instrumented(until)
             else:
                 executed = self._loop_plain(until)
@@ -221,8 +222,8 @@ class Simulator:
         return executed
 
     def _loop_plain(self, until: Optional[int]) -> int:
-        """Dispatch with no instrumentation enabled (the fast path)."""
-        executed = 0
+        """Dispatch with tracing off (the fast path)."""
+        dispatched = self.events_dispatched
         heap = self._heap
         while heap and not self._stopped:
             when, _, timer = heap[0]
@@ -237,12 +238,12 @@ class Simulator:
             timer.queued = False
             self._now = when
             timer.callback(*timer.args)
-            executed += 1
-        return executed
+            self.events_dispatched += 1
+        return self.events_dispatched - dispatched
 
     def _loop_instrumented(self, until: Optional[int]) -> int:
-        """Dispatch with tracing and/or metrics enabled."""
-        executed = 0
+        """Dispatch with tracing enabled."""
+        dispatched = self.events_dispatched
         heap = self._heap
         while heap and not self._stopped:
             when, _, timer = heap[0]
@@ -265,10 +266,8 @@ class Simulator:
                     callback=callback_name(timer.callback),
                 )
             timer.callback(*timer.args)
-            executed += 1
-            if METRICS.enabled:
-                METRICS.inc("sim", "kernel.events_dispatched")
-        return executed
+            self.events_dispatched += 1
+        return self.events_dispatched - dispatched
 
     # ------------------------------------------------------------------
     # introspection

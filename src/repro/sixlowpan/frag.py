@@ -29,7 +29,6 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
-from repro.obs.registry import METRICS
 from repro.sim.kernel import Simulator
 from repro.sim.units import SEC
 from repro.trace.tracer import TRACE
@@ -101,9 +100,6 @@ def fragment(datagram: bytes, tag: int, max_fragment_payload: int) -> List[bytes
             tag=tag, size=len(datagram), n_frags=len(fragments),
             digest=_digest(datagram),
         )
-    if METRICS.enabled:
-        METRICS.inc("sixlo", "sixlo.datagrams_fragmented")
-        METRICS.inc("sixlo", "sixlo.fragments_tx", len(fragments))
     return fragments
 
 
@@ -182,8 +178,6 @@ class Reassembler:
             self.parse_errors += 1
             return
         self.fragments_received += 1
-        if METRICS.enabled:
-            METRICS.inc("sixlo", "sixlo.fragments_rx")
         if TRACE.enabled:
             TRACE.emit(
                 self.sim.now, "sixlo", "frag_rx",
@@ -199,8 +193,6 @@ class Reassembler:
         if buffer.complete():
             del self._buffers[key]
             self.datagrams_reassembled += 1
-            if METRICS.enabled:
-                METRICS.inc("sixlo", "sixlo.reassembled")
             datagram = buffer.assemble()
             if TRACE.enabled:
                 TRACE.emit(
@@ -219,8 +211,6 @@ class Reassembler:
         if buffer is not None and self.sim.now >= buffer.deadline_ns:
             del self._buffers[key]
             self.timeouts += 1
-            if METRICS.enabled:
-                METRICS.inc("sixlo", "sixlo.reasm_timeouts")
             if TRACE.enabled:
                 TRACE.emit(
                     self.sim.now, "sixlo", "reasm_timeout",

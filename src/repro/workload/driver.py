@@ -15,8 +15,8 @@ makes them, via supervision timeout.
 (:meth:`repro.rpl.rpl.RplInstance.reset`: a returning node must rejoin
 from scratch), dynconn restarts (the node advertises as an orphan), and
 the producer resumes if the traffic window is still open.  The driver
-measures the re-attach latency -- arrival until the RPL parent-change that
-rejoins the DODAG -- into the ``workload.reattach_s`` histogram.
+records the re-attach latency -- arrival until the RPL parent-change that
+rejoins the DODAG -- in :attr:`WorkloadDriver.reattach_latencies`.
 
 Node 0 (root/consumer) never departs, never moves, never rotates.
 """
@@ -26,8 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.ble.conn import DisconnectReason
-from repro.obs.registry import METRICS, REATTACH_BUCKETS_S
-from repro.sim.units import ns_to_s, s_to_ns
+from repro.sim.units import s_to_ns
 from repro.trace.tracer import TRACE
 from repro.workload.mobility import WaypointMobility
 from repro.workload.rotation import MacRotator
@@ -57,12 +56,13 @@ class WorkloadDriver:
         self._traffic_start_ns: Optional[int] = None
         self._traffic_stop_ns: Optional[int] = None
         self._arrived_at: Dict[int, int] = {}
-        self._mobiles: List[WaypointMobility] = []
+        self.mobiles: List[WaypointMobility] = []
         self._rotators: List[MacRotator] = []
         #: (node_id, latency_ns) per completed re-attach.
         self.reattach_latencies: List[Tuple[int, int]] = []
-        self.departures = 0
-        self.arrivals = 0
+        #: Departures and arrivals per node id.
+        self.node_departures = [0] * len(net.nodes)
+        self.node_arrivals = [0] * len(net.nodes)
         self.failstops = 0
         for node_id, rpl in enumerate(net.rpls):
             self._chain_parent_change(node_id, rpl)
@@ -129,7 +129,7 @@ class WorkloadDriver:
                 node, geometry, self.spec.mobility, self.seed, bounds
             )
             mobile.start()
-            self._mobiles.append(mobile)
+            self.mobiles.append(mobile)
 
     def _chain_parent_change(self, node_id: int, rpl) -> None:
         prev = rpl.on_parent_change
@@ -169,7 +169,7 @@ class WorkloadDriver:
             producer.stop()
         self._departed.add(node_id)
         self._arrived_at.pop(node_id, None)
-        self.departures += 1
+        self.node_departures[node_id] += 1
         if fail:
             self.failstops += 1
         if TRACE.enabled:
@@ -177,8 +177,6 @@ class WorkloadDriver:
                 self.net.sim.now, "workload", "depart",
                 node=controller.name, id=node_id, fail=fail,
             )
-        if METRICS.enabled:
-            METRICS.inc(controller.name, "workload.departures")
 
     def _arrive(self, node_id: int) -> None:
         if node_id not in self._departed:
@@ -193,13 +191,11 @@ class WorkloadDriver:
         self.net.dynconns[node_id].start()
         self._restart_producer(node_id, now)
         self._arrived_at[node_id] = now
-        self.arrivals += 1
+        self.node_arrivals[node_id] += 1
         if TRACE.enabled:
             TRACE.emit(
                 now, "workload", "arrive", node=controller.name, id=node_id,
             )
-        if METRICS.enabled:
-            METRICS.inc(controller.name, "workload.arrivals")
 
     def _restart_producer(self, node_id: int, now: int) -> None:
         producer = self._producers.get(node_id)
@@ -223,13 +219,18 @@ class WorkloadDriver:
                 self.net.sim.now, "workload", "reattach",
                 node=name, id=node_id, latency_ns=latency_ns,
             )
-        if METRICS.enabled:
-            METRICS.observe(
-                name, "workload.reattach_s",
-                ns_to_s(latency_ns), REATTACH_BUCKETS_S,
-            )
 
     # -- results -----------------------------------------------------------
+
+    @property
+    def departures(self) -> int:
+        """Departures over all nodes."""
+        return sum(self.node_departures)
+
+    @property
+    def arrivals(self) -> int:
+        """Arrivals over all nodes."""
+        return sum(self.node_arrivals)
 
     def departed_now(self) -> set:
         """Node ids currently departed."""
@@ -245,7 +246,7 @@ class WorkloadDriver:
 
     def summary(self) -> dict:
         """The picklable workload payload attached to experiment results."""
-        total_moves = sum(m.moves for m in self._mobiles)
+        total_moves = sum(m.moves for m in self.mobiles)
         total_rotations = sum(
             node.controller.rotations for node in self.net.nodes
         )

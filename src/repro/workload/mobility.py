@@ -20,7 +20,6 @@ import math
 import random
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.obs.registry import METRICS
 from repro.sim.rng import subseed
 from repro.sim.units import s_to_ns
 from repro.trace.tracer import TRACE
@@ -98,6 +97,4 @@ class WaypointMobility:
                 self.node.sim.now, "workload", "move",
                 node=self.node.controller.name, x=round(nx, 6), y=round(ny, 6),
             )
-        if METRICS.enabled:
-            METRICS.inc(self.node.controller.name, "workload.moves")
         self.node.sim.after(delay, self._step)

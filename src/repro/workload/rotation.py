@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Callable
 
-from repro.obs.registry import METRICS
 from repro.sim.rng import subseed
 from repro.sim.units import s_to_ns
 from repro.trace.tracer import TRACE
@@ -88,6 +87,4 @@ class MacRotator:
                     node=controller.name, id=controller.identity,
                     old=old, new=new_addr,
                 )
-            if METRICS.enabled:
-                METRICS.inc(controller.name, "workload.rotations")
         self.node.sim.after(gap, self._rotate)

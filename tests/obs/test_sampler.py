@@ -1,11 +1,20 @@
 """Tests for the sim-time metrics snapshotter (cadence + series shape)."""
 
+import random
+from types import SimpleNamespace
+
+from repro.ieee802154.medium154 import CsmaMedium
 from repro.obs.registry import MetricsHub
 from repro.obs.sampler import MetricsSnapshotter
 from repro.sim import Simulator
 from repro.sim.units import SEC
 
 import pytest
+
+
+def _bare(sim):
+    """A network with no nodes and an idle medium: only the kernel counts."""
+    return SimpleNamespace(sim=sim, medium=CsmaMedium(sim, random.Random(0)), nodes=[])
 
 
 def _ticking_hub(sim):
@@ -25,7 +34,7 @@ class TestCadence:
     def test_samples_every_period_plus_final_partial_window(self):
         sim = Simulator()
         hub = _ticking_hub(sim)
-        snapper = MetricsSnapshotter(sim, hub, 10 * SEC)
+        snapper = MetricsSnapshotter(_bare(sim), hub, 10 * SEC)
         snapper.start()
         sim.run(until=25 * SEC)
         snapper.finish()
@@ -40,7 +49,7 @@ class TestCadence:
     def test_finish_is_idempotent_at_a_period_boundary(self):
         sim = Simulator()
         hub = _ticking_hub(sim)
-        snapper = MetricsSnapshotter(sim, hub, 10 * SEC)
+        snapper = MetricsSnapshotter(_bare(sim), hub, 10 * SEC)
         snapper.start()
         sim.run(until=20 * SEC)
         # the horizon tick itself never ran (the kernel stops before the
@@ -55,14 +64,14 @@ class TestCadence:
         sim = Simulator()
         hub = MetricsHub()
         hub.configure()
-        snapper = MetricsSnapshotter(sim, hub, 10 * SEC)
+        snapper = MetricsSnapshotter(_bare(sim), hub, 10 * SEC)
         assert snapper.series() is None
         snapper.finish()
         assert snapper.series()["times_ns"] == [0]
 
     def test_rejects_nonpositive_period(self):
         with pytest.raises(ValueError):
-            MetricsSnapshotter(Simulator(), MetricsHub(), 0)
+            MetricsSnapshotter(_bare(Simulator()), MetricsHub(), 0)
 
 
 class TestColumns:
@@ -72,7 +81,7 @@ class TestColumns:
         hub.configure()
         hub.inc("n", "early")
         sim.at(int(10.5 * SEC), lambda: hub.inc("n", "late"))
-        snapper = MetricsSnapshotter(sim, hub, 10 * SEC)
+        snapper = MetricsSnapshotter(_bare(sim), hub, 10 * SEC)
         snapper.start()
         sim.run(until=30 * SEC)
         snapper.finish()
@@ -86,7 +95,7 @@ class TestColumns:
         sim = Simulator()
         hub = MetricsHub()
         hub.configure()
-        snapper = MetricsSnapshotter(sim, hub, 10 * SEC)
+        snapper = MetricsSnapshotter(_bare(sim), hub, 10 * SEC)
         snapper.start()
         sim.run(until=15 * SEC)
         snapper.finish()
@@ -98,7 +107,7 @@ class TestColumns:
         hub = MetricsHub()
         hub.configure()
         hub.scope("n").gauge("unset")  # created but never set
-        snapper = MetricsSnapshotter(sim, hub, 10 * SEC)
+        snapper = MetricsSnapshotter(_bare(sim), hub, 10 * SEC)
         snapper.start()
         sim.run(until=15 * SEC)
         snapper.finish()
