@@ -14,6 +14,7 @@ from repro.ble.config import BleConfig, ConnParams, SchedulerPolicy
 from repro.ble.conn import DisconnectReason
 from repro.phy.medium import InterferenceBurst
 from repro.sim.units import MSEC, SEC, USEC
+from repro.obs.registry import METRICS
 from repro.trace.tracer import TRACE
 
 from .conftest import BlePlane
@@ -475,6 +476,19 @@ def test_idle_events_skip_the_exchange_loop(plane, monkeypatch):
     finally:
         TRACE.reset()
     assert (len(loop), stats.events_active) == (13, 27)
+
+
+def test_metered_idle_events_skip_the_exchange_loop(plane, monkeypatch):
+    """Metering samples the counters; it takes no event off the idle path."""
+    conn = plane.connect(0, 1, params=PARAMS_75MS, anchor0=MSEC)
+    loop = count_calls(monkeypatch, conn, "_exchange_loop")
+    METRICS.configure()
+    try:
+        plane.sim.run(until=1 * SEC)
+    finally:
+        METRICS.reset()
+    # the dark run's counts (test_idle_events_skip_the_exchange_loop)
+    assert (len(loop), conn.coord.stats.events_active) == (0, 14)
 
 
 def test_queued_data_takes_the_exchange_loop(plane, monkeypatch):
