@@ -58,14 +58,16 @@ class Csa1:
         self._last_counter: int | None = None
 
     def channel_for_event(self, event_counter: int, chan_map: ChannelMap) -> int:
-        """Advance the hop state and return the event's data channel."""
-        if self._last_counter is not None and event_counter <= self._last_counter:
-            raise ValueError("CSA#1 event counters must be strictly increasing")
-        steps = (
-            1
-            if self._last_counter is None
-            else event_counter - self._last_counter
-        )
+        """Advance the hop state and return the event's data channel.
+
+        The 16-bit counter wraps, so the hops since the last event are the
+        counter's advance modulo 0x10000; a repeated counter is an error.
+        """
+        steps = 1
+        if self._last_counter is not None:
+            steps = (event_counter - self._last_counter) & 0xFFFF
+            if steps == 0:
+                raise ValueError("CSA#1 event counter repeated")
         # Closed form of `steps` modular hops -- O(1) after long gaps.
         unmapped = (self._last_unmapped + self.hop_increment * steps) % 37
         self._last_unmapped = unmapped

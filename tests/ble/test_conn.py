@@ -10,7 +10,7 @@ import dataclasses
 
 import pytest
 
-from repro.ble.config import BleConfig, ConnParams, SchedulerPolicy
+from repro.ble.config import BleConfig, ConnParams, CsaVariant, SchedulerPolicy
 from repro.ble.conn import DisconnectReason
 from repro.phy.medium import InterferenceBurst
 from repro.sim.units import MSEC, SEC, USEC
@@ -301,6 +301,15 @@ def test_chan_map_update_takes_effect(plane):
     assert received == [b"restricted"]
     for channel in range(4, 37):
         assert conn.coord.stats.per_channel[channel][0] == before[channel][0]
+
+
+def test_csa1_link_outlives_the_event_counter_wrap(make_plane):
+    """Event 65,536 of a 7.5 ms link falls at 491.5 s; CSA#1 hops on."""
+    plane = make_plane(config_factory=lambda i: BleConfig(csa=CsaVariant.CSA1))
+    conn = plane.connect(0, 1, params=ConnParams(interval_ns=7500 * USEC), anchor0=MSEC)
+    plane.sim.run(until=500 * SEC)
+    assert conn.open
+    assert conn.event_counter > 0x10000
 
 
 def test_close_is_idempotent_and_notifies_once(plane):

@@ -40,6 +40,12 @@ class TestCsa1:
         with pytest.raises(ValueError):
             csa.channel_for_event(3, FULL_MAP)
 
+    def test_wrapping_counter_continues_the_hop_sequence(self):
+        csa = Csa1(13)
+        seq = [csa.channel_for_event(i, FULL_MAP) for i in (65534, 65535, 0, 1)]
+        for a, b in zip(seq, seq[1:]):
+            assert b == (a + 13) % 37
+
     def test_remapping_avoids_unused_channels(self):
         cmap = ChannelMap.excluding([22])
         csa = Csa1(11)
