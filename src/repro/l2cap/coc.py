@@ -161,6 +161,7 @@ class _CocEnd:
             if rec.complete:
                 # head is fully handed to LL, awaiting acks; nothing to push
                 break
+            offset = rec.offset
             frame, is_last = self._build_kframe(rec)
             ok = self.coc.conn.send(
                 self.ll_end.controller,
@@ -169,6 +170,7 @@ class _CocEnd:
                 tag=("kframe", self, rec, is_last),
             )
             if not ok:
+                rec.offset = offset  # the frame is built again once acks free the pool
                 self._stalled_on_pool = True
                 self.pool_stalls += 1
                 return

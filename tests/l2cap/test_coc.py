@@ -165,6 +165,38 @@ def test_throughput_stall_on_tiny_pool():
     assert got == sdus
 
 
+def test_pool_stall_sends_the_frame_again_once_the_pool_frees():
+    """A 1000 B SDU is five K-frames; a 300 B LL pool holds one full frame."""
+    plane = BlePlane(config_factory=lambda i: BleConfig(buffer_pool_bytes=300))
+    plane, conn, coc = make_coc(plane=plane)
+    got = []
+    coc.set_rx_handler(plane.nodes[1], got.append)
+    end = coc.end_of(plane.nodes[0])
+    sdu = bytes(range(250)) * 4
+    coc.send(plane.nodes[0], sdu)
+    assert end.pool_stalls == 1  # frame 2 waits for frame 1's ack
+    plane.sim.run(until=2 * SEC)
+    assert got == [sdu]
+    # frames 3 and 4 wait too; the 18 B frame 5 fits beside frame 4
+    assert (end.pool_stalls, end.credit_stalls) == (3, 0)
+
+
+def test_credit_stalls_count_pumps_left_without_credit():
+    """Back-to-back 1280 B SDUs (six K-frames each) outrun ten credits."""
+    plane, conn, coc = make_coc()
+    got = []
+    coc.set_rx_handler(plane.nodes[1], got.append)
+    end = coc.end_of(plane.nodes[0])
+    sdus = [bytes([i]) * 1280 for i in range(3)]
+    for sdu in sdus:
+        coc.send(plane.nodes[0], sdu)
+    assert (end.credits, end.credit_stalls) == (4, 0)  # only the head is pumped
+    plane.sim.run(until=2 * SEC)
+    assert got == sdus
+    # the second SDU's pumps end without credit until the first is paid back
+    assert (end.pool_stalls, end.credit_stalls) == (0, 2)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         CocConfig(mps=10)

@@ -3,11 +3,15 @@
 import random
 from types import SimpleNamespace
 
+from repro.ble.config import BleConfig
 from repro.ieee802154.medium154 import CsmaMedium
+from repro.net.ip import Ipv6Stack
+from repro.net.netif import coc_of
 from repro.obs.registry import MetricsHub
 from repro.obs.sampler import MetricsSnapshotter
 from repro.sim import Simulator
-from repro.sim.units import SEC
+from repro.sim.units import MSEC, SEC
+from tests.ble.conftest import BlePlane
 
 import pytest
 
@@ -112,3 +116,37 @@ class TestColumns:
         sim.run(until=15 * SEC)
         snapper.finish()
         assert "n:unset" not in snapper.series()["values"]
+
+
+class TestL2capStalls:
+    """No short metered run stalls an L2CAP channel, so drive each stall
+    counter directly and check the snapshotter files it under its node."""
+
+    @staticmethod
+    def _counters(pool_bytes, sdus):
+        plane = BlePlane(config_factory=lambda i: BleConfig(buffer_pool_bytes=pool_bytes))
+        conn = plane.connect(0, 1, anchor0=MSEC)
+        for sdu in sdus:
+            coc_of(conn).send(plane.nodes[0], sdu)
+        net = SimpleNamespace(sim=plane.sim, medium=plane.medium, nodes=[
+            SimpleNamespace(node_id=i, controller=c, ip=Ipv6Stack(i))
+            for i, c in enumerate(plane.nodes)
+        ])
+        links = SimpleNamespace(losses=[], degraded=set(), onsets=0)
+        hub = MetricsHub()
+        snapper = MetricsSnapshotter(net, hub, 10 * SEC, links)
+        plane.sim.run(until=2 * SEC)
+        snapper.finish()
+        return {scope: hub.snapshot()[scope]["counters"] for scope in ("node0", "node1")}
+
+    def test_pool_stalls(self):
+        counters = self._counters(300, [bytes(1000)])
+        assert counters["node0"]["l2cap.pool_stalls"] == 3
+        assert "l2cap.credit_stalls" not in counters["node0"]
+        assert "l2cap.pool_stalls" not in counters["node1"]
+
+    def test_credit_stalls(self):
+        counters = self._counters(BleConfig().buffer_pool_bytes, [bytes(1280)] * 3)
+        assert counters["node0"]["l2cap.credit_stalls"] == 2
+        assert "l2cap.pool_stalls" not in counters["node0"]
+        assert "l2cap.credit_stalls" not in counters["node1"]
