@@ -651,7 +651,6 @@ class Connection:
             pdu.md = False
             coord.stats.tx_empty += 1
             medium.packets_sampled += 1
-            medium.bytes_sampled += 10
             end = t0 + air
             if per > 0.0 and medium.rng.random() < per:
                 medium.packets_lost += 1
@@ -678,7 +677,6 @@ class Connection:
                 pdu.md = False
                 sub.stats.tx_empty += 1
                 medium.packets_sampled += 1
-                medium.bytes_sampled += 10
                 end += T_IFS_NS + air
                 if per > 0.0 and medium.rng.random() < per:
                     medium.packets_lost += 1

@@ -58,11 +58,8 @@ class Csa1:
         self._last_counter: int | None = None
 
     def channel_for_event(self, event_counter: int, chan_map: ChannelMap) -> int:
-        """Advance the hop state and return the event's data channel.
-
-        The 16-bit counter wraps, so the hops since the last event are the
-        counter's advance modulo 0x10000; a repeated counter is an error.
-        """
+        """Advance the hops by the counter's advance since the last event
+        (mod 0x10000: the 16-bit counter wraps); return the data channel."""
         steps = 1
         if self._last_counter is not None:
             steps = (event_counter - self._last_counter) & 0xFFFF

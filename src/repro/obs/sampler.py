@@ -21,6 +21,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.registry import REATTACH_BUCKETS_S, RTT_BUCKETS_S, MetricsHub
 from repro.phy.channels import BLE_NUM_DATA_CHANNELS
+from repro.phy.frames import BLE_1M_OVERHEAD_BYTES
 from repro.sim.units import USEC, ns_to_s
 
 #: A BLE endpoint's counters, in the order of :func:`_endpoint_counts`.
@@ -61,8 +62,7 @@ class MetricsSnapshotter:
     ) -> None:
         if period_ns <= 0:
             raise ValueError("snapshot period must be positive")
-        self.net, self.sim, self.hub = net, net.sim, hub
-        self.period_ns = int(period_ns)
+        self.net, self.sim, self.hub, self.period_ns = net, net.sim, hub, int(period_ns)
         self.links, self.producers, self.driver = links, list(producers), driver
         self.times_ns: List[int] = []
         #: "scope:name" -> per-tick values (a key first seen at tick k gets
@@ -114,8 +114,7 @@ class MetricsSnapshotter:
         column.append(value)
 
     def _count(self, scope: str, name: str, value: int, seen: int = -1) -> None:
-        """Write counter ``name`` once it has counted an event: ``seen``
-        (by default ``value`` itself) is above zero."""
+        """Write ``name`` once it has counted an event (``seen``, else ``value``, > 0)."""
         if (value if seen < 0 else seen) > 0:
             self.hub.scope(scope).counter(name).value = value
 
@@ -132,7 +131,8 @@ class MetricsSnapshotter:
         if links is not None:
             sampled = medium.packets_sampled
             count("phy", "phy.packets_sampled", sampled)
-            count("phy", "phy.airtime_ns", medium.bytes_sampled * 8 * USEC, sampled)
+            on_air = medium.payload_bytes_sampled + BLE_1M_OVERHEAD_BYTES * sampled
+            count("phy", "phy.airtime_ns", on_air * 8 * USEC, sampled)
             count("phy", "phy.ber_drops", medium.packets_lost)
             for scope, conn, ep in self._closing:
                 folded = self._closed.get(scope, _NO_COUNTS)

@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
+from repro.phy.frames import BLE_1M_OVERHEAD_BYTES
 from repro.phy.spatial import Geometry
 from repro.sim.kernel import Simulator
 from repro.trace.tracer import TRACE
@@ -160,8 +161,8 @@ class BleMedium:
         self.packets_sampled = 0
         #: Total packets reported lost (diagnostics).
         self.packets_lost = 0
-        #: On-air bytes of the sampled packets (8 us each at LE 1M).
-        self.bytes_sampled = 0
+        #: Sampled on-air bytes beyond the LE 1M framing (empty PDUs add 0).
+        self.payload_bytes_sampled = 0
         #: Registered node addresses -> owner object (controllers register
         #: once at construction; a duplicate address is a wiring bug).
         self.nodes: Dict[int, object] = {}
@@ -295,7 +296,7 @@ class BleMedium:
         """
         per = self.interference.packet_error_rate(channel, nbytes, self.sim.now)
         self.packets_sampled += 1
-        self.bytes_sampled += nbytes
+        self.payload_bytes_sampled += nbytes - BLE_1M_OVERHEAD_BYTES
         if per <= 0.0:
             lost = False
         else:
