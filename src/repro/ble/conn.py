@@ -36,6 +36,7 @@ from repro.ble.pdu import DataPdu, Llid
 from repro.phy.frames import T_IFS_NS, ble_air_time_ns, ble_air_time_table
 from repro.phy.medium import BleMedium
 from repro.sim.kernel import Simulator, Timer
+from repro.sim.units import MSEC
 from repro.spans.hub import SPANS
 from repro.trace.tracer import TRACE
 
@@ -318,12 +319,11 @@ class Connection:
         # events until the interference model's change stamp moves.
         self._per_memo: Dict[int, float] = {}
         self._per_memo_stamp: Tuple[int, int, int] = (-2, -2, -2)
-        self._empty_air_ns = ble_air_time_ns(0, self.phy)
+        self._air = ble_air_time_table(self.phy)
         self._interval_true = coordinator.clock.local_duration_to_true(
             params.interval_ns
         )
         self._timeout_ns = params.effective_supervision_timeout_ns()
-        self._sync_local = subordinate.clock.to_local(anchor0_true)
         self._coord_alternate = (
             coordinator.config.scheduler_policy is SchedulerPolicy.ALTERNATE
         )
@@ -331,6 +331,7 @@ class Connection:
             subordinate.config.scheduler_policy is SchedulerPolicy.ALTERNATE
         )
         self._idle_eligible = self._idle_eligibility()
+        self._window_proven = self._window_always_hits()
         self._sub_latency_credit = 0
         self._pending_params: Optional[ConnParams] = None
         self._pending_chan_map: Optional[ChannelMap] = None
@@ -541,6 +542,45 @@ class Connection:
             and self.coord.controller.config.abort_event_on_crc_error
         )
 
+    def _window_always_hits(self) -> bool:
+        """Whether the subordinate's receive window provably catches every
+        anchor, so no event needs the prediction to decide it (DESIGN §11).
+
+        Sufficient: the relative drift plus 1 ppm stays within 99 % of the
+        declared SCA sum, the widening's constant term is at least 4 ns,
+        the interval at least 1 ms and both clocks within 1000 ppm.  The
+        clocks and node configs are fixed for a connection's life, so this
+        is computed when the connection is built and at each parameter
+        update.
+        """
+        ppm_c = self.coord.controller.clock.ppm
+        ppm_s = self._sub_clock.ppm
+        return (
+            abs(ppm_c - ppm_s) + 1 <= 0.99 * self._sca_sum_ppm
+            and self._widening_base >= 4
+            and self.params.interval_ns >= MSEC
+            and abs(ppm_c) < 1000
+            and abs(ppm_s) < 1000
+        )
+
+    def _sub_window(self) -> Tuple[int, int]:
+        """The subordinate's predicted anchor and its window widening.
+
+        It predicts the anchor on its own clock from the last resync and
+        widens its receive window by the drift both sides' declared SCA
+        allow since then (§6.1).
+        """
+        clock = self._sub_clock
+        sync_true = self._sync_true
+        pred = clock.to_true(
+            clock.to_local(sync_true)
+            + (self.event_counter - self._sync_counter) * self.params.interval_ns
+        )
+        dt = pred - sync_true
+        if dt < 0:
+            dt = 0
+        return pred, self._widening_base + int(dt * self._sca_sum_ppm * 1e-6)
+
     def _select_channel(self) -> int:
         """The event's channel when the held CSA#2 block does not cover it.
 
@@ -568,11 +608,15 @@ class Connection:
         sampler and a connection eligible by :meth:`_idle_eligibility` --
         plays its one empty <-> empty exchange inline (DESIGN §11); every
         other event runs the general arbitration and :meth:`_exchange_loop`.
+        On a connection whose window provably hits
+        (:meth:`_window_always_hits`) a dark run predicts the anchor only
+        where its value is used.
         """
         if not self.open:
             return
         sim = self.sim
         now = sim._now  # kernel time is frozen for the whole event
+        trace_on = TRACE.enabled
         t0 = self.anchor_true
         coord, sub = self.coord, self.sub
         coord_ctrl = coord.controller
@@ -589,18 +633,13 @@ class Connection:
             channel = self._select_channel()
 
         # --- subordinate's view: does its window catch the anchor? ---------
-        # It predicts the anchor on its own clock from the last resync and
-        # widens its receive window by the drift both sides' declared SCA
-        # allow since then (§6.1).
-        pred_local = self._sync_local + (
-            (self.event_counter - self._sync_counter) * self.params.interval_ns
-        )
-        pred = self._sub_clock.to_true(pred_local)
-        dt = pred - self._sync_true
-        if dt < 0:
-            dt = 0
-        widening = self._widening_base + int(dt * self._sca_sum_ppm * 1e-6)
-        window_hit = pred - widening <= t0 <= pred + widening
+        # A traced run always computes the window, so its records carry the
+        # widening and check the proof on every event.
+        if self._window_proven and not trace_on:
+            window_hit = True
+        else:
+            pred, widening = self._sub_window()
+            window_hit = pred - widening <= t0 <= pred + widening
 
         medium = self.medium
         if (
@@ -610,7 +649,7 @@ class Connection:
             and not sub.tx_queue
             and t0 >= csched._busy_until
             and t0 >= ssched._busy_until
-            and not (TRACE.enabled or SPANS.enabled)
+            and not (trace_on or SPANS.enabled)
             and "packet_lost" not in medium.__dict__
             and type(medium).packet_lost is BleMedium.packet_lost
         ):
@@ -639,7 +678,7 @@ class Connection:
                     per = interf.packet_error_rate(channel, 10, now)
                     memo[channel] = per
                     self._per_memo_stamp = interf._chan_stamp
-            air = self._empty_air_ns
+            air = self._air[0]
             event_row = coord.stats.per_channel_events[channel]
             event_row[0] += 1
             pdu = coord._outstanding
@@ -659,7 +698,6 @@ class Connection:
             else:
                 self._sync_true = t0
                 self._sync_counter = self.event_counter
-                self._sync_local = self._sub_clock.to_local(t0)
                 sub.last_rx_valid = end
                 if pdu.nesn != sub.sn:
                     sub.sn ^= 1
@@ -710,8 +748,6 @@ class Connection:
             event_end = end
         else:
             # --- every other event: arbitration, then the exchange loop -----
-            trace_on = TRACE.enabled
-
             # Subordinate latency: may it sleep through this event?
             latency_skip = False
             if self.params.latency > 0 and not sub.tx_queue:
@@ -821,6 +857,7 @@ class Connection:
                 event_end = end
             elif sub_listens:
                 # Subordinate listens but the coordinator never transmits.
+                pred, widening = self._sub_window()
                 listen_end = min(pred + widening, t0 + interval_true // 2)
                 ssched.claim(self._sub_activity, t0, max(t0, listen_end))
                 sub_ctrl.note_conn_event(Role.SUBORDINATE, max(0, listen_end - t0))
@@ -858,6 +895,7 @@ class Connection:
             )
             self._timeout_ns = self.params.effective_supervision_timeout_ns()
             self._idle_eligible = self._idle_eligibility()
+            self._window_proven = self._window_always_hits()
             interval_true = self._interval_true
             if TRACE.enabled:
                 TRACE.emit(
@@ -868,7 +906,6 @@ class Connection:
             # instant, so the subordinate is synced by definition.
             self._sync_true = t0 + interval_true
             self._sync_counter = self.event_counter + 1
-            self._sync_local = sub_ctrl.clock.to_local(self._sync_true)
 
         # --- schedule the next event ----------------------------------------
         self.event_counter += 1
@@ -897,7 +934,7 @@ class Connection:
         # connection event, and the PHY / abort policy are fixed per event.
         trace_on = TRACE.enabled
         spans_on = SPANS.enabled
-        air = ble_air_time_table(self.phy)
+        air = self._air
         abort_on_crc = coord.controller.config.abort_event_on_crc_error
         packet_lost = self.medium.packet_lost
         llid_cont = Llid.DATA_CONT
@@ -952,7 +989,6 @@ class Connection:
                 # packet it receives.
                 self._sync_true = t0
                 self._sync_counter = self.event_counter
-                self._sync_local = self._sub_clock.to_local(t0)
             if spans_on:
                 # Publish the exact in-event time: sim.now is frozen at the
                 # anchor, but spans opened or closed by this delivery chain

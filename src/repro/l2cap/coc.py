@@ -108,7 +108,11 @@ class _CocEnd:
         self._rx_frames = 0
         self._stalled_on_pool = False
         self._pending_credit_grant = 0
+        #: K-frames received and not yet paid back.
         self._consumed_since_grant = 0
+        #: K-frames the peer may still send: our grants minus the frames
+        #: received (both ends start with the channel's initial credits).
+        self._peer_credits = config.initial_credits
         # Return credits in batches (half the initial window), like real
         # stacks do -- a per-SDU grant would double the packet load on
         # saturated links.
@@ -285,6 +289,8 @@ class _CocEnd:
 
     def _on_kframe(self, body: bytes) -> None:
         """Reassemble K-frames into SDUs and deliver them."""
+        self._peer_credits -= 1
+        self._consumed_since_grant += 1
         if self._rx_expected is None:
             if len(body) < _SDU_LEN.size:
                 return
@@ -306,9 +312,14 @@ class _CocEnd:
             self._rx_buf.clear()
             self._rx_frames = 0
             self._deliver(sdu, frames)
+        elif self._peer_credits == 0:
+            # The peer cannot send the rest of this SDU before it is paid:
+            # grant what was consumed now, below the batch threshold too.
+            self._grant_consumed()
 
     def _deliver(self, sdu: bytes, frames: int) -> None:
-        """Hand one reassembled SDU up and pay back the K-frames it took."""
+        """Hand one reassembled SDU up; pay back the consumed K-frames once
+        a batch has accrued."""
         self.sdus_received += 1
         if TRACE.enabled:
             TRACE.emit(
@@ -317,17 +328,15 @@ class _CocEnd:
                 node=self.ll_end.controller.name,
                 len=len(sdu), frames=frames,
             )
-        self._return_credits(frames)
+        if self._consumed_since_grant >= self._grant_threshold:
+            self._grant_consumed()
         if SPANS.enabled:
             SPANS.hop_delivered()
         if self.on_sdu is not None:
             self.on_sdu(sdu)
 
-    def _return_credits(self, n: int) -> None:
-        """Account consumed K-frames; grant a batch once enough accrued."""
-        self._consumed_since_grant += n
-        if self._consumed_since_grant < self._grant_threshold:
-            return
+    def _grant_consumed(self) -> None:
+        """Pay back every K-frame consumed since the last grant."""
         self._pending_credit_grant += self._consumed_since_grant
         self._consumed_since_grant = 0
         self._flush_credit_grant()
@@ -352,6 +361,7 @@ class _CocEnd:
         ):
             self._sig_identifier += 1
             self.credits_returned += n
+            self._peer_credits += n
             self._pending_credit_grant = 0
             if TRACE.enabled:
                 TRACE.emit(

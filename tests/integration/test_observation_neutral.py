@@ -62,3 +62,30 @@ def test_instrumentation_does_not_perturb_the_run(workload, seed):
         got = observed(dataclasses.replace(plain, **{channel: True}))
         for key, value in expected.items():
             assert got[key] == value, f"{channel}=1 changed {key}"
+
+
+#: The line with clocks drawn from ±400 ppm: at seed 3 one of its three
+#: links is inside the subordinate's window proof (DESIGN §11) and two are
+#: not; one of those misses windows and is lost.  The dark run decides
+#: their windows with the exact arithmetic, the traced run every link's.
+DRIFTING_LINE = dict(WORKLOADS["line"], drift_ppm_span=400.0)
+
+
+def missed_windows(config: ExperimentConfig) -> int:
+    """Windows the run's subordinates missed, closed connections included."""
+    metrics = ExperimentRunner(dataclasses.replace(config, metrics=True)).run().metrics
+    return sum(
+        scope["counters"].get("ble.conn_events_missed_window", 0)
+        for scope in metrics["scopes"].values()
+    )
+
+
+def test_instrumentation_does_not_perturb_a_drifting_line():
+    plain = ExperimentConfig(name="line-drift", seed=3, **DRIFTING_LINE)
+    expected = observed(plain)
+    assert expected["coap_acked"] > 0 and expected["conn_losses"]
+    assert missed_windows(plain) > 0
+    for channel in ("trace", "metrics", "spans"):
+        got = observed(dataclasses.replace(plain, **{channel: True}))
+        for key, value in expected.items():
+            assert got[key] == value, f"{channel}=1 changed {key}"

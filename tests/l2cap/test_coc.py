@@ -114,6 +114,20 @@ def test_credits_limit_inflight_frames():
     assert coc.end_of(plane.nodes[1]).credits_returned >= 2
 
 
+def test_credit_window_below_one_sdu_still_delivers():
+    """One credit, one 1000 B SDU (five K-frames): the receiver grants each
+    frame as its peer runs dry mid-SDU instead of waiting for the whole SDU."""
+    plane, conn, coc = make_coc(coc_config=CocConfig(initial_credits=1))
+    got = []
+    coc.set_rx_handler(plane.nodes[1], got.append)
+    sdu = bytes(range(250)) * 4
+    coc.send(plane.nodes[0], sdu)
+    plane.sim.run(until=2 * SEC)
+    assert got == [sdu]
+    assert coc.end_of(plane.nodes[1]).credits_returned == kframes(len(sdu)) == 5
+    assert coc.end_of(plane.nodes[0]).credits == 1
+
+
 def test_sdu_sent_callback_fires_after_ll_ack():
     plane, conn, coc = make_coc()
     sent = []

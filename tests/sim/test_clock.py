@@ -82,3 +82,18 @@ def test_drift_bounded_by_ppm(ppm, dt):
     # the rate fraction is quantized to 1e-12 relative resolution, so allow
     # dt * 5e-13 of quantization slack on top of the ppm bound
     assert abs(local_dt - dt) <= abs(ppm) * 1e-6 * dt + dt * 5e-13 + 1
+
+
+@given(
+    ppm=st.floats(min_value=-999.999, max_value=999.999),
+    epoch=st.integers(min_value=-10**15, max_value=10**15),
+    local_offset=st.integers(min_value=-10**15, max_value=10**15),
+    elapsed=st.integers(min_value=0, max_value=10**14),
+)
+@settings(max_examples=500)
+def test_round_trip_lands_at_most_2_ns_early(ppm, epoch, local_offset, elapsed):
+    """to_true(to_local(x)) lies in [x - 2, x]: the lemma under the
+    subordinate's window proof (DESIGN §11)."""
+    clk = DriftingClock(Simulator(), ppm=ppm, local_offset=local_offset, epoch=epoch)
+    x = epoch + elapsed
+    assert x - 2 <= clk.to_true(clk.to_local(x)) <= x
