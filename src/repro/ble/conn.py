@@ -132,6 +132,27 @@ class Endpoint:
         #: Upper-layer ack hook: ``on_pdu_acked(pdu)``.
         self.on_pdu_acked: Optional[Callable[[DataPdu], None]] = None
 
+    def send(
+        self,
+        payload: bytes,
+        llid: Llid = Llid.DATA_START,
+        tag: Optional[object] = None,
+    ) -> bool:
+        """Queue ``payload`` as one LL data PDU from this side.
+
+        :returns: False when the connection is closed or the node's buffer
+            pool is exhausted.
+        """
+        if not self.conn.open:
+            return False
+        max_payload = self.controller.config.max_ll_payload
+        if len(payload) > max_payload:
+            raise ValueError(
+                f"LL payload {len(payload)} exceeds max {max_payload}; "
+                "segment at L2CAP"
+            )
+        return self.enqueue(DataPdu(payload=payload, llid=llid, tag=tag))
+
     def enqueue(self, pdu: DataPdu) -> bool:
         """Queue a PDU for transfer, charging the controller's buffer pool.
 
@@ -389,21 +410,9 @@ class Connection:
         llid: Llid = Llid.DATA_START,
         tag: Optional[object] = None,
     ) -> bool:
-        """Queue ``payload`` as one LL data PDU from ``controller``'s side.
-
-        :returns: False when the node's buffer pool is exhausted.
-        """
-        if not self.open:
-            return False
-        max_payload = controller.config.max_ll_payload
-        if len(payload) > max_payload:
-            raise ValueError(
-                f"LL payload {len(payload)} exceeds max {max_payload}; "
-                "segment at L2CAP"
-            )
-        return self.endpoint_of(controller).enqueue(
-            DataPdu(payload=payload, llid=llid, tag=tag)
-        )
+        """Queue ``payload`` as one LL data PDU from ``controller``'s side
+        (:meth:`Endpoint.send`)."""
+        return self.endpoint_of(controller).send(payload, llid, tag)
 
     def close(self, reason: DisconnectReason = DisconnectReason.LOCAL_CLOSE) -> None:
         """Tear the connection down on both ends."""

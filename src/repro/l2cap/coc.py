@@ -167,11 +167,8 @@ class _CocEnd:
                 break
             offset = rec.offset
             frame, is_last = self._build_kframe(rec)
-            ok = self.coc.conn.send(
-                self.ll_end.controller,
-                frame,
-                llid=Llid.DATA_START,
-                tag=("kframe", self, rec, is_last),
+            ok = self.ll_end.send(
+                frame, Llid.DATA_START, ("kframe", self, rec, is_last)
             )
             if not ok:
                 rec.offset = offset  # the frame is built again once acks free the pool
@@ -356,9 +353,7 @@ class _CocEnd:
             DEFAULT_COC_CID,
             n,
         )
-        if self.coc.conn.send(
-            self.ll_end.controller, packet, llid=Llid.DATA_START, tag=("credit",)
-        ):
+        if self.ll_end.send(packet, Llid.DATA_START, ("credit",)):
             self._sig_identifier += 1
             self.credits_returned += n
             self._peer_credits += n

@@ -14,16 +14,20 @@ from repro.sixlowpan.ipv6 import Ipv6Address
 
 
 class ForwardingTable:
-    """Destination -> next-hop lookup with host / prefix / default routes."""
+    """Destination -> next-hop lookup with host / prefix / default routes.
+
+    Host routes are keyed on the destination's 16 packed bytes, so the
+    forwarding path looks them up without building an address object.
+    """
 
     def __init__(self) -> None:
-        self._host_routes: Dict[Ipv6Address, Ipv6Address] = {}
+        self._host_routes: Dict[bytes, Ipv6Address] = {}
         self._prefix_routes: Dict[bytes, Ipv6Address] = {}
         self._default: Optional[Ipv6Address] = None
 
     def add_host_route(self, dst: Ipv6Address, next_hop: Ipv6Address) -> None:
         """Route a single destination address via ``next_hop``."""
-        self._host_routes[dst] = next_hop
+        self._host_routes[dst.packed] = next_hop
 
     def add_prefix_route(self, prefix: bytes, next_hop: Ipv6Address) -> None:
         """Route a /64 prefix (8 bytes) via ``next_hop``."""
@@ -41,14 +45,18 @@ class ForwardingTable:
 
     def remove_host_route(self, dst: Ipv6Address) -> None:
         """Remove a host route (idempotent)."""
-        self._host_routes.pop(dst, None)
+        self._host_routes.pop(dst.packed, None)
 
     def lookup(self, dst: Ipv6Address) -> Optional[Ipv6Address]:
         """Next hop for ``dst``: host route, then /64, then default."""
+        return self.lookup_packed(dst.packed)
+
+    def lookup_packed(self, dst: bytes) -> Optional[Ipv6Address]:
+        """:meth:`lookup` for the destination's 16 packed bytes."""
         hop = self._host_routes.get(dst)
         if hop is not None:
             return hop
-        hop = self._prefix_routes.get(dst.prefix)
+        hop = self._prefix_routes.get(dst[:8])
         if hop is not None:
             return hop
         return self._default

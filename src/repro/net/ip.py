@@ -8,11 +8,12 @@ analysis can attribute them the way the paper does.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 from repro.net.fib import ForwardingTable
 from repro.net.nib import NeighborCache
-from repro.sixlowpan.ipv6 import Ipv6Address, Ipv6Packet
+from repro.sixlowpan.iphc import with_hop_limit
+from repro.sixlowpan.ipv6 import Ipv6Address, Ipv6Packet, derived_node_id
 from repro.spans.hub import SPANS
 from repro.trace.tracer import TRACE
 
@@ -20,14 +21,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.netif import BleNetif
 
 
-def _addr_ref(addr: Ipv6Address) -> Union[int, str]:
-    """Compact, deterministic address form for trace fields.
+def _addr_ref(addr: bytes) -> Union[int, str]:
+    """Compact, deterministic form of a packed address for trace fields.
 
     Derived addresses reduce to the node id; anything else is the hex of
-    the packed 16 bytes.
+    the 16 bytes.
     """
-    node_id = addr.node_id()
-    return node_id if node_id is not None else addr.packed.hex()
+    node_id = derived_node_id(addr)
+    return node_id if node_id is not None else addr.hex()
 
 
 class Ipv6Stack:
@@ -42,7 +43,8 @@ class Ipv6Stack:
         self.node_id = node_id
         self.link_local = Ipv6Address.link_local(node_id)
         self.mesh_local = Ipv6Address.mesh_local(node_id)
-        self.addresses = {self.link_local, self.mesh_local}
+        #: The packed bytes of this node's two addresses.
+        self.own_addresses = {self.link_local.packed, self.mesh_local.packed}
         self.nib = NeighborCache(nib_entries)
         self.fib = ForwardingTable()
         self.netifs: List[BleNetif] = []
@@ -88,9 +90,9 @@ class Ipv6Stack:
         if TRACE.enabled:
             TRACE.emit(
                 None, "ip", "originate",
-                node=self.node_id, dst=_addr_ref(packet.dst),
+                node=self.node_id, dst=_addr_ref(packet.dst.packed),
             )
-        if packet.dst in self.addresses:
+        if packet.dst.packed in self.own_addresses:
             self._deliver(packet)
             return True
         if packet.dst.is_multicast:
@@ -106,29 +108,56 @@ class Ipv6Stack:
 
     def receive(self, packet: Ipv6Packet, netif: BleNetif) -> None:
         """Handle a packet arriving on ``netif``."""
-        if packet.dst in self.addresses or packet.dst.is_multicast:
+        dst = packet.dst.packed
+        if dst in self.own_addresses or dst[0] == 0xFF:
             self._deliver(packet)
             return
         # forward (every node is a 6LoWPAN router, §4.2)
         if packet.hop_limit <= 1:
             self.drops_hop_limit += 1
-            self._drop(packet, "hop-limit")
+            self._drop(dst, "hop-limit")
             return
         packet.hop_limit -= 1
         if self._route(packet):
-            self.forwarded += 1
-            if TRACE.enabled:
-                TRACE.emit(
-                    None, "ip", "forward",
-                    node=self.node_id, dst=_addr_ref(packet.dst),
-                    hop_limit=packet.hop_limit,
-                )
+            self._forwarded(dst, packet.hop_limit)
+
+    def relay(self, wire: bytes, dst: bytes, hop_limit: int, ip_len: int) -> None:
+        """Forward a compressed datagram for another node as it came.
+
+        The wire path (DESIGN §12): ``wire`` is a datagram
+        :func:`~repro.sixlowpan.iphc.wire_fields` accepts, read as ``dst``,
+        ``hop_limit`` and ``ip_len``.  Only its hop limit is rewritten, and
+        every count, drop and record is the one :meth:`receive` makes for
+        the decompressed packet.
+        """
+        if hop_limit <= 1:
+            self.drops_hop_limit += 1
+            self._drop(dst, "hop-limit")
+            return
+        hop = self._next_hop(dst)
+        if hop is None:
+            return
+        hop_limit -= 1
+        ll_addr, netif = hop
+        if not netif.send_wire(with_hop_limit(wire, hop_limit), ip_len, ll_addr):
+            self.drops_link += 1
+            self._drop(dst, "link")
+            return
+        self._forwarded(dst, hop_limit)
+
+    def _forwarded(self, dst: bytes, hop_limit: int) -> None:
+        self.forwarded += 1
+        if TRACE.enabled:
+            TRACE.emit(
+                None, "ip", "forward",
+                node=self.node_id, dst=_addr_ref(dst), hop_limit=hop_limit,
+            )
 
     def _deliver(self, packet: Ipv6Packet) -> None:
         handler = self._proto_handlers.get(packet.next_header)
         if handler is None:
             self.drops_no_handler += 1
-            self._drop(packet, "no-handler")
+            self._drop(packet.dst.packed, "no-handler")
             return
         self.delivered += 1
         if TRACE.enabled:
@@ -138,33 +167,41 @@ class Ipv6Stack:
             )
         handler(packet)
 
-    def _drop(self, packet: Ipv6Packet, cause: str) -> None:
-        """Account one dropped packet; every drop cause routes through here."""
+    def _drop(self, dst: bytes, cause: str) -> None:
+        """Account one packet to ``dst`` dropped; every drop cause routes
+        through here."""
         if SPANS.enabled:
             SPANS.drop(cause)
         if TRACE.enabled:
             TRACE.emit(
                 None, "ip", "drop",
-                node=self.node_id, cause=cause, dst=_addr_ref(packet.dst),
+                node=self.node_id, cause=cause, dst=_addr_ref(dst),
             )
+
+    def _next_hop(self, dst: bytes) -> Optional[Tuple[int, BleNetif]]:
+        """The neighbour and interface towards ``dst``; a miss is dropped."""
+        entry = self.nib.resolve_packed(dst)
+        if entry is None:
+            next_hop = self.fib.lookup_packed(dst)
+            if next_hop is None:
+                self.drops_no_route += 1
+                self._drop(dst, "no-route")
+                return None
+            entry = self.nib.resolve_packed(next_hop.packed)
+            if entry is None:
+                self.drops_no_neighbor += 1
+                self._drop(dst, "no-neighbor")
+        return entry
 
     def _route(self, packet: Ipv6Packet) -> bool:
         """Pick the next hop and hand the packet to its interface."""
-        entry = self.nib.resolve(packet.dst)
-        if entry is None:
-            next_hop = self.fib.lookup(packet.dst)
-            if next_hop is None:
-                self.drops_no_route += 1
-                self._drop(packet, "no-route")
-                return False
-            entry = self.nib.resolve(next_hop)
-            if entry is None:
-                self.drops_no_neighbor += 1
-                self._drop(packet, "no-neighbor")
-                return False
-        ll_addr, netif = entry
+        dst = packet.dst.packed
+        hop = self._next_hop(dst)
+        if hop is None:
+            return False
+        ll_addr, netif = hop
         if not netif.send(packet, ll_addr):
             self.drops_link += 1
-            self._drop(packet, "link")
+            self._drop(dst, "link")
             return False
         return True

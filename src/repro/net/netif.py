@@ -5,22 +5,24 @@ One :class:`BleNetif` per node bridges the IP stack and the BLE controller:
 * on connection open it attaches an L2CAP CoC to the link, installs
   neighbour-cache entries for the peer (RFC 7668 derives the IID from the
   device address, no address resolution needed), and starts forwarding;
-* outbound packets are IPHC-compressed, charged against the GNRC packet
-  buffer, and handed to the CoC; the buffer bytes are released only when the
-  SDU is acknowledged on the link layer -- so a stalled link holds buffer
-  space, which is precisely how the paper's overload losses arise (§5.2);
+* outbound packets are IPHC-compressed (a relayed datagram already is,
+  DESIGN §12), charged against the GNRC packet buffer, and handed to the
+  CoC; the buffer bytes are released only when the SDU is acknowledged on
+  the link layer -- so a stalled link holds buffer space, which is
+  precisely how the paper's overload losses arise (§5.2);
 * on connection close all held buffer bytes are released and the neighbour
   entries are withdrawn.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.ble.conn import Connection, DisconnectReason
 from repro.ble.controller import BleController
 from repro.l2cap import CocConfig, L2capCoc
 from repro.net.pktbuf import PacketBuffer
+from repro.sixlowpan import iphc
 from repro.sixlowpan.adapt import BleAdaptation
 from repro.sixlowpan.ipv6 import Ipv6Packet
 from repro.spans.hub import SPANS
@@ -51,13 +53,15 @@ def coc_of(
 class _Link:
     """What ``send`` needs of one live connection, resolved when it opens.
 
+    :param conn: the connection.
     :param end: this node's end of the connection's IPSP channel.
     :param peer_iid: the RFC 7668 IID of the peer's identity.
     """
 
-    __slots__ = ("end", "peer_iid", "held")
+    __slots__ = ("conn", "end", "peer_iid", "held")
 
-    def __init__(self, end: _CocEnd, peer_iid: bytes) -> None:
+    def __init__(self, conn: Connection, end: _CocEnd, peer_iid: bytes) -> None:
+        self.conn = conn
         self.end = end
         self.peer_iid = peer_iid
         #: Packet-buffer bytes of SDUs queued on the link and not yet
@@ -87,7 +91,9 @@ class BleNetif:
         self._iid = BleAdaptation.iid_for_node(controller.identity)
         #: Set by :meth:`repro.net.ip.Ipv6Stack.add_netif`.
         self.ip: Optional["Ipv6Stack"] = None
-        self._links: Dict[Connection, _Link] = {}
+        #: Peer identity -> the links to it, in the order they opened (the
+        #: order of ``controller.connections``).
+        self._links: Dict[int, List[_Link]] = {}
         # Statistics.
         self.tx_packets = 0
         self.rx_packets = 0
@@ -120,7 +126,7 @@ class BleNetif:
         peer_iid = BleAdaptation.iid_for_node(peer_ll)
         end.on_sdu = lambda sdu: self._on_rx_sdu(sdu, peer_ll, peer_iid)
         end.on_sdu_sent = self._on_sdu_sent
-        self._links[conn] = _Link(end, peer_iid)
+        self._links.setdefault(peer_ll, []).append(_Link(conn, end, peer_iid))
         # RFC 7668: the coordinator (6LN/central) initiates the IPSP channel
         if self.controller.role_of(conn) is Role.COORDINATOR:
             coc.open_channel(self.controller, IPSP_PSM)
@@ -128,17 +134,21 @@ class BleNetif:
             self.ip.neighbor_up(peer_ll, self)
 
     def _on_conn_close(self, conn: Connection, reason: DisconnectReason) -> None:
-        link = self._links.pop(conn, None)
-        if link is not None:
-            # the held bytes are freed here, so a late acknowledgement must
-            # not free them again
-            link.end.on_sdu_sent = None
-            if link.held:
-                self.pktbuf.free(link.held)
+        peer_ll = conn.peer_of(self.controller).identity
+        links = self._links.get(peer_ll, [])
+        for link in links:
+            if link.conn is conn:
+                links.remove(link)
+                # the held bytes are freed here, so a late acknowledgement
+                # must not free them again
+                link.end.on_sdu_sent = None
+                if link.held:
+                    self.pktbuf.free(link.held)
+                break
         if SPANS.enabled:
             SPANS.conn_closed(conn)
         if self.ip is not None:
-            self.ip.neighbor_down(conn.peer_of(self.controller).identity)
+            self.ip.neighbor_down(peer_ll)
 
     # -- data path ----------------------------------------------------------
 
@@ -148,16 +158,43 @@ class BleNetif:
         :returns: False when the link is down or the packet buffer is full
             (the packet is dropped and counted either way).
         """
-        conn = self.controller.connection_to(next_hop_ll)
-        if conn is None or not conn.open:
-            self.drops_no_link += 1
-            if SPANS.enabled:
-                SPANS.drop("no-link")
+        link = self._link_to(next_hop_ll)
+        if link is None:
             return False
-        # every open connection has a record: the netif exists before any
-        # connection opens, and the record lives until the close listener
-        link = self._links[conn]
         wire = self.adaptation.to_link(packet, self._iid, link.peer_iid)
+        return self._queue(link, wire, packet.total_len, next_hop_ll)
+
+    def send_wire(self, wire: bytes, ip_len: int, next_hop_ll: int) -> bool:
+        """:meth:`send` for a datagram compressed as this link would compress
+        it (the wire path, DESIGN §12), whose packet is ``ip_len`` bytes.
+
+        With IPHC off the datagram is decompressed and sent as a packet.
+        """
+        adaptation = self.adaptation
+        if not adaptation.use_iphc:
+            return self.send(iphc.decompress(wire), next_hop_ll)
+        link = self._link_to(next_hop_ll)
+        if link is None:
+            return False
+        # what ``to_link`` counts
+        adaptation.bytes_in += ip_len
+        adaptation.bytes_out += len(wire)
+        adaptation.packets_down += 1
+        return self._queue(link, wire, ip_len, next_hop_ll)
+
+    def _link_to(self, peer_ll: int) -> Optional[_Link]:
+        """The first open link to ``peer_ll`` (the connection
+        ``controller.connection_to`` finds); a miss is dropped."""
+        for link in self._links.get(peer_ll, ()):
+            if link.conn.open:
+                return link
+        self.drops_no_link += 1
+        if SPANS.enabled:
+            SPANS.drop("no-link")
+        return None
+
+    def _queue(self, link: _Link, wire: bytes, ip_len: int, peer_ll: int) -> bool:
+        """Charge ``wire`` to the packet buffer and queue it on ``link``."""
         if not self.pktbuf.try_alloc(len(wire)):
             self.drops_pktbuf += 1
             if SPANS.enabled:
@@ -166,8 +203,8 @@ class BleNetif:
         if TRACE.enabled:
             TRACE.emit(
                 self.controller.sim.now, "sixlo", "tx",
-                node=self.ll_addr, peer=next_hop_ll,
-                in_len=packet.total_len, out_len=len(wire), data=wire,
+                node=self.ll_addr, peer=peer_ll,
+                in_len=ip_len, out_len=len(wire), data=wire,
             )
         link.held += len(wire)
         link.end.send_sdu(wire, tag=(link, len(wire)))
@@ -194,17 +231,32 @@ class BleNetif:
         self.pktbuf.free(nbytes)
 
     def _on_rx_sdu(self, sdu: bytes, peer_ll: int, peer_iid: bytes) -> None:
-        """Decompress an inbound SDU and push it up to the IP stack."""
+        """Push an inbound SDU up to the IP stack.
+
+        A relayable datagram for another node goes to the stack as it came
+        (the wire path, DESIGN §12); every other SDU is decompressed first.
+        Both are counted and traced alike.
+        """
+        ip = self.ip
+        fields = iphc.wire_fields(sdu)
+        if ip is not None and fields is not None and fields[0] not in ip.own_addresses:
+            self.adaptation.packets_up += 1  # what ``from_link`` counts
+            self._rx_counted(sdu, peer_ll)
+            ip.relay(sdu, *fields)
+            return
         try:
             packet = self.adaptation.from_link(sdu, peer_iid, self._iid)
         except ValueError:
             self.rx_decode_errors += 1
             return
+        self._rx_counted(sdu, peer_ll)
+        if ip is not None:
+            ip.receive(packet, self)
+
+    def _rx_counted(self, sdu: bytes, peer_ll: int) -> None:
         self.rx_packets += 1
         if TRACE.enabled:
             TRACE.emit(
                 self.controller.sim.now, "sixlo", "rx",
                 node=self.ll_addr, peer=peer_ll, len=len(sdu), data=sdu,
             )
-        if self.ip is not None:
-            self.ip.receive(packet, self)

@@ -19,14 +19,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class NeighborCache:
-    """Address-to-link-layer resolution table.
+    """Address-to-link-layer resolution table, keyed on the 16 packed
+    address bytes.
 
     :param max_entries: table capacity (paper configuration: 32).
     """
 
     def __init__(self, max_entries: int = 32) -> None:
         self.max_entries = max_entries
-        self._entries: Dict[Ipv6Address, Tuple[int, "BleNetif"]] = {}
+        self._entries: Dict[bytes, Tuple[int, "BleNetif"]] = {}
         #: Insertions rejected because the table was full.
         self.full_rejections = 0
 
@@ -35,15 +36,16 @@ class NeighborCache:
 
         :returns: False when the table is full and ``addr`` is new.
         """
-        if addr not in self._entries and len(self._entries) >= self.max_entries:
+        key = addr.packed
+        if key not in self._entries and len(self._entries) >= self.max_entries:
             self.full_rejections += 1
             return False
-        self._entries[addr] = (ll_addr, netif)
+        self._entries[key] = (ll_addr, netif)
         return True
 
     def remove(self, addr: Ipv6Address) -> None:
         """Drop a neighbour entry (idempotent)."""
-        self._entries.pop(addr, None)
+        self._entries.pop(addr.packed, None)
 
     def remove_ll(self, ll_addr: int) -> None:
         """Drop every entry resolving to ``ll_addr`` (link went down)."""
@@ -53,10 +55,14 @@ class NeighborCache:
 
     def resolve(self, addr: Ipv6Address) -> Optional[Tuple[int, "BleNetif"]]:
         """(link-layer address, interface) for ``addr``, or ``None``."""
+        return self._entries.get(addr.packed)
+
+    def resolve_packed(self, addr: bytes) -> Optional[Tuple[int, "BleNetif"]]:
+        """:meth:`resolve` for the address's 16 packed bytes."""
         return self._entries.get(addr)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, addr: Ipv6Address) -> bool:
-        return addr in self._entries
+        return addr.packed in self._entries

@@ -19,7 +19,7 @@ header ``1 1 1 1 0 C P1 P0`` and its inline port/checksum fields.
 from __future__ import annotations
 
 import struct
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.sixlowpan.ipv6 import (
     Ipv6Address,
@@ -54,6 +54,9 @@ _PORTS_INLINE = (4, 3, 3, 1)
 #: The rebuilt UDP length field; packing it keeps ``struct.error`` for a
 #: datagram over 64 KiB.
 _UDP_LENGTH = struct.Struct(">H")
+#: First base byte of a datagram :func:`wire_fields` accepts, less its HLIM
+#: code: IPHC dispatch, TF elided, NH compressed.
+_WIRE_BYTE0 = IPHC_DISPATCH | 0b11 << 3 | 0b100
 
 _TRUNCATED = "truncated IPHC datagram"
 _NO_IID = "elided address but no link-layer IID available"
@@ -352,3 +355,74 @@ def decompress(
         traffic_class=traffic_class,
         flow_label=flow_label,
     )
+
+
+def wire_fields(data: bytes) -> Optional[Tuple[bytes, int, int]]:
+    """Destination, hop limit and IPv6 length of a relayable datagram.
+
+    A datagram is relayable when its bytes are exactly what
+    :func:`compress` emits for the packet :func:`decompress` reads from
+    them, whatever the link-layer IIDs on either side: stateless (CID, SAC
+    and DAC 0), both addresses inline (SAM 00, M 0, DAM 00) and neither in
+    fe80::/64 nor the destination multicast, TF elided, NHC-UDP with the
+    checksum carried and the port mode :func:`compress` picks for those
+    ports, and long enough for every field :func:`decompress` reads.  A
+    router then forwards it by rewriting its hop limit alone
+    (:func:`with_hop_limit`).
+
+    :returns: the destination's 16 packed bytes, the hop limit and the
+        decompressed packet's ``total_len``; None for any other datagram.
+    """
+    size = len(data)
+    if size < 38 or data[0] & 0b1111_1100 != _WIRE_BYTE0 or data[1]:
+        return None
+    hop_limit = _HLIM_VALUES[data[0] & 0b11]
+    if hop_limit is None:
+        hop_limit = data[2]
+        pos = 3
+    else:
+        pos = 2
+    dst = data[pos + 16 : pos + 32]
+    if (
+        data[pos : pos + 8] == _LINK_LOCAL_PADDED
+        or dst[:8] == _LINK_LOCAL_PADDED
+        or dst[0] == 0xFF
+    ):
+        return None
+    pos += 32
+    head = data[pos]
+    if head & 0b1111_1100 != NHC_UDP_PATTERN:  # not NHC-UDP, or checksum elided
+        return None
+    ports_mode = head & 0b11
+    end = pos + 3 + _PORTS_INLINE[ports_mode]  # NHC byte, ports, checksum
+    if end > size:
+        return None
+    # decline a port mode compress would not pick for the decoded ports
+    if ports_mode == 0b01:  # source inline, destination 0xF0dd
+        if (
+            data[pos + 1] == 0xF0
+            and data[pos + 2] >> 4 == 0xB
+            and data[pos + 3] >> 4 == 0xB
+        ):
+            return None  # both ports 0xF0Bx: compress sends one nibble byte
+    elif ports_mode == 0b10:  # source 0xF0ss, destination inline
+        if data[pos + 2] == 0xF0:
+            return None
+    elif ports_mode == 0b00 and (data[pos + 1] == 0xF0 or data[pos + 3] == 0xF0):
+        return None
+    # 40 header bytes, the 8-byte UDP header, and the data after the checksum
+    return dst, hop_limit, size - end + 48
+
+
+def with_hop_limit(data: bytes, hop_limit: int) -> bytes:
+    """A datagram :func:`wire_fields` accepts, with its hop limit replaced.
+
+    The new value is coded as :func:`compress` codes it: 1, 64 and 255 as
+    an HLIM code, any other value as an inline byte, so the inline byte
+    appears or goes where the hop limit crosses those values.
+    """
+    rest = data[2:] if data[0] & 0b11 else data[3:]
+    code = _HLIM_MODES.get(hop_limit)
+    if code is None:
+        return bytes((data[0] & 0b1111_1100, data[1], hop_limit)) + rest
+    return bytes((data[0] & 0b1111_1100 | code, data[1])) + rest

@@ -77,10 +77,7 @@ class Ipv6Address:
 
     def node_id(self) -> Optional[int]:
         """Recover the node id from a derived IID (None if foreign)."""
-        value = struct.unpack(">Q", self.iid)[0]
-        if value & 0xFFFF_FFFF_0000_0000 == 0x0200_0000_0000_0000:
-            return value & 0xFFFF_FFFF
-        return None
+        return derived_node_id(self.packed)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Ipv6Address) and self.packed == other.packed
@@ -92,6 +89,15 @@ class Ipv6Address:
         import ipaddress
 
         return f"Ipv6Address({ipaddress.IPv6Address(self.packed)})"
+
+
+def derived_node_id(packed: bytes) -> Optional[int]:
+    """The node id behind a packed address with a derived IID (None if
+    foreign)."""
+    value = int.from_bytes(packed[8:], "big")
+    if value & 0xFFFF_FFFF_0000_0000 == 0x0200_0000_0000_0000:
+        return value & 0xFFFF_FFFF
+    return None
 
 
 #: IANA protocol number for UDP.

@@ -1,6 +1,11 @@
 """Tests for the BLE network interface (nimble_netif equivalent)."""
 
-from repro.sim.units import SEC
+import pytest
+
+from repro.ble.config import ConnParams
+from repro.ble.conn import Connection, DisconnectReason
+from repro.net.netif import coc_of
+from repro.sim.units import MSEC, SEC
 from repro.sixlowpan.ipv6 import Ipv6Address, Ipv6Packet, UdpDatagram
 from repro.testbed.topology import BleNetwork
 
@@ -103,3 +108,45 @@ def test_compression_stats_accumulate():
     assert netif.adaptation.packets_down == 1
     assert netif.adaptation.bytes_in == 100
     assert netif.adaptation.bytes_out < 100  # IPHC saves a few bytes
+
+
+@pytest.mark.parametrize("closed_first", [0, 1])
+@pytest.mark.parametrize("first_coordinator", [0, 1])
+def test_send_takes_the_link_connection_to_finds(first_coordinator, closed_first):
+    """Two connections join nodes 0 and 1, opened in either order: ``send``
+    queues on the link ``controller.connection_to`` returns, before and
+    after either closes, and counts a drop once both are gone."""
+    net = BleNetwork(2, seed=54, ppms=[0.0, 0.0])
+    first = net.nodes[first_coordinator].controller
+    second = net.nodes[1 - first_coordinator].controller
+    conns = [
+        Connection(net.sim, coord, sub, ConnParams(interval_ns=interval * MSEC),
+                   access_address=aa, anchor0_true=anchor * MSEC)
+        for coord, sub, interval, aa, anchor in (
+            (first, second, 75, 0x1234567, 1),
+            (second, first, 80, 0x7654321, 2),
+        )
+    ]
+    net.run(1 * SEC)
+
+    def link_used(src):
+        """The connections whose channel got the SDU ``src`` sends."""
+        controller = net.nodes[src].controller
+        ends = [coc_of(conn).end_of(controller) for conn in conns]
+        queued = [len(end.tx_sdus) for end in ends]
+        sent = net.nodes[src].netif.send(make_packet(src, 1 - src), next_hop_ll=1 - src)
+        grown = [conn for conn, end, n in zip(conns, ends, queued) if len(end.tx_sdus) > n]
+        return sent, grown
+
+    closing = [conns[closed_first], conns[1 - closed_first]]
+    # what connection_to finds after 0, 1 and 2 closes: the first opened
+    found = [conns[0], conns[1 - closed_first], None]
+    for step in range(3):
+        for src in (0, 1):
+            expected = net.nodes[src].controller.connection_to(1 - src)
+            assert expected is found[step]
+            sent, grown = link_used(src)
+            assert (sent, grown) == ((False, []) if expected is None else (True, [expected]))
+        if step < 2:
+            closing[step].close(DisconnectReason.LOCAL_CLOSE)
+    assert [node.netif.drops_no_link for node in net.nodes] == [1, 1]
