@@ -30,7 +30,7 @@ from repro.exp.config import (
     parse_interval_spec,
 )
 from repro.exp.links import ConnLoss, LinkKey, LinkSampler, LinkSeries
-from repro.obs.registry import METRICS
+from repro.obs.registry import MetricsHub
 from repro.obs.sampler import MetricsSnapshotter
 from repro.phy.medium import InterferenceModel
 from repro.sim import RngRegistry
@@ -431,9 +431,6 @@ class ExperimentRunner:
             layers = {s.strip() for s in cfg.trace_layers.split(",") if s.strip()}
             ring = RingBufferSink()
             TRACE.configure(sinks=[ring], layers=layers or None)
-        own_metrics = cfg.metrics and not METRICS.enabled
-        if own_metrics:
-            METRICS.configure()
         own_spans = cfg.spans and not SPANS.enabled
         if own_spans:
             SPANS.configure()
@@ -442,8 +439,6 @@ class ExperimentRunner:
         finally:
             if ring is not None:
                 TRACE.reset()
-            if own_metrics:
-                METRICS.reset()
             if own_spans:
                 SPANS.reset()
 
@@ -511,9 +506,10 @@ class ExperimentRunner:
         if links is not None:
             links.start()
         snapper = None
-        if METRICS.enabled:
+        if cfg.metrics:
             snapper = MetricsSnapshotter(
-                net, METRICS, s_to_ns(cfg.sample_period_s), links, producers, driver
+                net, MetricsHub(), s_to_ns(cfg.sample_period_s), links, producers,
+                driver, SPANS if SPANS.enabled else None,
             )
             snapper.start()
 
@@ -528,10 +524,11 @@ class ExperimentRunner:
             spans_payload = SPANS.export_payload()
         metrics_payload = None
         if snapper is not None:
+            # after the span flush: its journeys land in the final sample
             snapper.finish()
             metrics_payload = {
                 "sim_time_ns": net.sim.now,
-                "scopes": METRICS.snapshot(),
+                "scopes": snapper.hub.snapshot(),
                 "series": snapper.series(),
             }
         return ExperimentResult(

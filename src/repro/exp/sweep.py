@@ -25,7 +25,7 @@ from repro.exp.parallel import (
     ProgressEvent,
     RunOutcome,
 )
-from repro.exp.repeat import RepeatedResult, derive_seed
+from repro.exp.repeat import RepeatedResult, repetition_configs
 from repro.exp.report import format_table
 
 #: Sanitizer for per-run artifact directory names.
@@ -112,14 +112,6 @@ def expand_grid(
     return cells
 
 
-def _cell_run_configs(cell: SweepCell, seeds: int) -> List[ExperimentConfig]:
-    plain = asdict(cell.config)
-    return [
-        ExperimentConfig(**{**plain, "seed": derive_seed(cell.config.seed, k)})
-        for k in range(seeds)
-    ]
-
-
 def artifact_dirname(index: int, config: ExperimentConfig) -> str:
     """A filesystem-safe per-run artifact directory name."""
     safe = _UNSAFE.sub("_", config.name.replace("/", "__"))
@@ -148,7 +140,7 @@ def run_sweep(
     spans: List[Tuple[SweepCell, int, int]] = []
     for cell in cells:
         start = len(flat_configs)
-        flat_configs.extend(_cell_run_configs(cell, seeds))
+        flat_configs.extend(repetition_configs(cell.config, seeds))
         spans.append((cell, start, len(flat_configs)))
 
     engine = ParallelEngine(

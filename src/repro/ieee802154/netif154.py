@@ -11,7 +11,7 @@ until the MAC reports each frame acknowledged or dropped.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple, cast
 
 from repro.ieee802154.mac import Frame154, Mac154
 from repro.net.pktbuf import PacketBuffer
@@ -75,11 +75,11 @@ class Netif154:
             if SPANS.enabled:
                 # Coarse single-phase hop: the datagram bytes key it, and
                 # the receiver reconstructs the same key on delivery.
-                SPANS.hop_open_coarse(
-                    ("154", self.ll_addr, next_hop_ll, wire),
+                SPANS.hop_open(
+                    ("154", self.ll_addr, next_hop_ll, wire), None,
                     f"node{self.ll_addr}", f"node{next_hop_ll}",
                 )
-            self.mac.send(next_hop_ll, wire, tag=len(wire))
+            self.mac.send(next_hop_ll, wire, tag=(len(wire), wire))
             self.tx_packets += 1
             return True
         return self._send_fragmented(packet, next_hop_ll)
@@ -104,28 +104,25 @@ class Netif154:
         if SPANS.enabled:
             # Keyed by the pre-fragmentation datagram: the reassembler
             # hands the identical bytes back on the far side.
-            SPANS.hop_open_coarse(
-                ("154", self.ll_addr, next_hop_ll, raw),
+            SPANS.hop_open(
+                ("154", self.ll_addr, next_hop_ll, raw), None,
                 f"node{self.ll_addr}", f"node{next_hop_ll}",
             )
         for piece in fragments:
-            self.mac.send(next_hop_ll, piece, tag=len(piece))
+            self.mac.send(next_hop_ll, piece, tag=(len(piece), raw))
         self.tx_packets += 1
         self.tx_fragmented_datagrams += 1
         return True
 
     def _on_tx_done(self, frame: Frame154, ok: bool) -> None:
-        if isinstance(frame.tag, int):
-            self.pktbuf.free(frame.tag)
+        # the bytes this frame holds, and the datagram it carries
+        held, datagram = cast(Tuple[int, bytes], frame.tag)
+        self.pktbuf.free(held)
         if not ok:
             self.drops_mac += 1
             if SPANS.enabled:
-                # Only matches unfragmented datagrams (a fragment's bytes
-                # are not the datagram key); lost fragments flush at the
-                # end of the run instead.
-                SPANS.hop_lost_coarse(
-                    ("154", frame.src, frame.dst, frame.payload)
-                )
+                # A datagram with a fragment given up is lost on this hop.
+                SPANS.hop_lost(("154", frame.src, frame.dst, datagram))
 
     def _on_frame(self, frame: Frame154) -> None:
         if frag.is_fragment(frame.payload):
@@ -139,9 +136,9 @@ class Netif154:
     def _deliver(self, wire: bytes, sender_ll: int) -> None:
         if SPANS.enabled:
             key = ("154", sender_ll, self.ll_addr, wire)
-            span_prev = SPANS.rx_enter_coarse(key)
+            span_prev = SPANS.rx_enter(key)
             try:
-                SPANS.hop_delivered_coarse(key)
+                SPANS.hop_delivered()
                 self._deliver_inner(wire, sender_ll)
             finally:
                 SPANS.ctx_restore(span_prev)

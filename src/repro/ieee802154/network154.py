@@ -19,6 +19,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.ieee802154.mac import Mac154, MacConfig
 from repro.ieee802154.medium154 import CsmaMedium
 from repro.ieee802154.netif154 import Netif154
+from repro.net.fib import install_tree_routes
 from repro.net.ip import Ipv6Stack
 from repro.net.pktbuf import PacketBuffer
 from repro.net.udp import UdpStack
@@ -101,29 +102,9 @@ class CsmaNetwork:
             self._parent_of[child] = parent
             self.nodes[parent].ip.neighbor_up(child, self.nodes[parent].netif)
             self.nodes[child].ip.neighbor_up(parent, self.nodes[child].netif)
-        children: Dict[int, List[int]] = {}
-        for parent, child in edges:
-            children.setdefault(parent, []).append(child)
-
-        def subtree(node_id: int) -> List[int]:
-            collected = []
-            stack = list(children.get(node_id, []))
-            while stack:
-                n = stack.pop()
-                collected.append(n)
-                stack.extend(children.get(n, []))
-            return collected
-
-        for node in self.nodes:
-            parent = self._parent_of.get(node.node_id)
-            if parent is not None:
-                node.ip.fib.set_default_route(Ipv6Address.mesh_local(parent))
-            for child in children.get(node.node_id, []):
-                child_addr = Ipv6Address.mesh_local(child)
-                for descendant in subtree(child):
-                    node.ip.fib.add_host_route(
-                        Ipv6Address.mesh_local(descendant), child_addr
-                    )
+        install_tree_routes(
+            [node.ip.fib for node in self.nodes], self._parent_of, edges
+        )
 
     def run(self, until_ns: int) -> None:
         """Advance the simulation to ``until_ns``."""

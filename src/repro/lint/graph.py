@@ -16,14 +16,12 @@ edges it can resolve with high confidence --
 * bare function references passed as call arguments (``sim.at(when, cb)``)
   as weaker ``ref`` edges.  Taint does not flow along them, since a
   registered callback executes in the dispatcher's context, not the
-  registrar's; for the same reason a ``ref`` edge voids an SL008 guard
-  proof (the callback later runs unguarded).
+  registrar's.
 
 Everything is keyed by dotted *qualnames* (``repro.ble.conn.Connection.
 _tick``) and iterated in sorted order, so downstream fixpoints -- the
-taint engine in :mod:`repro.lint.taint`, the guard/purity analyses in
-:mod:`repro.lint.purity` -- produce byte-identical results regardless of
-filesystem enumeration order.
+taint engine in :mod:`repro.lint.taint` -- produce byte-identical results
+regardless of filesystem enumeration order.
 """
 
 from __future__ import annotations
@@ -135,9 +133,9 @@ class ModuleInfo:
 class Project:
     """Whole-program context shared by the interprocedural rules.
 
-    Build once per lint invocation via :meth:`from_contexts`; the taint,
-    unit, and purity analyses hang off it and are computed lazily (and at
-    most once) by their rule's first ``check`` call.
+    Build once per lint invocation via :meth:`from_contexts`; the taint
+    and unit analyses hang off it and are computed lazily (and at most
+    once) by their rule's first ``check`` call.
     """
 
     def __init__(self) -> None:

@@ -1,32 +1,33 @@
-"""Instrumentation-guard proof (SL008).
+"""Instrumentation-guard check (SL008): one guard per seam.
 
 SL008 makes the <2% disabled-overhead bar a *static* invariant.  The
-hot-path contract (DESIGN.md) is: every ``METRICS``/``TRACE``/``SPANS``
-hub call on the kernel/BLE/L2CAP/IP dispatch path sits behind its
-``.enabled`` predicate, so a disabled subsystem costs one attribute load
-and one branch.  An A/B test measures that; this rule proves it.  The
-analysis accepts the idioms the codebase actually uses:
+hot-path contract (DESIGN.md) is: every ``TRACE``/``SPANS`` hub call or
+store on the kernel/BLE/L2CAP/IP dispatch path sits behind its own hub's
+``.enabled`` predicate in the same function, so a disabled subsystem
+costs one attribute load and one branch.  An A/B test measures that; this
+rule proves it, one function at a time, accepting the idioms the codebase
+uses:
 
 * a direct guard -- ``if TRACE.enabled: TRACE.emit(...)``,
 * a hoisted local -- ``trace_on = TRACE.enabled`` ... ``if trace_on:``,
-* compound tests -- ``if pdu.payload and METRICS.enabled:``, and
-* *delegated* guards: a helper whose body emits unguarded is fine when
-  every one of its hot-path call sites is itself guarded.  That proof is
-  a greatest fixpoint over the call graph (assume every called helper is
-  always-guarded, discard any with an unguarded hot call site, repeat),
-  so guard delegation composes through chains of helpers.
+* an ``and`` chain -- ``if pdu.payload and SPANS.enabled:``,
+* a conditional expression -- ``TRACE.emit(...) if TRACE.enabled else None``,
+* an early return -- ``if not TRACE.enabled: return``.
+
+A helper that touches a hub without its own guard fires whatever its
+callers do: the guard sits at the seam, so proving it needs no call graph.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
-from repro.lint.graph import EDGE_REF, FunctionInfo, Project, terminal_name
+from repro.lint.graph import FunctionInfo, Project, terminal_name
 
 #: The guarded instrumentation hubs, by conventional singleton name.
-HUB_NAMES = ("METRICS", "SPANS", "TRACE")
+HUB_NAMES = ("SPANS", "TRACE")
 
 #: Module prefixes that constitute the hot dispatch path for SL008.
 HOT_PREFIXES = ("repro.sim.kernel", "repro.ble", "repro.l2cap", "repro.net")
@@ -61,13 +62,11 @@ class HubTouch:
 
 
 class _GuardWalker:
-    """Collect hub touches and per-call-site guard sets for one function."""
+    """Collect the hub touches of one function with their guard sets."""
 
     def __init__(self, fn: FunctionInfo) -> None:
         self.fn = fn
         self.touches: List[HubTouch] = []
-        #: (line, col) of resolved call sites -> dominating guard set.
-        self.call_guards: Dict[Tuple[int, int], FrozenSet[str]] = {}
         #: local alias name -> hubs its truthiness implies.
         self.aliases: Dict[str, FrozenSet[str]] = {}
         self._collect_aliases()
@@ -105,7 +104,7 @@ class _GuardWalker:
             if isinstance(node, ast.Name) and node.id in self.aliases:
                 found.update(self.aliases[node.id])
                 return
-            if isinstance(node, ast.BoolOp):
+            if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
                 for value in node.values:
                     scan(value, neg)
                 return
@@ -229,7 +228,6 @@ class _GuardWalker:
                             kind="call",
                         )
                     )
-            self.call_guards[(expr.lineno, expr.col_offset)] = guarded
             self._walk_expr(func, guarded)
             for arg in expr.args:
                 self._walk_expr(arg, guarded)
@@ -243,103 +241,15 @@ class _GuardWalker:
                 self._walk_expr(child, guarded)
 
 
-@dataclass
-class GuardAnalysis:
-    """Project-wide SL008 facts."""
-
-    project: Project
-    walkers: Dict[str, _GuardWalker] = field(default_factory=dict)
-    #: hub -> set of functions proven always-called-under-guard.
-    always_guarded: Dict[str, Set[str]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for qualname in sorted(self.project.functions):
-            self.walkers[qualname] = _GuardWalker(self.project.functions[qualname])
-        for hub in HUB_NAMES:
-            self.always_guarded[hub] = self._fixpoint_always_guarded(hub)
-
-    def _call_sites_of(self, qualname: str) -> List[Tuple[FunctionInfo, int, int, str]]:
-        out = []
-        for caller_name in sorted(self.project.functions):
-            caller = self.project.functions[caller_name]
-            for site in caller.calls:
-                if site.callee == qualname:
-                    out.append((caller, site.line, site.col, site.kind))
-        return out
-
-    def _fixpoint_always_guarded(self, hub: str) -> Set[str]:
-        # greatest fixpoint: start from "every called function is guarded",
-        # peel off any with an unguarded hot-path call site whose caller is
-        # not itself always-guarded.
-        candidates: Set[str] = set()
-        sites: Dict[str, List[Tuple[FunctionInfo, int, int, str]]] = {}
-        for qualname in sorted(self.project.functions):
-            found = self._call_sites_of(qualname)
-            if found:
-                sites[qualname] = found
-                candidates.add(qualname)
-        changed = True
-        while changed:
-            changed = False
-            for qualname in sorted(candidates):
-                for caller, line, col, kind in sites[qualname]:
-                    if not is_hot_module(caller.module):
-                        continue  # cold call sites don't hit the hot path
-                    walker = self.walkers[caller.qualname]
-                    guard = walker.call_guards.get((line, col), frozenset())
-                    if kind == EDGE_REF:
-                        # a callback registration: the function later runs
-                        # in the dispatcher's (unguarded) context.
-                        guard = frozenset()
-                    if hub in guard:
-                        continue
-                    if caller.qualname in candidates and caller.qualname != qualname:
-                        continue  # caller itself only ever runs under guard
-                    candidates.discard(qualname)
-                    changed = True
-                    break
-        return candidates
-
-    def unguarded_touches(self, module: str) -> Iterator[Tuple[FunctionInfo, HubTouch, str]]:
-        """Yield SL008 violations in ``module``: (function, touch, detail)."""
-        if not is_hot_module(module):
-            return
-        for qualname in sorted(self.walkers):
-            fn = self.project.functions[qualname]
-            if fn.module != module:
-                continue
-            walker = self.walkers[qualname]
-            for touch in walker.touches:
-                if touch.hub in touch.guarded_by:
-                    continue
-                if qualname in self.always_guarded[touch.hub]:
-                    continue
-                detail = self._unguarded_reason(qualname, touch.hub)
-                yield fn, touch, detail
-
-    def _unguarded_reason(self, qualname: str, hub: str) -> str:
-        sites = self._call_sites_of(qualname)
-        if not sites:
-            return (
-                "and the function has no statically-known call sites"
-                " (dispatch callbacks must guard internally)"
-            )
-        for caller, line, col, kind in sites:
-            if not is_hot_module(caller.module):
-                continue
-            walker = self.walkers.get(caller.qualname)
-            guard = (
-                walker.call_guards.get((line, col), frozenset())
-                if walker is not None and kind != EDGE_REF
-                else frozenset()
-            )
-            if hub not in guard and caller.qualname not in self.always_guarded[hub]:
-                return (
-                    f"and it is called unguarded from"
-                    f" {caller.qualname.split('.')[-1]}() at line {line}"
-                )
-        return "and not every call site could be proven guarded"
-
-
-def compute_guards(project: Project) -> GuardAnalysis:
-    return project.analysis("guards", lambda: GuardAnalysis(project))  # type: ignore[return-value]
+def unguarded_touches(project: Project, module: str) -> Iterator[Tuple[FunctionInfo, HubTouch]]:
+    """SL008 violations in ``module``: each hub touch that its own hub's
+    guard does not dominate, with the function it sits in."""
+    if not is_hot_module(module):
+        return
+    for qualname in sorted(project.functions):
+        fn = project.functions[qualname]
+        if fn.module != module:
+            continue
+        for touch in _GuardWalker(fn).touches:
+            if touch.hub not in touch.guarded_by:
+                yield fn, touch

@@ -747,12 +747,12 @@ class InstrumentationGuardRule(Rule):
     """SL008: hot-path hub calls must sit behind their ``.enabled`` check.
 
     The disabled-overhead budget (<2%, measured dynamically by the A/B
-    gate in ``tests/spans/test_disabled.py``) only holds if every ``METRICS``/``TRACE``/``SPANS``
-    touch on the kernel/BLE/L2CAP/IP dispatch path is skipped by a branch
-    when the subsystem is off.  :mod:`repro.lint.purity` proves this
-    statically, accepting direct guards, hoisted ``x = HUB.enabled``
-    locals, compound tests, and caller-side guards (a greatest fixpoint
-    over the call graph handles helpers documented as "caller checks").
+    gate in ``tests/spans/test_disabled.py``) only holds if every
+    ``TRACE``/``SPANS`` touch on the kernel/BLE/L2CAP/IP dispatch path is
+    skipped by a branch when the subsystem is off.  :mod:`repro.lint.purity`
+    proves this one function at a time: the touch's own hub's guard must
+    dominate it (a direct test, a hoisted ``x = HUB.enabled`` local, an
+    ``and`` chain, a conditional expression or an early return).
     """
 
     code = "SL008"
@@ -761,18 +761,17 @@ class InstrumentationGuardRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.project is None:
             return
-        from repro.lint.purity import compute_guards
+        from repro.lint.purity import unguarded_touches
 
-        analysis = compute_guards(ctx.project)
-        for fn, touch, detail in analysis.unguarded_touches(ctx.module):
+        for fn, touch in unguarded_touches(ctx.project, ctx.module):
             what = "store to" if touch.kind == "store" else "call on"
             yield self.finding_at(
                 ctx,
                 touch.line,
                 touch.col,
                 f"hot-path {what} {touch.hub} in {fn.name}() is not dominated"
-                f" by '{touch.hub}.enabled' {detail} -- guard it (or hoist"
-                f" 'if {touch.hub}.enabled:' around the block)",
+                f" by '{touch.hub}.enabled' in the same function -- guard it"
+                f" (or hoist 'if {touch.hub}.enabled:' around the block)",
             )
 
 

@@ -8,7 +8,7 @@ and 64-bit-prefix routes, resolved in that order.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.sixlowpan.ipv6 import Ipv6Address
 
@@ -65,3 +65,37 @@ class ForwardingTable:
         return len(self._host_routes) + len(self._prefix_routes) + (
             1 if self._default else 0
         )
+
+
+def install_tree_routes(
+    fibs: Sequence[ForwardingTable],
+    parent_of: Mapping[int, int],
+    edges: Sequence[Tuple[int, int]],
+) -> None:
+    """Static routes for a tree (§4.3), ``fibs`` indexed by node id.
+
+    Every node with a parent in ``parent_of`` routes by default to it, and
+    every parent of ``edges`` holds a host route to each descendant via
+    the child heading its branch, so responses travel back down.
+    """
+    children: Dict[int, List[int]] = {}
+    for parent, child in edges:
+        children.setdefault(parent, []).append(child)
+
+    def subtree(node_id: int) -> List[int]:
+        collected: List[int] = []
+        stack = list(children.get(node_id, []))
+        while stack:
+            n = stack.pop()
+            collected.append(n)
+            stack.extend(children.get(n, []))
+        return collected
+
+    for node_id, fib in enumerate(fibs):
+        parent = parent_of.get(node_id)
+        if parent is not None:
+            fib.set_default_route(Ipv6Address.mesh_local(parent))
+        for child in children.get(node_id, []):
+            child_addr = Ipv6Address.mesh_local(child)
+            for descendant in subtree(child):
+                fib.add_host_route(Ipv6Address.mesh_local(descendant), child_addr)

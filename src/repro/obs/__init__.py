@@ -8,10 +8,11 @@ histograms, so metering costs one sample per period, not a hook per event.
 
 Modules:
 
-* :mod:`repro.obs.registry` -- instruments, per-scope registries, and the
-  :data:`~repro.obs.registry.METRICS` hub singleton.
+* :mod:`repro.obs.registry` -- instruments, per-scope registries, and
+  :class:`~repro.obs.registry.MetricsHub`, the scope table a metered run
+  builds for itself.
 * :mod:`repro.obs.sampler` -- the metric catalogue and the sim-time
-  snapshotter that reads it into the registries and their time series.
+  snapshotter, the one writer of a run's registries and time series.
 * :mod:`repro.obs.export` -- ``metrics.json`` documents, Prometheus text
   exposition, and cross-repetition merging.
 * :mod:`repro.obs.wallclock` -- the one sanctioned host-clock import for
@@ -19,7 +20,6 @@ Modules:
 """
 
 from repro.obs.registry import (
-    METRICS,
     Counter,
     CounterVec,
     Gauge,
@@ -38,7 +38,6 @@ from repro.obs.export import (
 from repro.obs.sampler import MetricsSnapshotter
 
 __all__ = [
-    "METRICS",
     "METRICS_SCHEMA",
     "Counter",
     "CounterVec",

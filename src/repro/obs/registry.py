@@ -1,9 +1,9 @@
-"""Metric instruments, per-scope registries, and the process-wide hub.
+"""Metric instruments, per-scope registries, and a run's scope table.
 
-:data:`METRICS` is a module-level singleton that is *never replaced*.  The
-simulated stack never writes to it: a metered run's snapshotter
-(:mod:`repro.obs.sampler`) copies the stack's own counters in at each
-sample, and the span hub adds its ``spans.*`` instruments per journey.
+A metered run builds its own :class:`MetricsHub`, and its snapshotter
+(:mod:`repro.obs.sampler`) is the only code that writes to it: at each
+sample it copies the stack's own counters in, and the ``spans.*``
+metrics of the journeys closed since the previous sample.
 
 Scopes are keyed by *node name* (``node3``) or subsystem (``sim``,
 ``phy``), never by connection id: :class:`repro.ble.conn.Connection` draws
@@ -285,24 +285,12 @@ class MetricsRegistry:
 
 
 class MetricsHub:
-    """The on/off switch of a metered run and its scope table."""
+    """The scope table of one metered run."""
 
-    __slots__ = ("enabled", "_scopes")
+    __slots__ = ("_scopes",)
 
     def __init__(self) -> None:
-        #: True while a metered run collects into this hub.
-        self.enabled = False
         self._scopes: Dict[str, MetricsRegistry] = {}
-
-    def configure(self) -> None:
-        """Arm the hub: drop previous registries, enable collection."""
-        self._scopes = {}
-        self.enabled = True
-
-    def reset(self) -> None:
-        """Disarm the hub and drop all registries."""
-        self.enabled = False
-        self._scopes = {}
 
     def scope(self, name: str) -> MetricsRegistry:
         """The registry of ``name`` (created on first use)."""
@@ -346,7 +334,7 @@ class MetricsHub:
         """JSON-safe state of every scope, keys sorted.
 
         The result is a pure function of the instrument updates performed
-        since :meth:`configure` -- deterministic across worker counts for a
+        on this hub -- deterministic across worker counts for a
         deterministic simulation.
         """
         return {
@@ -434,7 +422,3 @@ def merge_scope_snapshots(snapshots: Iterable[dict]) -> dict:
                 k: vec["values"][k] for k in sorted(vec["values"])
             }
     return {name: merged[name] for name in sorted(merged)}
-
-
-#: The singleton every instrumented module imports.  Never rebind it.
-METRICS = MetricsHub()

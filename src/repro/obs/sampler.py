@@ -9,8 +9,10 @@ instrument (``scope:name``) to the series.  A counter appears at the first
 sample after the first event it counts (``radio.busy_ns`` with the first
 claim, even one of 0 ns); a histogram observes the samples its source
 recorded since the last sample; a closing connection's endpoint counters
-fold into its node at the next sample.  Ticks land at exact multiples of
-the period, so the series is byte-stable across worker counts.
+fold into its node at the next sample; the ``spans.*`` metrics fold the
+journeys the span hub closed since the last sample, in close order.
+Ticks land at exact multiples of the period, so the series is byte-stable
+across worker counts.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from collections import Counter
 from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.registry import REATTACH_BUCKETS_S, RTT_BUCKETS_S, MetricsHub
+from repro.obs.registry import (
+    PHASE_BUCKETS_S, REATTACH_BUCKETS_S, RTT_BUCKETS_S, MetricsHub,
+)
 from repro.phy.channels import BLE_NUM_DATA_CHANNELS
 from repro.phy.frames import BLE_1M_OVERHEAD_BYTES
 from repro.sim.units import USEC, ns_to_s
@@ -54,16 +58,19 @@ class MetricsSnapshotter:
     """Samples the counters of ``net`` (``sim``, ``medium``, ``nodes``) into
     ``hub`` every ``period_ns``.  ``links`` is a BLE run's
     :class:`~repro.exp.links.LinkSampler` (``None`` on 802.15.4),
-    ``producers`` its CoAP producers and ``driver`` its workload driver."""
+    ``producers`` its CoAP producers, ``driver`` its workload driver and
+    ``spans`` its :class:`~repro.spans.hub.SpanHub` (``None`` unspanned)."""
 
     def __init__(
         self, net: Any, hub: MetricsHub, period_ns: int, links: Optional[Any] = None,
         producers: Sequence[Any] = (), driver: Optional[Any] = None,
+        spans: Optional[Any] = None,
     ) -> None:
         if period_ns <= 0:
             raise ValueError("snapshot period must be positive")
         self.net, self.sim, self.hub, self.period_ns = net, net.sim, hub, int(period_ns)
         self.links, self.producers, self.driver = links, list(producers), driver
+        self.spans = spans
         self.times_ns: List[int] = []
         #: "scope:name" -> per-tick values (a key first seen at tick k gets
         #: zeros for ticks 0..k-1).
@@ -74,6 +81,7 @@ class MetricsSnapshotter:
         self._closing: List[Tuple[str, Any, Any]] = []
         self._rtts_seen = [0] * len(self.producers)
         self._reattaches_seen = 0
+        self._journeys_seen = 0
         if links is not None:
             for node in net.nodes:
                 node.controller.conn_close_listeners.append(partial(self._on_close, node))
@@ -201,6 +209,30 @@ class MetricsSnapshotter:
                 reattach_s = ns_to_s(latency_ns)
                 hub.observe(f"node{node_id}", "workload.reattach_s", reattach_s, REATTACH_BUCKETS_S)
             self._reattaches_seen = len(latencies)
+        if self.spans is not None:
+            self._read_spans(self.spans.closed)
+
+    def _read_spans(self, closed: List[Any]) -> None:
+        """Each journey closed since the last sample: its outcome and, when
+        delivered, its duration at its source; its hops, their
+        retransmissions and their phases at each hop's sender."""
+        hub = self.hub
+        for journey in closed[self._journeys_seen:]:
+            src = journey.src
+            hub.inc_vec(src, "spans.journey_outcomes", journey.outcome, label_key="outcome")
+            if journey.outcome == "ok":
+                seconds = ns_to_s(journey.end_ns - journey.begin_ns)
+                hub.observe(src, "spans.journey_seconds", seconds, RTT_BUCKETS_S)
+            for attempt in journey.attempts:
+                for hop in attempt.hops:
+                    hub.inc(hop.src, "spans.hops")
+                    if hop.retx:
+                        hub.inc(hop.src, "spans.hop_retx", hop.retx)
+                    for phase in hop.phases:
+                        name = f"spans.phase_{phase.name}_seconds"
+                        seconds = ns_to_s(phase.end_ns - phase.begin_ns)
+                        hub.observe(hop.src, name, seconds, PHASE_BUCKETS_S)
+        self._journeys_seen = len(closed)
 
     def series(self) -> Optional[dict]:
         """The sampled time series, JSON-safe; ``None`` when no ticks ran."""

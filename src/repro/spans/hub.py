@@ -6,9 +6,8 @@ Instrumented code throughout the stack guards every call with::
         SPANS.hop_delivered()
 
 :data:`SPANS` is a module-level singleton that is *never replaced* -- the
-same discipline as :data:`repro.trace.tracer.TRACE` and
-:data:`repro.obs.registry.METRICS` -- so the hot-path cost with spans
-disabled is one attribute load and one branch.
+same discipline as :data:`repro.trace.tracer.TRACE` -- so the hot-path
+cost with spans disabled is one attribute load and one branch.
 
 Journey ids are propagated *causally*, not on the wire: inside one kernel
 dispatch every piece of downstream work a packet triggers runs
@@ -25,18 +24,23 @@ opened or closed during a delivery chain is stamped with the true air
 time rather than the anchor, which is what makes consecutive hops tile
 exactly.
 
-Hops are keyed by the identity of the L2CAP SDU record carrying them
-(:class:`repro.l2cap.coc._CocEnd` queues one record per SDU and stamps
-its K-frames with it), which bridges the asynchronous gap between SDU
-submission and the connection events that carry the fragments.
+Hops live in one table.  On BLE the key is the L2CAP SDU record
+carrying the hop, by identity (:class:`repro.l2cap.coc._CocEnd` queues one
+record per SDU and stamps its K-frames with it), which bridges the
+asynchronous gap between SDU submission and the connection events that
+carry the fragments.  A link layer without fragment-level hooks
+(802.15.4) keys a *coarse* single-phase hop by a hashable datagram key
+that both ends can build.
+
+The hub keeps the journeys it has closed, in close order; a metered run's
+:class:`~repro.obs.sampler.MetricsSnapshotter` reads their ``spans.*``
+metrics from there.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.registry import METRICS, PHASE_BUCKETS_S, RTT_BUCKETS_S
-from repro.sim.units import ns_to_s
 from repro.spans.check import SpanViolation, check_journey
 from repro.spans.model import SPANS_SCHEMA, HopSpan, Journey, TxEvent
 
@@ -62,13 +66,13 @@ class SpanHub:
         "enabled",
         "now_hint",
         "journeys",
+        "closed",
         "violations",
         "_sim",
         "_next_id",
         "_ctx",
         "_by_key",
-        "_hop_by_rec",
-        "_hop_by_tag",
+        "_hops",
         "_open_by_conn",
     )
 
@@ -80,6 +84,8 @@ class SpanHub:
         self.now_hint: Optional[int] = None
         #: Every journey of the run, in begin order (dense per-run ids).
         self.journeys: List[Journey] = []
+        #: The journeys closed so far, in close order.
+        self.closed: List[Journey] = []
         #: Conformance violations found by the streaming checker.
         self.violations: List[SpanViolation] = []
         self._sim: Any = None
@@ -87,12 +93,9 @@ class SpanHub:
         self._ctx: Optional[_Ctx] = None
         #: ``(node_id, token, mid) -> journey`` for CoAP completion/timeout.
         self._by_key: Dict[Tuple[int, bytes, int], Journey] = {}
-        #: ``id(sdu_record) -> (hop, journey, attempt)`` for link-layer
-        #: TX/RX resolution (entries removed as hops close, so record
-        #: identity reuse after garbage collection cannot alias).
-        self._hop_by_rec: Dict[int, Tuple[HopSpan, Journey, Any]] = {}
-        #: Hashable datagram keys for coarse (non-BLE) link layers.
-        self._hop_by_tag: Dict[Any, Tuple[HopSpan, Journey, Any]] = {}
+        #: The open hops, ``key -> (hop, journey, attempt)`` (see
+        #: :meth:`hop_open`); an entry leaves as its hop closes.
+        self._hops: Dict[Any, Tuple[HopSpan, Journey, Any]] = {}
         #: ``id(conn) -> [hop, ...]`` so teardown can close orphans.
         self._open_by_conn: Dict[int, List[HopSpan]] = {}
 
@@ -103,12 +106,12 @@ class SpanHub:
         self._sim = sim
         self.now_hint = None
         self.journeys = []
+        self.closed = []
         self.violations = []
         self._next_id = 0
         self._ctx = None
         self._by_key = {}
-        self._hop_by_rec = {}
-        self._hop_by_tag = {}
+        self._hops = {}
         self._open_by_conn = {}
         self.enabled = True
 
@@ -123,10 +126,10 @@ class SpanHub:
         self._sim = None
         self._ctx = None
         self.journeys = []
+        self.closed = []
         self.violations = []
         self._by_key = {}
-        self._hop_by_rec = {}
-        self._hop_by_tag = {}
+        self._hops = {}
         self._open_by_conn = {}
 
     def now(self) -> int:
@@ -207,15 +210,23 @@ class SpanHub:
 
     # -- hop seams (netif / L2CAP / link layer) ------------------------------
 
-    def hop_open(self, rec: Any, conn: Any, src: str, dst: str) -> None:
-        """An SDU of the current chain was queued on a link."""
+    def hop_open(self, key: Any, conn: Any, src: str, dst: str) -> None:
+        """A datagram of the current chain was queued on a link.
+
+        On BLE ``key`` is the L2CAP SDU record and ``conn`` its connection;
+        a link without connections (``conn`` None) passes a hashable
+        datagram key the receiver rebuilds, and its hop is coarse.
+        """
         ctx = self._ctx
         if ctx is None or ctx.attempt.closed:
             return
         hop = ctx.attempt.new_hop(src, dst, ctx.leg, self.now())
-        hop.rec_id = id(rec)
-        self._hop_by_rec[hop.rec_id] = (hop, ctx.journey, ctx.attempt)
-        self._open_by_conn.setdefault(id(conn), []).append(hop)
+        hop.key = key
+        self._hops[key] = (hop, ctx.journey, ctx.attempt)
+        if conn is None:
+            hop.coarse = True
+        else:
+            self._open_by_conn.setdefault(id(conn), []).append(hop)
 
     def ll_tx(
         self,
@@ -229,34 +240,36 @@ class SpanHub:
         interval_ns: int,
     ) -> None:
         """One K-frame of ``rec`` went on the air (from the exchange loop)."""
-        entry = self._hop_by_rec.get(id(rec))
-        if entry is None:
-            return
-        hop = entry[0]
-        if hop.closed:
-            return
-        hop.txs.append(
-            TxEvent(begin_ns, end_ns, nbytes, lost, retx, anchor_ns, interval_ns)
-        )
+        entry = self._hops.get(rec)
+        if entry is not None:
+            entry[0].txs.append(
+                TxEvent(begin_ns, end_ns, nbytes, lost, retx, anchor_ns, interval_ns)
+            )
 
-    def rx_enter(self, rec: Any) -> Optional[_Ctx]:
-        """A K-frame of ``rec`` arrived; install its hop's chain context."""
+    def rx_enter(self, key: Any) -> Optional[_Ctx]:
+        """A frame of ``key``'s hop arrived; install its chain context."""
         prev = self._ctx
-        entry = self._hop_by_rec.get(id(rec))
+        entry = self._hops.get(key)
         if entry is None:
             return prev
         hop, journey, attempt = entry
-        if not hop.closed and not journey.closed:
+        if not journey.closed:
             self._ctx = _Ctx(journey, attempt, hop.leg, hop)
         return prev
 
     def hop_delivered(self) -> None:
-        """The SDU being received reassembled completely; close its hop."""
+        """The datagram being received reassembled completely; close its hop."""
         ctx = self._ctx
         hop = ctx.hop if ctx is not None else None
         if hop is None or hop.closed:
             return
         self._close_hop(hop, self.now(), "ok")
+
+    def hop_lost(self, key: Any) -> None:
+        """The link gave up on (a frame of) ``key``'s datagram."""
+        entry = self._hops.get(key)
+        if entry is not None:
+            self._close_hop(entry[0], self.now(), "lost")
 
     def conn_closed(self, conn: Any) -> None:
         """A link went down; its in-flight hops are lost."""
@@ -268,40 +281,6 @@ class SpanHub:
             if not hop.closed:
                 self._close_hop(hop, now, "lost")
 
-    # -- coarse hops (link layers without fragment-level hooks) --------------
-
-    def hop_open_coarse(self, key: Any, src: str, dst: str) -> None:
-        """Open a single-phase hop keyed by a hashable datagram key."""
-        ctx = self._ctx
-        if ctx is None or ctx.attempt.closed:
-            return
-        hop = ctx.attempt.new_hop(src, dst, ctx.leg, self.now())
-        hop.coarse = True
-        self._hop_by_tag[key] = (hop, ctx.journey, ctx.attempt)
-
-    def rx_enter_coarse(self, key: Any) -> Optional[_Ctx]:
-        """Install the chain context of a coarse hop about to deliver."""
-        prev = self._ctx
-        entry = self._hop_by_tag.get(key)
-        if entry is None:
-            return prev
-        hop, journey, attempt = entry
-        if not hop.closed and not journey.closed:
-            self._ctx = _Ctx(journey, attempt, hop.leg, hop)
-        return prev
-
-    def hop_delivered_coarse(self, key: Any) -> None:
-        """A coarse hop's datagram reassembled on the far side."""
-        entry = self._hop_by_tag.pop(key, None)
-        if entry is not None and not entry[0].closed:
-            entry[0].close(self.now(), "ok")
-
-    def hop_lost_coarse(self, key: Any) -> None:
-        """A coarse hop's datagram was dropped on the link."""
-        entry = self._hop_by_tag.pop(key, None)
-        if entry is not None and not entry[0].closed:
-            entry[0].close(self.now(), "lost")
-
     # -- end of run ----------------------------------------------------------
 
     def finish(self, end_ns: int) -> None:
@@ -312,13 +291,8 @@ class SpanHub:
         checker exempts nothing -- their spans must still nest and tile up
         to the flush point.
         """
-        for entry in list(self._hop_by_rec.values()):
-            if not entry[0].closed:
-                self._close_hop(entry[0], end_ns, "lost")
-        for entry in list(self._hop_by_tag.values()):
-            if not entry[0].closed:
-                entry[0].close(end_ns, "lost")
-        self._hop_by_tag = {}
+        for entry in list(self._hops.values()):
+            self._close_hop(entry[0], end_ns, "lost")
         self._open_by_conn = {}
         for journey in self.journeys:
             if not journey.closed:
@@ -355,35 +329,13 @@ class SpanHub:
 
     def _close_hop(self, hop: HopSpan, end_ns: int, outcome: str) -> None:
         hop.close(end_ns, outcome)
-        if hop.rec_id is not None:
-            self._hop_by_rec.pop(hop.rec_id, None)
-            hop.rec_id = None
+        self._hops.pop(hop.key, None)
+        hop.key = None
 
     def _finish_journey(self, journey: Journey) -> None:
-        """Check a freshly closed journey and feed the obs histograms."""
+        """Check a freshly closed journey and keep it in close order."""
         self.violations.extend(check_journey(journey))
-        if not METRICS.enabled or journey.end_ns is None:
-            return
-        METRICS.inc_vec(
-            journey.src, "spans.journey_outcomes",
-            journey.outcome, label_key="outcome",
-        )
-        if journey.outcome == "ok":
-            METRICS.observe(
-                journey.src, "spans.journey_seconds",
-                ns_to_s(journey.end_ns - journey.begin_ns), RTT_BUCKETS_S,
-            )
-        for attempt in journey.attempts:
-            for hop in attempt.hops:
-                METRICS.inc(hop.src, "spans.hops")
-                if hop.retx:
-                    METRICS.inc(hop.src, "spans.hop_retx", hop.retx)
-                for phase in hop.phases:
-                    METRICS.observe(
-                        hop.src, f"spans.phase_{phase.name}_seconds",
-                        ns_to_s(phase.end_ns - phase.begin_ns),
-                        PHASE_BUCKETS_S,
-                    )
+        self.closed.append(journey)
 
 
 #: The singleton every instrumented module imports.  Never rebind it.

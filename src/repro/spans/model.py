@@ -126,7 +126,7 @@ class HopSpan:
     ``dst`` (or loss)."""
 
     __slots__ = ("src", "dst", "leg", "begin_ns", "end_ns", "outcome",
-                 "txs", "phases", "coarse", "rec_id")
+                 "txs", "phases", "coarse", "key")
 
     def __init__(self, src: str, dst: str, leg: str, begin_ns: int) -> None:
         self.src = src
@@ -141,9 +141,9 @@ class HopSpan:
         #: Set for link layers without fragment-level hooks: the whole hop
         #: becomes one ``link`` phase.
         self.coarse = False
-        #: ``id()`` of the L2CAP SDU record keying this hop in the hub
+        #: The key of this hop in the span hub's table while it is open
         #: (internal bookkeeping, never exported).
-        self.rec_id: Optional[int] = None
+        self.key: Any = None
 
     @property
     def closed(self) -> bool:

@@ -27,10 +27,10 @@ from repro.ble.conn import Role
 from repro.core.node import Node
 from repro.core.statconn import StatconnConfig
 from repro.l2cap import CocConfig
+from repro.net.fib import install_tree_routes
 from repro.phy.medium import BleMedium, InterferenceModel
 from repro.phy.spatial import Geometry
 from repro.sim import RngRegistry, Simulator
-from repro.sixlowpan.ipv6 import Ipv6Address
 
 #: (parent, child) edges of the paper-like tree; node 0 is the consumer.
 #: Hop counts: 3 producers at 1 hop, 6 at 2, 5 at 3 -> mean 30/14 = 2.14,
@@ -165,38 +165,9 @@ class BleNetwork:
             self.nodes[parent].statconn.add_link(child, Role.SUBORDINATE)
             self.nodes[child].statconn.add_link(parent, Role.COORDINATOR)
         if install_routes:
-            self._install_routes(edges)
-
-    def _children_of(self, edges: Sequence[Tuple[int, int]]) -> Dict[int, List[int]]:
-        children: Dict[int, List[int]] = {}
-        for parent, child in edges:
-            children.setdefault(parent, []).append(child)
-        return children
-
-    def _install_routes(self, edges: Sequence[Tuple[int, int]]) -> None:
-        children = self._children_of(edges)
-
-        def subtree(node_id: int) -> List[int]:
-            collected = []
-            stack = list(children.get(node_id, []))
-            while stack:
-                n = stack.pop()
-                collected.append(n)
-                stack.extend(children.get(n, []))
-            return collected
-
-        for node in self.nodes:
-            parent = self._parent_of.get(node.node_id)
-            if parent is not None:
-                node.ip.fib.set_default_route(Ipv6Address.mesh_local(parent))
-            # downstream host routes: every descendant via the child heading
-            # its branch
-            for child in children.get(node.node_id, []):
-                child_addr = Ipv6Address.mesh_local(child)
-                for descendant in subtree(child):
-                    node.ip.fib.add_host_route(
-                        Ipv6Address.mesh_local(descendant), child_addr
-                    )
+            install_tree_routes(
+                [node.ip.fib for node in self.nodes], self._parent_of, edges
+            )
 
     # -- convenience -------------------------------------------------------------
 

@@ -7,15 +7,19 @@ most importantly -- connection shading between co-located connections.
 """
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 from repro.ble.config import BleConfig, ConnParams, CsaVariant, SchedulerPolicy
-from repro.ble.conn import DisconnectReason
+from repro.ble.conn import Connection, DisconnectReason
+from repro.exp.config import ExperimentConfig
+from repro.exp.runner import run_experiment
 from repro.phy.medium import InterferenceBurst
 from repro.sim.units import MSEC, SEC, USEC
-from repro.obs.registry import METRICS
 from repro.trace.tracer import TRACE
+
+from tests.support import LINE4
 
 from .conftest import BlePlane
 
@@ -487,17 +491,25 @@ def test_idle_events_skip_the_exchange_loop(plane, monkeypatch):
     assert (len(loop), stats.events_active) == (13, 27)
 
 
-def test_metered_idle_events_skip_the_exchange_loop(plane, monkeypatch):
-    """Metering samples the counters; it takes no event off the idle path."""
-    conn = plane.connect(0, 1, params=PARAMS_75MS, anchor0=MSEC)
-    loop = count_calls(monkeypatch, conn, "_exchange_loop")
-    METRICS.configure()
-    try:
-        plane.sim.run(until=1 * SEC)
-    finally:
-        METRICS.reset()
-    # the dark run's counts (test_idle_events_skip_the_exchange_loop)
-    assert (len(loop), conn.coord.stats.events_active) == (0, 14)
+def test_metered_idle_events_skip_the_exchange_loop(monkeypatch):
+    """Metering samples the counters; it takes no event off the idle path:
+    a metered run enters the exchange loop exactly as often as the dark one."""
+    config = dataclasses.replace(
+        ExperimentConfig.from_yaml(Path(LINE4).read_text()), sample_period_s=1.0
+    )
+    calls = []
+    loop = Connection._exchange_loop
+
+    def counted(self, *args):
+        calls.append(self.conn_id)
+        return loop(self, *args)
+
+    monkeypatch.setattr(Connection, "_exchange_loop", counted)
+    run_experiment(config)
+    dark = len(calls)
+    run_experiment(dataclasses.replace(config, metrics=True))
+    assert dark > 0
+    assert len(calls) - dark == dark
 
 
 def test_queued_data_takes_the_exchange_loop(plane, monkeypatch):

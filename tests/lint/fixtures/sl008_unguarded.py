@@ -6,7 +6,7 @@ def _hub():
 
 
 TRACE = _hub()
-METRICS = _hub()
+SPANS = _hub()
 
 
 def on_rx(pdu):
@@ -15,7 +15,7 @@ def on_rx(pdu):
 
 
 def on_tx(pdu):
-    METRICS.now_hint = 7
+    SPANS.now_hint = 7
     return pdu
 
 

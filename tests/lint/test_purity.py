@@ -1,8 +1,8 @@
-"""SL008 guard proofs and mutation tests.
+"""SL008 guard checks and mutation tests.
 
-The mutation tests are the teeth of the interprocedural rules: they lint
-*real repo source* with one safety property surgically broken and assert
-the rule catches it, alongside the unmutated precondition staying clean.
+The mutation tests are the teeth of the rules: they lint *real repo
+source* with one safety property surgically broken and assert the rule
+catches it, alongside the unmutated precondition staying clean.
 """
 
 import ast
@@ -12,7 +12,7 @@ from pathlib import Path
 from repro.lint import lint_source
 from repro.lint.core import FileContext
 from repro.lint.graph import Project
-from repro.lint.purity import compute_guards, is_hot_module
+from repro.lint.purity import is_hot_module, unguarded_touches
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -33,7 +33,7 @@ def project_of(**modules):
 
 
 def unguarded(project, module):
-    return list(compute_guards(project).unguarded_touches(module))
+    return list(unguarded_touches(project, module))
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +71,8 @@ class TestGuardIdioms:
         p = project_of(
             m="""
             def f(t, pdu):
-                if pdu and METRICS.enabled:
-                    METRICS.inc('n', 'k')
+                if pdu and SPANS.enabled:
+                    SPANS.drop('pktbuf')
             """
         )
         assert unguarded(p, "m") == []
@@ -105,14 +105,28 @@ class TestGuardIdioms:
         p = project_of(
             m="""
             def f(t):
-                if METRICS.enabled:
+                if SPANS.enabled:
                     TRACE.emit(t, 'x', 'y')
             """
         )
         assert len(unguarded(p, "m")) == 1
 
+    def test_or_guard_still_fires(self):
+        # `A or B` implies neither: the emit can run with TRACE off.
+        p = project_of(
+            m="""
+            def f(t):
+                if SPANS.enabled or TRACE.enabled:
+                    TRACE.emit(t, 'x', 'y')
+                if not (TRACE.enabled or t):
+                    return
+                TRACE.emit(t, 'x', 'y')
+            """
+        )
+        assert len(unguarded(p, "m")) == 2
+
     def test_unguarded_store_fires(self):
-        p = project_of(m="def f(t):\n    METRICS.now_hint = t\n")
+        p = project_of(m="def f(t):\n    SPANS.now_hint = t\n")
         touches = unguarded(p, "m")
         assert len(touches) == 1
         assert touches[0][1].kind == "store"
@@ -128,7 +142,10 @@ class TestGuardIdioms:
 
 
 class TestDelegatedGuards:
-    def test_caller_guarded_helper_is_clean(self):
+    """A helper that touches a hub unguarded fires whatever its callers do:
+    the guard sits at the seam, never behind a call."""
+
+    def test_caller_guarded_helper_fires(self):
         p = project_of(
             m="""
             def emit(t):
@@ -139,11 +156,12 @@ class TestDelegatedGuards:
                     emit(t)
             """
         )
-        assert unguarded(p, "m") == []
+        touches = unguarded(p, "m")
+        assert [(fn.name, touch.line) for fn, touch in touches] == [("emit", 3)]
 
     def test_one_unguarded_call_site_breaks_the_proof(self):
-        p = project_of(
-            m="""
+        source = textwrap.dedent(
+            """
             def emit(t):
                 TRACE.emit(t, 'x', 'y')
 
@@ -155,11 +173,13 @@ class TestDelegatedGuards:
                 emit(t)
             """
         )
-        touches = unguarded(p, "m")
-        assert len(touches) == 1
-        assert "called unguarded from g()" in touches[0][2]
+        findings = lint_source(source, "m.py", module="m")
+        assert [(f.code, f.line) for f in findings] == [("SL008", 3)]
+        assert "in emit() is not dominated by 'TRACE.enabled' in the same function" in (
+            findings[0].message
+        )
 
-    def test_guard_delegation_composes_through_chains(self):
+    def test_guard_delegation_through_chains_fires(self):
         p = project_of(
             m="""
             def emit(t):
@@ -173,7 +193,7 @@ class TestDelegatedGuards:
                     mid(t)
             """
         )
-        assert unguarded(p, "m") == []
+        assert [fn.name for fn, _ in unguarded(p, "m")] == ["emit"]
 
     def test_ref_edge_forces_unguarded(self):
         # registering the helper as a callback means it later runs in the
@@ -191,9 +211,8 @@ class TestDelegatedGuards:
         touches = unguarded(p, "m")
         assert len(touches) == 1
 
-    def test_cold_call_sites_do_not_count(self):
-        # the only unguarded call site is in a cold module; the helper's
-        # hot-path story stays proven.
+    def test_cold_callers_change_nothing(self):
+        # a hot helper fires on its own body, whoever calls it from where
         p = project_of(
             m="""
             def emit(t):
@@ -212,7 +231,8 @@ class TestDelegatedGuards:
                 """
             },
         )
-        assert unguarded(p, "m") == []
+        assert [fn.name for fn, _ in unguarded(p, "m")] == ["emit"]
+        assert unguarded(p, "repro.topo.builder") == []
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from repro.obs.registry import MetricsHub
 
 def _payload(requests=3, rtt=0.1, series=None):
     hub = MetricsHub()
-    hub.configure()
     hub.inc("node1", "coap.requests", requests)
     hub.set_gauge("sim", "kernel.timer_queue_depth", 5)
     hub.observe("node1", "coap.rtt_seconds", rtt, [0.05, 0.2, 1.0])
@@ -122,7 +121,6 @@ class TestPrometheus:
 
     def test_each_family_is_one_contiguous_group(self):
         hub = MetricsHub()
-        hub.configure()
         for scope in ("node2", "node1"):
             hub.inc(scope, "ble.conn_events_served")
             hub.inc(scope, "coap.requests", 2)

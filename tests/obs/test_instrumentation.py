@@ -7,8 +7,8 @@ The acceptance bars of the observability issue:
   worker processes.
 * The streaming CoAP RTT histogram's p50/p99 agree with an exact
   percentile over the raw RTT samples to within one bucket width.
-* With metrics disabled (the default), runs carry no payload and the
-  global hub stays untouched.
+* With metrics disabled (the default), runs carry no payload; a metered
+  run writes into a hub of its own, so nothing it counted outlives it.
 """
 
 import pytest
@@ -19,7 +19,7 @@ from repro.exp.parallel import ParallelEngine
 from repro.exp.repeat import repetition_configs
 from repro.exp.runner import run_experiment
 from repro.obs.export import build_metrics_document, dumps_metrics_document
-from repro.obs.registry import METRICS, RTT_BUCKETS_S, Histogram
+from repro.obs.registry import RTT_BUCKETS_S, Histogram
 
 TWO_NODE = dict(
     topology="line", n_nodes=2,
@@ -134,13 +134,11 @@ class TestDisabledPath:
             ExperimentConfig(name="off", seed=5, **TWO_NODE)
         )
         assert result.metrics is None
-        assert METRICS.enabled is False
-        assert METRICS.snapshot() == {}
 
     def test_metered_run_resets_the_hub_afterwards(self):
-        result = run_experiment(
-            ExperimentConfig(name="on", seed=5, metrics=True, **TWO_NODE)
-        )
-        assert result.metrics is not None
-        assert METRICS.enabled is False
-        assert METRICS.snapshot() == {}
+        """Each metered run counts from zero into its own hub."""
+        config = ExperimentConfig(name="on", seed=5, metrics=True, **TWO_NODE)
+        first = run_experiment(config)
+        assert first.metrics is not None
+        assert run_experiment(ExperimentConfig(name="off", seed=5, **TWO_NODE)).metrics is None
+        assert run_experiment(config).metrics == first.metrics

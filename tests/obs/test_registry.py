@@ -132,21 +132,8 @@ class TestHistogram:
 
 
 class TestHub:
-    def test_disabled_by_default(self):
-        assert MetricsHub().enabled is False
-
-    def test_configure_then_reset_drops_scopes(self):
-        hub = MetricsHub()
-        hub.configure()
-        hub.inc("node1", "x")
-        assert hub.snapshot()["node1"]["counters"]["x"] == 1
-        hub.reset()
-        assert hub.enabled is False
-        assert hub.snapshot() == {}
-
     def test_snapshot_sorts_scopes_and_names(self):
         hub = MetricsHub()
-        hub.configure()
         hub.inc("zeta", "b")
         hub.inc("alpha", "a")
         hub.inc("zeta", "a")
@@ -156,7 +143,6 @@ class TestHub:
 
     def test_all_instrument_kinds(self):
         hub = MetricsHub()
-        hub.configure()
         hub.inc("n", "c", 2)
         hub.set_gauge("n", "g", 4.0)
         hub.observe("n", "h", 0.5, [1.0])
@@ -171,7 +157,6 @@ class TestHub:
 class TestMergeSnapshots:
     def _snap(self, count, gauge, hist_value):
         hub = MetricsHub()
-        hub.configure()
         hub.inc("n", "c", count)
         hub.set_gauge("n", "g", gauge)
         hub.observe("n", "h", hist_value, [1.0, 2.0])
@@ -203,7 +188,6 @@ class TestMergeSnapshots:
 
     def test_disjoint_scopes_union(self):
         hub = MetricsHub()
-        hub.configure()
         hub.inc("other", "x")
         merged = merge_scope_snapshots([self._snap(1, 0, 0.5), hub.snapshot()])
         assert list(merged) == ["n", "other"]

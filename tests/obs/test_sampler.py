@@ -24,7 +24,6 @@ def _bare(sim):
 def _ticking_hub(sim):
     """A hub plus a 1 Hz counter-bumping workload on the sim clock."""
     hub = MetricsHub()
-    hub.configure()
 
     def work():
         hub.inc("node1", "work.ticks")
@@ -67,7 +66,6 @@ class TestCadence:
     def test_no_ticks_yields_no_series_until_finish(self):
         sim = Simulator()
         hub = MetricsHub()
-        hub.configure()
         snapper = MetricsSnapshotter(_bare(sim), hub, 10 * SEC)
         assert snapper.series() is None
         snapper.finish()
@@ -82,7 +80,6 @@ class TestColumns:
     def test_late_instruments_get_zero_prefix(self):
         sim = Simulator()
         hub = MetricsHub()
-        hub.configure()
         hub.inc("n", "early")
         sim.at(int(10.5 * SEC), lambda: hub.inc("n", "late"))
         snapper = MetricsSnapshotter(_bare(sim), hub, 10 * SEC)
@@ -98,7 +95,6 @@ class TestColumns:
     def test_queue_depth_gauge_sampled(self):
         sim = Simulator()
         hub = MetricsHub()
-        hub.configure()
         snapper = MetricsSnapshotter(_bare(sim), hub, 10 * SEC)
         snapper.start()
         sim.run(until=15 * SEC)
@@ -109,7 +105,6 @@ class TestColumns:
     def test_gauges_only_appear_after_first_set(self):
         sim = Simulator()
         hub = MetricsHub()
-        hub.configure()
         hub.scope("n").gauge("unset")  # created but never set
         snapper = MetricsSnapshotter(_bare(sim), hub, 10 * SEC)
         snapper.start()
