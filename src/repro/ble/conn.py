@@ -741,12 +741,10 @@ class Connection:
             # and note_conn_event (energy accounting), once per end.
             dur = end - t0
             csched._busy_until = end
-            csched._busy_owner = self._coord_activity
             csched.busy_ns_total += dur
             csched.claims += 1
             self._coord_activity.consec_skips = 0
             ssched._busy_until = end
-            ssched._busy_owner = self._sub_activity
             ssched.busy_ns_total += dur
             ssched.claims += 1
             self._sub_activity.consec_skips = 0
@@ -825,12 +823,10 @@ class Connection:
                     # the exchange loop guarantees end >= t0).
                     dur = end - t0
                     csched._busy_until = end
-                    csched._busy_owner = self._coord_activity
                     csched.busy_ns_total += dur
                     csched.claims += 1
                     self._coord_activity.consec_skips = 0
                     ssched._busy_until = end
-                    ssched._busy_owner = self._sub_activity
                     ssched.busy_ns_total += dur
                     ssched.claims += 1
                     self._sub_activity.consec_skips = 0

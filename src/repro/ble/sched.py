@@ -47,7 +47,6 @@ class RadioScheduler:
         self.name = name
         self._activities: List[RadioActivity] = []
         self._busy_until: int = 0
-        self._busy_owner: Optional[RadioActivity] = None
         #: Total radio-busy nanoseconds (energy accounting input).
         self.busy_ns_total: int = 0
         #: Number of claims granted.
@@ -86,7 +85,6 @@ class RadioScheduler:
         than the busy horizon changes, so :meth:`resume` is exact.
         """
         self._busy_until = FAIL_STOP_NS
-        self._busy_owner = None
 
     def resume(self, now_ns: int) -> None:
         """Revive a fail-stopped radio at ``now_ns`` (idempotent)."""
@@ -112,7 +110,6 @@ class RadioScheduler:
                 node=self.name, start=start_ns, end=end_ns,
             )
         self._busy_until = end_ns
-        self._busy_owner = owner
         self.busy_ns_total += end_ns - start_ns
         self.claims += 1
         owner.consec_skips = 0

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from operator import itemgetter
+from typing import Dict, List, Tuple
 
 
 class CoapType(enum.IntEnum):
@@ -50,6 +51,13 @@ class CoapOption(enum.IntEnum):
 #: CoAP protocol version.
 COAP_VERSION = 1
 
+#: Message types by their two-bit value (declared in value order), and
+#: codes by their byte: decode looks them up instead of calling the enums.
+_TYPES: Tuple[CoapType, ...] = tuple(CoapType)
+_CODES: Dict[int, CoapCode] = {code.value: code for code in CoapCode}
+#: Options sort by number alone, so repeated options keep their order.
+_OPTION_NUMBER = itemgetter(0)
+
 
 class CoapDecodeError(ValueError):
     """Raised on malformed CoAP messages."""
@@ -68,9 +76,8 @@ def _encode_extended(value: int) -> Tuple[int, bytes]:
 
 
 def _decode_extended(nibble: int, data: bytes, pos: int) -> Tuple[int, int]:
-    """Inverse of :func:`_encode_extended`; returns (value, new_pos)."""
-    if nibble < 13:
-        return nibble, pos
+    """Inverse of :func:`_encode_extended` for a nibble of 13 or more (a
+    smaller one is its own value); returns (value, new_pos)."""
     if nibble == 13:
         if pos >= len(data):
             raise CoapDecodeError("truncated option extension")
@@ -162,8 +169,11 @@ class CoapMessage:
             ]
         )
         out += self.token
+        options = self.options
+        if len(options) > 1:
+            options = sorted(options, key=_OPTION_NUMBER)
         last_number = 0
-        for number, value in sorted(self.options, key=lambda kv: kv[0]):
+        for number, value in options:
             delta_nibble, delta_ext = _encode_extended(number - last_number)
             len_nibble, len_ext = _encode_extended(len(value))
             out.append((delta_nibble << 4) | len_nibble)
@@ -177,49 +187,50 @@ class CoapMessage:
     @classmethod
     def decode(cls, data: bytes) -> "CoapMessage":
         """Parse wire bytes; raises :class:`CoapDecodeError` when malformed."""
-        if len(data) < 4:
+        size = len(data)
+        if size < 4:
             raise CoapDecodeError("shorter than the fixed header")
-        version = data[0] >> 6
+        byte0 = data[0]
+        version = byte0 >> 6
         if version != COAP_VERSION:
             raise CoapDecodeError(f"unsupported CoAP version {version}")
-        mtype = CoapType((data[0] >> 4) & 0b11)
-        tkl = data[0] & 0x0F
+        tkl = byte0 & 0x0F
         if tkl > 8:
             raise CoapDecodeError(f"invalid token length {tkl}")
-        try:
-            code = CoapCode(data[1])
-        except ValueError as exc:
-            raise CoapDecodeError(f"unknown code {data[1]:#x}") from exc
-        mid = (data[2] << 8) | data[3]
-        pos = 4
-        if pos + tkl > len(data):
+        code = _CODES.get(data[1])
+        if code is None:
+            raise CoapDecodeError(f"unknown code {data[1]:#x}")
+        pos = 4 + tkl
+        if pos > size:
             raise CoapDecodeError("truncated token")
-        token = data[pos : pos + tkl]
-        pos += tkl
 
         options: List[Tuple[int, bytes]] = []
         number = 0
-        while pos < len(data):
+        while pos < size:
             byte = data[pos]
             if byte == 0xFF:
                 pos += 1
-                if pos >= len(data):
+                if pos >= size:
                     raise CoapDecodeError("payload marker with empty payload")
                 break
             pos += 1
-            delta, pos = _decode_extended(byte >> 4, data, pos)
-            length, pos = _decode_extended(byte & 0x0F, data, pos)
-            if pos + length > len(data):
+            delta = byte >> 4
+            if delta > 12:
+                delta, pos = _decode_extended(delta, data, pos)
+            length = byte & 0x0F
+            if length > 12:
+                length, pos = _decode_extended(length, data, pos)
+            end = pos + length
+            if end > size:
                 raise CoapDecodeError("truncated option value")
             number += delta
-            options.append((number, data[pos : pos + length]))
-            pos += length
-        payload = data[pos:]
+            options.append((number, data[pos:end]))
+            pos = end
         return cls(
-            mtype=mtype,
+            mtype=_TYPES[byte0 >> 4 & 0b11],
             code=code,
-            mid=mid,
-            token=token,
+            mid=data[2] << 8 | data[3],
+            token=data[4 : 4 + tkl],
             options=options,
-            payload=payload,
+            payload=data[pos:],
         )

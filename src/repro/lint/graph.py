@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Set
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guards
     from repro.lint.core import FileContext
@@ -266,16 +266,6 @@ class Project:
         resolver.run()
 
     # -- queries -------------------------------------------------------
-
-    def callers_of(self, qualname: str) -> List[Tuple[FunctionInfo, CallSite]]:
-        """Every (caller, call-site) pair targeting ``qualname``, sorted."""
-        out: List[Tuple[FunctionInfo, CallSite]] = []
-        for caller_name in sorted(self.functions):
-            caller = self.functions[caller_name]
-            for site in caller.calls:
-                if site.callee == qualname:
-                    out.append((caller, site))
-        return out
 
     def analysis(self, key: str, factory: object) -> object:
         """Memoize a project-level analysis under ``key``."""

@@ -8,17 +8,23 @@ analysis can attribute them the way the paper does.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.net.fib import ForwardingTable
 from repro.net.nib import NeighborCache
-from repro.sixlowpan.iphc import with_hop_limit
-from repro.sixlowpan.ipv6 import Ipv6Address, Ipv6Packet, derived_node_id
+from repro.sixlowpan.iphc import decompress, with_hop_limit
+from repro.sixlowpan.ipv6 import Ipv6Address, Ipv6Packet, PROTO_UDP, derived_node_id
 from repro.spans.hub import SPANS
 from repro.trace.tracer import TRACE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.netif import BleNetif
+
+#: An upper layer's entry for a decoded packet.
+PacketHandler = Callable[[Ipv6Packet], None]
+#: An upper layer's entry for a datagram as it came: the compressed bytes
+#: :func:`~repro.sixlowpan.iphc.wire_fields` accepts.
+WireHandler = Callable[[bytes], None]
 
 
 def _addr_ref(addr: bytes) -> Union[int, str]:
@@ -48,8 +54,9 @@ class Ipv6Stack:
         self.nib = NeighborCache(nib_entries)
         self.fib = ForwardingTable()
         self.netifs: List[BleNetif] = []
-        #: Upper-layer demux: protocol number -> handler(packet).
-        self._proto_handlers: dict[int, Callable[[Ipv6Packet], None]] = {}
+        #: Upper-layer demux: protocol number -> its packet entry and its
+        #: wire entry (None when it takes packets only).
+        self._protocols: Dict[int, Tuple[PacketHandler, Optional[WireHandler]]] = {}
         # Statistics.
         self.delivered = 0
         self.forwarded = 0
@@ -68,10 +75,14 @@ class Ipv6Stack:
         self.netifs.append(netif)
 
     def register_protocol(
-        self, proto: int, handler: Callable[[Ipv6Packet], None]
+        self, proto: int, handler: PacketHandler, wire: Optional[WireHandler] = None
     ) -> None:
-        """Install an upper-layer handler for IPv6 next-header ``proto``."""
-        self._proto_handlers[proto] = handler
+        """Install an upper-layer handler for IPv6 next-header ``proto``.
+
+        ``wire``, when given, takes a datagram for this node as it came
+        (:meth:`deliver_wire`).  Each call replaces both entries.
+        """
+        self._protocols[proto] = (handler, wire)
 
     def neighbor_up(self, ll_addr: int, netif: BleNetif) -> None:
         """A link to ``ll_addr`` came up: install its derived addresses."""
@@ -145,6 +156,23 @@ class Ipv6Stack:
             return
         self._forwarded(dst, hop_limit)
 
+    def deliver_wire(self, wire: bytes) -> None:
+        """Deliver a compressed datagram for this node as it came.
+
+        Local delivery on the wire (DESIGN §12): ``wire`` is a datagram
+        :func:`~repro.sixlowpan.iphc.wire_fields` accepts, so it carries
+        UDP, and UDP's wire entry reads it.  Without a wire entry it is
+        decompressed and delivered as a packet.  Either way the counts and
+        records are the ones :meth:`receive` makes.
+        """
+        registered = self._protocols.get(PROTO_UDP)
+        entry = registered[1] if registered is not None else None
+        if entry is None:
+            self._deliver(decompress(wire))
+            return
+        self._delivered(PROTO_UDP)
+        entry(wire)
+
     def _forwarded(self, dst: bytes, hop_limit: int) -> None:
         self.forwarded += 1
         if TRACE.enabled:
@@ -154,18 +182,19 @@ class Ipv6Stack:
             )
 
     def _deliver(self, packet: Ipv6Packet) -> None:
-        handler = self._proto_handlers.get(packet.next_header)
-        if handler is None:
+        proto = packet.next_header
+        registered = self._protocols.get(proto)
+        if registered is None:
             self.drops_no_handler += 1
             self._drop(packet.dst.packed, "no-handler")
             return
+        self._delivered(proto)
+        registered[0](packet)
+
+    def _delivered(self, proto: int) -> None:
         self.delivered += 1
         if TRACE.enabled:
-            TRACE.emit(
-                None, "ip", "deliver",
-                node=self.node_id, proto=packet.next_header,
-            )
-        handler(packet)
+            TRACE.emit(None, "ip", "deliver", node=self.node_id, proto=proto)
 
     def _drop(self, dst: bytes, cause: str) -> None:
         """Account one packet to ``dst`` dropped; every drop cause routes

@@ -233,16 +233,20 @@ class BleNetif:
     def _on_rx_sdu(self, sdu: bytes, peer_ll: int, peer_iid: bytes) -> None:
         """Push an inbound SDU up to the IP stack.
 
-        A relayable datagram for another node goes to the stack as it came
-        (the wire path, DESIGN §12); every other SDU is decompressed first.
-        Both are counted and traced alike.
+        A datagram ``wire_fields`` accepts goes to the stack as it came
+        (the wire path, DESIGN §12): relayed when it is for another node,
+        delivered when it is for this one.  Every other SDU is decompressed
+        first.  Both are counted and traced alike.
         """
         ip = self.ip
         fields = iphc.wire_fields(sdu)
-        if ip is not None and fields is not None and fields[0] not in ip.own_addresses:
+        if ip is not None and fields is not None:
             self.adaptation.packets_up += 1  # what ``from_link`` counts
             self._rx_counted(sdu, peer_ll)
-            ip.relay(sdu, *fields)
+            if fields[0] in ip.own_addresses:
+                ip.deliver_wire(sdu)
+            else:
+                ip.relay(sdu, *fields)
             return
         try:
             packet = self.adaptation.from_link(sdu, peer_iid, self._iid)

@@ -11,11 +11,13 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.net.ip import Ipv6Stack
+from repro.sixlowpan.iphc import wire_udp
 from repro.sixlowpan.ipv6 import (
     Ipv6Address,
     Ipv6Packet,
     PROTO_UDP,
     UdpDatagram,
+    udp_sum,
 )
 
 #: ``handler(payload, src_addr, src_port)`` signature for bound ports.
@@ -33,7 +35,7 @@ class UdpStack:
         self.rx_datagrams = 0
         self.rx_no_port = 0
         self.rx_checksum_errors = 0
-        ip.register_protocol(PROTO_UDP, self._on_packet)
+        ip.register_protocol(PROTO_UDP, self._on_packet, self._on_wire)
 
     def bind(self, port: int, handler: UdpHandler) -> None:
         """Attach ``handler`` to ``port``; raises if the port is taken."""
@@ -69,13 +71,34 @@ class UdpStack:
 
     def _on_packet(self, packet: Ipv6Packet) -> None:
         try:
-            dgram = UdpDatagram.decode(packet.payload, packet.src, packet.dst)
+            dgram = UdpDatagram.decode(packet.payload)
         except ValueError:
             self.rx_checksum_errors += 1
             return
-        handler = self._ports.get(dgram.dst_port)
+        self._receive(
+            packet.src.packed + packet.dst.packed,
+            dgram.src_port, dgram.dst_port, dgram.checksum, dgram.payload,
+        )
+
+    def _on_wire(self, wire: bytes) -> None:
+        """A datagram for this node as it came (DESIGN §12): the header is
+        read from its IPHC and NHC-UDP fields, never rebuilt."""
+        self._receive(*wire_udp(wire))
+
+    def _receive(
+        self, addresses: bytes, src_port: int, dst_port: int, checksum: int, payload: bytes
+    ) -> None:
+        """Verify one datagram and hand its data to the bound port.
+
+        :param addresses: the packed source and destination, 32 bytes.
+        :param checksum: the carried checksum; 0 skips verification.
+        """
+        if checksum and udp_sum(addresses, src_port + dst_port + checksum, payload):
+            self.rx_checksum_errors += 1
+            return
+        handler = self._ports.get(dst_port)
         if handler is None:
             self.rx_no_port += 1
             return
         self.rx_datagrams += 1
-        handler(dgram.payload, packet.src, dgram.src_port)
+        handler(payload, Ipv6Address(addresses[:16]), src_port)

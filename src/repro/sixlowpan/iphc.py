@@ -414,6 +414,33 @@ def wire_fields(data: bytes) -> Optional[Tuple[bytes, int, int]]:
     return dst, hop_limit, size - end + 48
 
 
+def wire_udp(data: bytes) -> Tuple[bytes, int, int, int, bytes]:
+    """The UDP datagram in a datagram :func:`wire_fields` accepts, read
+    from its IPHC and NHC-UDP fields (local delivery on the wire, DESIGN
+    §12).
+
+    :returns: the packed source and destination (32 bytes), the source and
+        destination ports, the carried checksum and the UDP data.
+    """
+    pos = 2 if data[0] & 0b11 else 3
+    nhc = pos + 32
+    ports_mode = data[nhc] & 0b11
+    if ports_mode == 0b00:
+        src_port = data[nhc + 1] << 8 | data[nhc + 2]
+        dst_port = data[nhc + 3] << 8 | data[nhc + 4]
+    elif ports_mode == 0b11:  # 0xF0Bs, 0xF0Bd: one byte of nibbles
+        src_port = 0xF0B0 | data[nhc + 1] >> 4
+        dst_port = 0xF0B0 | data[nhc + 1] & 0x0F
+    elif ports_mode == 0b01:  # source inline, destination 0xF0dd
+        src_port = data[nhc + 1] << 8 | data[nhc + 2]
+        dst_port = 0xF000 | data[nhc + 3]
+    else:  # source 0xF0ss, destination inline
+        src_port = 0xF000 | data[nhc + 1]
+        dst_port = data[nhc + 2] << 8 | data[nhc + 3]
+    end = nhc + 1 + _PORTS_INLINE[ports_mode]
+    return data[pos:nhc], src_port, dst_port, data[end] << 8 | data[end + 1], data[end + 2 :]
+
+
 def with_hop_limit(data: bytes, hop_limit: int) -> bytes:
     """A datagram :func:`wire_fields` accepts, with its hop limit replaced.
 

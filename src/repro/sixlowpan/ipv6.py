@@ -194,6 +194,28 @@ def udp_checksum(src: Ipv6Address, dst: Ipv6Address, udp_bytes: bytes) -> int:
     return value or 0xFFFF  # 0 is transmitted as all-ones for UDP
 
 
+def udp_sum(addresses: bytes, words: int, data: bytes) -> int:
+    """The pseudo header and a UDP datagram summed as :func:`_checksum`
+    sums them, mod 0xFFFF (DESIGN §12, *The sum check*).
+
+    Every 16-bit word sits at an even offset and 2**16 ≡ 1 (mod 0xFFFF),
+    so each adds itself wherever it is: the addresses, the next header,
+    the length twice (pseudo and UDP header), ``words`` and the padded
+    ``data``.  With the ports as ``words`` the checksum is ``0xFFFF -``
+    this sum, as :func:`udp_checksum` computes it; with the ports and a
+    carried checksum in 1..0xFFFF the sum is 0 exactly when that checksum
+    is right.
+
+    :param addresses: the packed source and destination, 32 bytes.
+    :param words: the sum of the UDP header's words other than its length.
+    :param data: the UDP data.
+    """
+    value = int.from_bytes(addresses + data, "big")
+    if len(data) % 2:
+        value <<= 8  # pad the odd byte out to a word
+    return (value + words + 2 * (_UDP_HEADER.size + len(data)) + PROTO_UDP) % 0xFFFF
+
+
 @dataclass
 class UdpDatagram:
     """A UDP datagram (8-byte header + payload)."""
@@ -206,15 +228,16 @@ class UdpDatagram:
 
     def encode(self, src: Ipv6Address, dst: Ipv6Address) -> bytes:
         """Serialize with a valid checksum for the given address pair."""
-        for port in (self.src_port, self.dst_port):
+        src_port, dst_port, payload = self.src_port, self.dst_port, self.payload
+        for port in (src_port, dst_port):
             if not 0 <= port <= 0xFFFF:
                 raise ValueError(f"port out of range: {port}")
-        length = _UDP_HEADER.size + len(self.payload)
-        raw = _UDP_HEADER.pack(self.src_port, self.dst_port, length, 0) + self.payload
-        self.checksum = udp_checksum(src, dst, raw)
+        self.checksum = checksum = 0xFFFF - udp_sum(
+            src.packed + dst.packed, src_port + dst_port, payload
+        )
         return (
-            _UDP_HEADER.pack(self.src_port, self.dst_port, length, self.checksum)
-            + self.payload
+            _UDP_HEADER.pack(src_port, dst_port, _UDP_HEADER.size + len(payload), checksum)
+            + payload
         )
 
     @classmethod
@@ -233,8 +256,7 @@ class UdpDatagram:
             raise ValueError("bad UDP length field")
         payload = data[_UDP_HEADER.size : length]
         if verify and src is not None and dst is not None and checksum != 0:
-            raw = _UDP_HEADER.pack(sport, dport, length, 0) + payload
-            if udp_checksum(src, dst, raw) != checksum:
+            if udp_sum(src.packed + dst.packed, sport + dport + checksum, payload):
                 raise ValueError("UDP checksum mismatch")
         return cls(sport, dport, payload, checksum)
 

@@ -1,26 +1,32 @@
-"""Whole runs: relaying on the wire changes nothing a run does or records.
+"""Whole runs: the wire path changes nothing a run does or records.
 
 A router relays a datagram whose compressed form does not depend on the
-link as it came, rewriting only its hop limit (the wire path, DESIGN §12);
-the decode path decompresses it, decrements the hop limit and compresses
-it again.  Each run here goes twice: as is, and with the wire predicate
-``iphc.wire_fields`` patched to decline every datagram, so every forward
-takes the decode path.  This patch is a test seam; the stack has no switch
-for it.  Both must give the same result, the same counters at every node
-(IP stack, netif, adaptation, packet buffer) and, with every channel on,
-the same trace records, span trees and metrics.  The unpatched runs must
-have relayed every forwarded datagram on the wire.
+link as it came, rewriting only its hop limit, and a UDP datagram for the
+node itself reaches its port as it came (the wire path, DESIGN §12); the
+decode path decompresses every datagram first.  Each run here goes twice:
+as is, and with the wire predicate ``iphc.wire_fields`` patched to decline
+every datagram, so every forward and every delivery takes the decode path.
+This patch is a test seam; the stack has no switch for it.  Both must give
+the same result, the same counters at every node (IP stack, netif,
+adaptation, packet buffer, UDP, CoAP endpoints) and, with every channel
+on, the same trace records, span trees and metrics.  The unpatched runs
+must have relayed every forwarded datagram and delivered every local UDP
+datagram on the wire; the declined runs, none.
 """
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+from repro.coap.endpoint import CoapEndpoint
 from repro.exp.config import ExperimentConfig
 from repro.exp.runner import ExperimentRunner
 from repro.net.netif import BleNetif
+from repro.net.udp import UdpStack
 from repro.sixlowpan import iphc
 from tests.integration.test_observation_neutral import WORKLOADS
+from tests.support import LINE4
 from tests.trace.test_golden import CHURN_25
 
 RUNS = {
@@ -31,6 +37,13 @@ RUNS = {
     for seed in (1, 7)
 }
 RUNS["churn25"] = dataclasses.replace(CHURN_25, trace=False, trace_layers="")
+#: The 3-hop line with confirmable requests over a lossy channel: CoAP
+#: retransmits (64 times at seed 3) and RTTs reach seconds, so the
+#: consumer receives copies of one request and producers late ACKs.
+RUNS["line4-con-lossy"] = dataclasses.replace(
+    ExperimentConfig.from_yaml(Path(LINE4).read_text()),
+    confirmable=True, base_ber=1e-3, duration_s=30.0,
+)
 
 #: Every channel on; the layers whose records a forward makes.
 OBSERVED = dict(trace=True, trace_layers="l2cap,sixlo,ip,coap", spans=True, metrics=True)
@@ -45,42 +58,69 @@ def counters(obj):
 
 
 def run(config, monkeypatch, decline):
-    """The run's observable outputs, and its wire relays and forwards."""
-    relayed = 0
+    """The run's observable outputs, and its census: forwards, wire relays,
+    and local UDP datagrams delivered on the wire and decoded."""
+    census = dict(relayed=0, on_wire=0, decoded=0)
+    endpoints = []
     with monkeypatch.context() as patch:
         if decline:
             patch.setattr(iphc, "wire_fields", lambda data: None)
         send_wire = BleNetif.send_wire
 
         def counted(self, *args):
-            nonlocal relayed
             sent = send_wire(self, *args)
-            relayed += sent
+            census["relayed"] += sent
             return sent
 
+        def tally(method, key):
+            def tallied(self, arg):
+                census[key] += 1
+                return method(self, arg)
+
+            return tallied
+
+        init = CoapEndpoint.__init__
+
+        def recorded(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            endpoints.append(self)
+
         patch.setattr(BleNetif, "send_wire", counted)
+        patch.setattr(UdpStack, "_on_wire", tally(UdpStack._on_wire, "on_wire"))
+        patch.setattr(UdpStack, "_on_packet", tally(UdpStack._on_packet, "decoded"))
+        patch.setattr(CoapEndpoint, "__init__", recorded)
         runner = ExperimentRunner(config)
         result = runner.run()
     nodes = runner.network.nodes
     seen = {
         "result": result,
         "counters": [
-            [counters(obj) for obj in (node.ip, node.netif, node.netif.adaptation, node.pktbuf)]
+            [
+                counters(obj)
+                for obj in (node.ip, node.netif, node.netif.adaptation, node.pktbuf, node.udp)
+            ]
             for node in nodes
         ],
+        "endpoints": [(ep.node.node_id, counters(ep)) for ep in endpoints],
     }
-    return seen, relayed, sum(node.ip.forwarded for node in nodes)
+    census["forwarded"] = sum(node.ip.forwarded for node in nodes)
+    census["retransmissions"] = sum(ep.retransmissions for ep in endpoints)
+    return seen, census
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_wire_path_matches_the_decode_path(name, monkeypatch):
     for channels in ({}, OBSERVED):
         config = dataclasses.replace(RUNS[name], **channels)
-        wire, relayed, forwarded = run(config, monkeypatch, decline=False)
-        decoded, relayed_declined, forwarded_declined = run(config, monkeypatch, decline=True)
-        assert forwarded > 0 and relayed == forwarded
-        assert relayed_declined == 0 and forwarded_declined == forwarded
+        wire, census = run(config, monkeypatch, decline=False)
+        decoded, declined = run(config, monkeypatch, decline=True)
+        assert census["forwarded"] > 0 and census["relayed"] == census["forwarded"]
+        assert declined["relayed"] == 0 and declined["forwarded"] == census["forwarded"]
+        assert census["on_wire"] > 0 and census["decoded"] == 0
+        assert declined["on_wire"] == 0 and declined["decoded"] == census["on_wire"]
+        assert (census["retransmissions"] > 0) == config.confirmable
         assert wire["counters"] == decoded["counters"]
+        assert wire["endpoints"] == decoded["endpoints"]
         for field in dataclasses.fields(wire["result"]):
             assert getattr(wire["result"], field.name) == getattr(
                 decoded["result"], field.name

@@ -165,22 +165,6 @@ class TestCallResolution:
         )
         assert [c.callee for c in p.functions["m.f"].calls] == ["time.time"]
 
-    def test_callers_of_is_sorted_and_complete(self):
-        p = project_of(
-            m="""
-            def helper():
-                pass
-
-            def a():
-                helper()
-
-            def b():
-                helper()
-            """
-        )
-        callers = [fn.qualname for fn, _ in p.callers_of("m.helper")]
-        assert callers == ["m.a", "m.b"]
-
 
 class TestReturnsSet:
     def test_set_literal_and_annotation(self):
