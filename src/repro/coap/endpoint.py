@@ -18,6 +18,9 @@ from repro.coap.message import (
     CoapDecodeError,
     CoapMessage,
     CoapType,
+    empty_ack_bytes,
+    request_bytes,
+    uri_path_options,
 )
 from repro.sim.kernel import Timer
 from repro.sim.units import SEC
@@ -42,11 +45,14 @@ ResourceHandler = Callable[[bytes, Ipv6Address], Optional[bytes]]
 ResponseHandler = Callable[[CoapMessage, int], None]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pending:
-    """A request awaiting its acknowledgement / response."""
+    """A request awaiting its acknowledgement / response.
 
-    message: CoapMessage
+    ``data`` is the request as encoded, sent again on each retransmission.
+    """
+
+    data: bytes
     dst: Ipv6Address
     sent_at: int
     on_response: Optional[ResponseHandler]
@@ -74,6 +80,8 @@ class CoapEndpoint:
         self.port = port
         self.rng = rng or random.Random(node.node_id ^ 0xC0A9)
         self._resources: Dict[str, ResourceHandler] = {}
+        #: Each requested path's Uri-Path options, encoded once.
+        self._path_options: Dict[str, bytes] = {}
         self._pending: Dict[Tuple[bytes, int], _Pending] = {}
         # MID and token advance in lockstep, so each names at most one
         # pending request: these index ``_pending`` for O(1) matching.  A
@@ -119,11 +127,12 @@ class CoapEndpoint:
         self._next_mid = (self._next_mid + 1) & 0xFFFF
         token = self._next_token.to_bytes(2, "big")
         self._next_token = (self._next_token + 1) & 0xFFFF
-        message = CoapMessage.request(
-            path, payload, mid=mid, token=token, confirmable=confirmable
-        )
+        options = self._path_options.get(path)
+        if options is None:
+            options = self._path_options[path] = uri_path_options(path)
+        data = request_bytes(options, payload, mid, token, confirmable)
         pending = _Pending(
-            message=message,
+            data=data,
             dst=dst,
             sent_at=self.node.sim.now,
             on_response=on_response,
@@ -137,13 +146,13 @@ class CoapEndpoint:
                 self.node.node_id, str(dst), token, mid, confirmable
             )
             try:
-                sent = self._transmit(message, dst)
+                sent = self._transmit(data, dst)
             finally:
                 SPANS.ctx_restore(span_prev)
             if not sent:
                 SPANS.journey_complete(self.node.node_id, token, mid, "drop")
         else:
-            sent = self._transmit(message, dst)
+            sent = self._transmit(data, dst)
         if not sent:
             return False
         self.requests_sent += 1
@@ -165,10 +174,8 @@ class CoapEndpoint:
             pending.timer = self.node.sim.after(timeout, self._retransmit, key)
         return True
 
-    def _transmit(self, message: CoapMessage, dst: Ipv6Address) -> bool:
-        return self.node.udp.sendto(
-            message.encode(), dst, self.port, self.port
-        )
+    def _transmit(self, data: bytes, dst: Ipv6Address) -> bool:
+        return self.node.udp.sendto(data, dst, self.port, self.port)
 
     def _retransmit(self, key: Tuple[bytes, int]) -> None:
         pending = self._pending.get(key)
@@ -202,11 +209,11 @@ class CoapEndpoint:
                 self.node.node_id, key[0], key[1]
             )
             try:
-                self._transmit(pending.message, pending.dst)
+                self._transmit(pending.data, pending.dst)
             finally:
                 SPANS.ctx_restore(span_prev)
         else:
-            self._transmit(pending.message, pending.dst)
+            self._transmit(pending.data, pending.dst)
         pending.timeout_ns *= 2  # binary exponential backoff
         pending.timer = self.node.sim.after(
             pending.timeout_ns, self._retransmit, key
@@ -232,20 +239,20 @@ class CoapEndpoint:
     def _serve(self, message: CoapMessage, src: Ipv6Address, src_port: int) -> None:
         handler = self._resources.get(message.uri_path())
         if handler is None:
-            reply = message.make_ack(CoapCode.NOT_FOUND)
+            reply = message.make_ack(CoapCode.NOT_FOUND).encode()
         else:
             self.requests_served += 1
             response_payload = handler(message.payload, src)
             if response_payload is None:
-                reply = message.make_ack()  # empty ACK, the paper's consumer
+                reply = empty_ack_bytes(message.mid)  # the paper's consumer
             else:
-                reply = message.make_ack(CoapCode.CONTENT, response_payload)
+                reply = message.make_ack(CoapCode.CONTENT, response_payload).encode()
         self.acks_sent += 1
         if SPANS.enabled:
             # The reply rides the same journey context the delivered
             # request installed; hops below here are the response leg.
             SPANS.response_leg()
-        self.node.udp.sendto(reply.encode(), src, src_port, self.port)
+        self.node.udp.sendto(reply, src, src_port, self.port)
 
     def _forget(self, key: Tuple[bytes, int]) -> _Pending:
         """Remove one request from the pending table and its indexes."""

@@ -9,6 +9,7 @@ a 39-byte payload) holds on the wire.
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, List, Tuple
@@ -57,6 +58,15 @@ _TYPES: Tuple[CoapType, ...] = tuple(CoapType)
 _CODES: Dict[int, CoapCode] = {code.value: code for code in CoapCode}
 #: Options sort by number alone, so repeated options keep their order.
 _OPTION_NUMBER = itemgetter(0)
+#: Built messages: the fixed header (first byte, code, message ID), the
+#: first byte of a CON request, a NON request and an ACK less the token
+#: length, and the codes of a request and an empty ACK.
+_HEADER = struct.Struct(">BBH")
+_CON = COAP_VERSION << 6 | CoapType.CON << 4
+_NON = COAP_VERSION << 6 | CoapType.NON << 4
+_ACK = COAP_VERSION << 6 | CoapType.ACK << 4
+_GET = int(CoapCode.GET)
+_EMPTY = int(CoapCode.EMPTY)
 
 
 class CoapDecodeError(ValueError):
@@ -234,3 +244,30 @@ class CoapMessage:
             options=options,
             payload=data[pos:],
         )
+
+
+def uri_path_options(path: str) -> bytes:
+    """The Uri-Path options of a request for ``path``, as
+    :meth:`CoapMessage.encode` writes them (the request bytes behind its
+    4-byte header)."""
+    return CoapMessage.request(path).encode()[4:]
+
+
+def request_bytes(
+    options: bytes, payload: bytes, mid: int, token: bytes, confirmable: bool
+) -> bytes:
+    """``CoapMessage.request(path, payload, mid, token, confirmable).encode()``,
+    built from the path's :func:`uri_path_options`.
+
+    :param mid: 0..0xFFFF.
+    :param token: up to 8 bytes.
+    """
+    head = _HEADER.pack((_CON if confirmable else _NON) | len(token), _GET, mid)
+    if payload:
+        return b"".join((head, token, options, b"\xff", payload))
+    return head + token + options
+
+
+def empty_ack_bytes(mid: int) -> bytes:
+    """``make_ack().encode()`` of the message with ``mid``: the empty ACK."""
+    return _HEADER.pack(_ACK, _EMPTY, mid)

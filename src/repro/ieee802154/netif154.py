@@ -18,7 +18,7 @@ from repro.net.pktbuf import PacketBuffer
 from repro.phy.frames import IEEE802154_MAX_PSDU
 from repro.sixlowpan import frag
 from repro.sixlowpan.adapt import BleAdaptation
-from repro.sixlowpan.iphc import UNCOMPRESSED_IPV6_DISPATCH
+from repro.sixlowpan.iphc import UNCOMPRESSED_IPV6_DISPATCH, decompress
 from repro.sixlowpan.ipv6 import Ipv6Packet
 from repro.spans.hub import SPANS
 
@@ -67,22 +67,40 @@ class Netif154:
             packet, self._iid, BleAdaptation.iid_for_node(next_hop_ll)
         )
         if len(wire) <= FRAME_BUDGET:
-            if not self.pktbuf.try_alloc(len(wire)):
-                self.drops_pktbuf += 1
-                if SPANS.enabled:
-                    SPANS.drop("pktbuf")
-                return False
-            if SPANS.enabled:
-                # Coarse single-phase hop: the datagram bytes key it, and
-                # the receiver reconstructs the same key on delivery.
-                SPANS.hop_open(
-                    ("154", self.ll_addr, next_hop_ll, wire), None,
-                    f"node{self.ll_addr}", f"node{next_hop_ll}",
-                )
-            self.mac.send(next_hop_ll, wire, tag=(len(wire), wire))
-            self.tx_packets += 1
-            return True
+            return self._send_frame(wire, next_hop_ll)
         return self._send_fragmented(packet, next_hop_ll)
+
+    def send_wire(self, wire: bytes, ip_len: int, next_hop_ll: int) -> bool:
+        """:meth:`send` for a datagram compressed as every link would
+        compress it (the wire path, DESIGN §12), whose packet is ``ip_len``
+        bytes.  A datagram over the frame budget is decompressed and
+        fragmented; with IPHC off it is decompressed and sent as a packet.
+        """
+        adaptation = self.adaptation
+        if not adaptation.use_iphc:
+            return self.send(decompress(wire), next_hop_ll)
+        adaptation.count_down(ip_len, len(wire))
+        if len(wire) <= FRAME_BUDGET:
+            return self._send_frame(wire, next_hop_ll)
+        return self._send_fragmented(decompress(wire), next_hop_ll)
+
+    def _send_frame(self, wire: bytes, next_hop_ll: int) -> bool:
+        """Charge ``wire`` to the packet buffer and queue it as one frame."""
+        if not self.pktbuf.try_alloc(len(wire)):
+            self.drops_pktbuf += 1
+            if SPANS.enabled:
+                SPANS.drop("pktbuf")
+            return False
+        if SPANS.enabled:
+            # Coarse single-phase hop: the datagram bytes key it, and
+            # the receiver reconstructs the same key on delivery.
+            SPANS.hop_open(
+                ("154", self.ll_addr, next_hop_ll, wire), None,
+                f"node{self.ll_addr}", f"node{next_hop_ll}",
+            )
+        self.mac.send(next_hop_ll, wire, tag=(len(wire), wire))
+        self.tx_packets += 1
+        return True
 
     def _send_fragmented(self, packet: Ipv6Packet, next_hop_ll: int) -> bool:
         """RFC 4944 path: carry the datagram uncompressed in fragments."""

@@ -97,13 +97,9 @@ class Ipv6Stack:
 
     def send(self, packet: Ipv6Packet) -> bool:
         """Originate a packet from this node."""
-        self.originated += 1
-        if TRACE.enabled:
-            TRACE.emit(
-                None, "ip", "originate",
-                node=self.node_id, dst=_addr_ref(packet.dst.packed),
-            )
-        if packet.dst.packed in self.own_addresses:
+        dst = packet.dst.packed
+        self._originated(dst)
+        if dst in self.own_addresses:
             self._deliver(packet)
             return True
         if packet.dst.is_multicast:
@@ -145,16 +141,24 @@ class Ipv6Stack:
             self.drops_hop_limit += 1
             self._drop(dst, "hop-limit")
             return
-        hop = self._next_hop(dst)
-        if hop is None:
-            return
         hop_limit -= 1
-        ll_addr, netif = hop
-        if not netif.send_wire(with_hop_limit(wire, hop_limit), ip_len, ll_addr):
-            self.drops_link += 1
-            self._drop(dst, "link")
-            return
-        self._forwarded(dst, hop_limit)
+        if self._route_wire(with_hop_limit(wire, hop_limit), dst, ip_len):
+            self._forwarded(dst, hop_limit)
+
+    def send_wire(self, wire: bytes, dst: bytes, ip_len: int) -> bool:
+        """Originate a compressed datagram from this node.
+
+        Origination on the wire (DESIGN §12): ``wire`` is what
+        :func:`~repro.sixlowpan.iphc.compress_udp` builds for a datagram to
+        ``dst`` (16 packed bytes) whose packet is ``ip_len`` bytes.  Every
+        count, drop and record is the one :meth:`send` makes for that
+        packet.
+        """
+        self._originated(dst)
+        if dst in self.own_addresses:
+            self.deliver_wire(wire)
+            return True
+        return self._route_wire(wire, dst, ip_len)
 
     def deliver_wire(self, wire: bytes) -> None:
         """Deliver a compressed datagram for this node as it came.
@@ -172,6 +176,11 @@ class Ipv6Stack:
             return
         self._delivered(PROTO_UDP)
         entry(wire)
+
+    def _originated(self, dst: bytes) -> None:
+        self.originated += 1
+        if TRACE.enabled:
+            TRACE.emit(None, "ip", "originate", node=self.node_id, dst=_addr_ref(dst))
 
     def _forwarded(self, dst: bytes, hop_limit: int) -> None:
         self.forwarded += 1
@@ -230,6 +239,19 @@ class Ipv6Stack:
             return False
         ll_addr, netif = hop
         if not netif.send(packet, ll_addr):
+            self.drops_link += 1
+            self._drop(dst, "link")
+            return False
+        return True
+
+    def _route_wire(self, wire: bytes, dst: bytes, ip_len: int) -> bool:
+        """:meth:`_route` for a compressed datagram to ``dst`` whose packet
+        is ``ip_len`` bytes: the relay's and origination's way out."""
+        hop = self._next_hop(dst)
+        if hop is None:
+            return False
+        ll_addr, netif = hop
+        if not netif.send_wire(wire, ip_len, ll_addr):
             self.drops_link += 1
             self._drop(dst, "link")
             return False

@@ -166,7 +166,8 @@ class BleNetif:
 
     def send_wire(self, wire: bytes, ip_len: int, next_hop_ll: int) -> bool:
         """:meth:`send` for a datagram compressed as this link would compress
-        it (the wire path, DESIGN §12), whose packet is ``ip_len`` bytes.
+        it (the wire path, DESIGN §12: relayed or originated), whose packet
+        is ``ip_len`` bytes.
 
         With IPHC off the datagram is decompressed and sent as a packet.
         """
@@ -176,10 +177,7 @@ class BleNetif:
         link = self._link_to(next_hop_ll)
         if link is None:
             return False
-        # what ``to_link`` counts
-        adaptation.bytes_in += ip_len
-        adaptation.bytes_out += len(wire)
-        adaptation.packets_down += 1
+        adaptation.count_down(ip_len, len(wire))
         return self._queue(link, wire, ip_len, next_hop_ll)
 
     def _link_to(self, peer_ll: int) -> Optional[_Link]:

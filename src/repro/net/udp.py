@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.net.ip import Ipv6Stack
-from repro.sixlowpan.iphc import wire_udp
+from repro.sixlowpan import iphc
 from repro.sixlowpan.ipv6 import (
     Ipv6Address,
     Ipv6Packet,
@@ -22,6 +22,8 @@ from repro.sixlowpan.ipv6 import (
 
 #: ``handler(payload, src_addr, src_port)`` signature for bound ports.
 UdpHandler = Callable[[bytes, Ipv6Address, int], None]
+#: The most data a datagram's 16-bit length field (header included) admits.
+_MAX_DATA = 0xFFFF - 8
 
 
 class UdpStack:
@@ -56,17 +58,36 @@ class UdpStack:
         src: Optional[Ipv6Address] = None,
         hop_limit: int = 64,
     ) -> bool:
-        """Send one datagram; returns False if the stack dropped it."""
+        """Send one datagram; returns False if the stack dropped it.
+
+        Between two routable unicast addresses the datagram leaves as the
+        bytes ``compress`` would emit for its packet (origination on the
+        wire, DESIGN §12); any other goes down as a packet.
+
+        :raises ValueError: when a port, the hop limit or the length does
+            not fit its field; nothing is counted then.
+        """
+        for port in (src_port, dst_port):
+            if not 0 <= port <= 0xFFFF:
+                raise ValueError(f"port out of range: {port}")
+        if not 0 <= hop_limit <= 255:
+            raise ValueError(f"hop limit out of range: {hop_limit}")
+        if len(payload) > _MAX_DATA:
+            raise ValueError(f"UDP data too long: {len(payload)} bytes")
         src = src or self.ip.mesh_local
-        dgram = UdpDatagram(src_port, dst_port, payload)
+        addresses = src.packed + dst.packed
+        checksum = 0xFFFF - udp_sum(addresses, src_port + dst_port, payload)
+        wire = iphc.compress_udp(addresses, hop_limit, src_port, dst_port, checksum, payload)
+        self.tx_datagrams += 1
+        if wire is not None:  # the packet: IPv6 and UDP headers, then the data
+            return self.ip.send_wire(wire, dst.packed, 48 + len(payload))
         packet = Ipv6Packet(
             src=src,
             dst=dst,
-            payload=dgram.encode(src, dst),
+            payload=UdpDatagram(src_port, dst_port, payload).encode(src, dst),
             next_header=PROTO_UDP,
             hop_limit=hop_limit,
         )
-        self.tx_datagrams += 1
         return self.ip.send(packet)
 
     def _on_packet(self, packet: Ipv6Packet) -> None:
@@ -83,7 +104,7 @@ class UdpStack:
     def _on_wire(self, wire: bytes) -> None:
         """A datagram for this node as it came (DESIGN §12): the header is
         read from its IPHC and NHC-UDP fields, never rebuilt."""
-        self._receive(*wire_udp(wire))
+        self._receive(*iphc.wire_udp(wire))
 
     def _receive(
         self, addresses: bytes, src_port: int, dst_port: int, checksum: int, payload: bytes

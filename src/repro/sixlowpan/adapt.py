@@ -48,10 +48,17 @@ class BleAdaptation:
             wire = iphc.compress(packet, src_ll_iid, dst_ll_iid)
         else:
             wire = bytes([iphc.UNCOMPRESSED_IPV6_DISPATCH]) + packet.encode()
-        self.bytes_in += packet.total_len
-        self.bytes_out += len(wire)
-        self.packets_down += 1
+        self.count_down(packet.total_len, len(wire))
         return wire
+
+    def count_down(self, ip_len: int, link_len: int) -> None:
+        """Count one outbound datagram: a packet of ``ip_len`` bytes that
+        goes on the link as ``link_len`` bytes.  :meth:`to_link` counts
+        here, and so does a netif sending a datagram that is already
+        compressed (the wire path, DESIGN §12)."""
+        self.bytes_in += ip_len
+        self.bytes_out += link_len
+        self.packets_down += 1
 
     def from_link(
         self,

@@ -58,6 +58,20 @@ _UDP_LENGTH = struct.Struct(">H")
 #: code: IPHC dispatch, TF elided, NH compressed.
 _WIRE_BYTE0 = IPHC_DISPATCH | 0b11 << 3 | 0b100
 
+#: What :func:`compress_udp` builds ahead of the addresses, by hop limit:
+#: the base bytes, and the hop limit inline where it has no HLIM code.
+_WIRE_HEADS = tuple(
+    bytes((_WIRE_BYTE0 | _HLIM_MODES[h], 0) if h in _HLIM_MODES else (_WIRE_BYTE0, 0, h))
+    for h in range(256)
+)
+#: The NHC-UDP byte, the ports and the checksum, by port mode.
+_NHC_UDP = (
+    struct.Struct(">BHHH"),  # 00: both ports inline
+    struct.Struct(">BHBH"),  # 01: source inline, destination 0xF0dd
+    struct.Struct(">BBHH"),  # 10: source 0xF0ss, destination inline
+    struct.Struct(">BBH"),  # 11: 0xF0Bs, 0xF0Bd in one byte of nibbles
+)
+
 _TRUNCATED = "truncated IPHC datagram"
 _NO_IID = "elided address but no link-layer IID available"
 
@@ -439,6 +453,43 @@ def wire_udp(data: bytes) -> Tuple[bytes, int, int, int, bytes]:
         dst_port = data[nhc + 2] << 8 | data[nhc + 3]
     end = nhc + 1 + _PORTS_INLINE[ports_mode]
     return data[pos:nhc], src_port, dst_port, data[end] << 8 | data[end + 1], data[end + 2 :]
+
+
+def compress_udp(
+    addresses: bytes, hop_limit: int, src_port: int, dst_port: int, checksum: int, data: bytes
+) -> Optional[bytes]:
+    """:func:`compress` of a UDP packet whose compressed form does not
+    depend on the link, built from its fields (origination on the wire,
+    DESIGN §12).
+
+    Equal to ``compress(packet, a, b)`` for any link IIDs ``a`` and ``b``:
+    TF elided, both addresses inline, NHC-UDP in the port mode
+    :func:`compress` picks with ``checksum`` carried, then ``data``.
+    :func:`wire_fields` reads it as ``(dst, hop_limit, 48 + len(data))``.
+
+    :param addresses: the packed source and destination, 32 bytes.
+    :param hop_limit: 0..255, as the caller checks (it indexes a table).
+    :returns: None when either address is in fe80::/64 or the destination
+        is multicast: there the IIDs matter, or :func:`wire_fields`
+        declines the datagram.
+    """
+    if (
+        addresses[:8] == _LINK_LOCAL_PADDED
+        or addresses[16:24] == _LINK_LOCAL_PADDED
+        or addresses[16] == 0xFF
+    ):
+        return None
+    # the port mode compress picks, in the order it tries them
+    if src_port >> 4 == dst_port >> 4 == 0xF0B:
+        nibbles = (src_port & 0xF) << 4 | dst_port & 0xF
+        udp = _NHC_UDP[0b11].pack(NHC_UDP_PATTERN | 0b11, nibbles, checksum)
+    elif dst_port >> 8 == 0xF0:
+        udp = _NHC_UDP[0b01].pack(NHC_UDP_PATTERN | 0b01, src_port, dst_port & 0xFF, checksum)
+    elif src_port >> 8 == 0xF0:
+        udp = _NHC_UDP[0b10].pack(NHC_UDP_PATTERN | 0b10, src_port & 0xFF, dst_port, checksum)
+    else:
+        udp = _NHC_UDP[0b00].pack(NHC_UDP_PATTERN, src_port, dst_port, checksum)
+    return b"".join((_WIRE_HEADS[hop_limit], addresses, udp, data))
 
 
 def with_hop_limit(data: bytes, hop_limit: int) -> bytes:

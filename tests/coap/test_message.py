@@ -9,6 +9,9 @@ from repro.coap.message import (
     CoapMessage,
     CoapOption,
     CoapType,
+    empty_ack_bytes,
+    request_bytes,
+    uri_path_options,
 )
 
 
@@ -135,3 +138,40 @@ def test_roundtrip_property(mtype, code, mid, token, payload, options):
         payload=payload,
     )
     assert CoapMessage.decode(msg.encode()) == msg
+
+
+# -- request and empty-ACK bytes against the message codec ----------------------
+
+#: Uri-Path segments of 0-300 bytes, pinned on both sides of the extended
+#: lengths 13 and 269, in ASCII and in multi-byte UTF-8 (an empty segment,
+#: as from a doubled or trailing slash, is no option).
+SEGMENTS = st.one_of(
+    st.sampled_from([0, 1, 12, 13, 14, 268, 269, 270]).map(lambda n: "s" * n),
+    st.integers(0, 300).map(lambda n: "\u00e9" * (n // 2) + "x" * (n % 2)),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="/")),
+)
+PATHS = st.lists(SEGMENTS, max_size=4).map("/".join)
+
+
+@given(
+    path=PATHS,
+    payload=st.binary(max_size=300),
+    mid=st.integers(0, 0xFFFF),
+    token=st.binary(max_size=8),
+    confirmable=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_request_bytes_are_the_encoded_request(path, payload, mid, token, confirmable):
+    expected = CoapMessage.request(path, payload, mid, token, confirmable).encode()
+    assert request_bytes(uri_path_options(path), payload, mid, token, confirmable) == expected
+
+
+def test_request_and_empty_ack_bytes_over_every_mid():
+    options = uri_path_options("sense")
+    for mid in range(0x10000):
+        for confirmable in (False, True):
+            request = CoapMessage.request("sense", b"x", mid, b"\x01\x02", confirmable)
+            assert request_bytes(options, b"x", mid, b"\x01\x02", confirmable) == (
+                request.encode()
+            )
+        assert empty_ack_bytes(mid) == request.make_ack().encode()

@@ -1,17 +1,21 @@
 """Whole runs: the wire path changes nothing a run does or records.
 
 A router relays a datagram whose compressed form does not depend on the
-link as it came, rewriting only its hop limit, and a UDP datagram for the
-node itself reaches its port as it came (the wire path, DESIGN §12); the
-decode path decompresses every datagram first.  Each run here goes twice:
-as is, and with the wire predicate ``iphc.wire_fields`` patched to decline
-every datagram, so every forward and every delivery takes the decode path.
-This patch is a test seam; the stack has no switch for it.  Both must give
-the same result, the same counters at every node (IP stack, netif,
-adaptation, packet buffer, UDP, CoAP endpoints) and, with every channel
-on, the same trace records, span trees and metrics.  The unpatched runs
-must have relayed every forwarded datagram and delivered every local UDP
-datagram on the wire; the declined runs, none.
+link as it came, rewriting only its hop limit, a UDP datagram for the node
+itself reaches its port as it came, and a UDP datagram between routable
+addresses leaves as the bytes ``compress`` would emit (the wire path,
+DESIGN §12); the decode path decompresses every datagram first and builds
+every origination as a packet.  Each run here goes twice: as is, and with
+the wire predicate ``iphc.wire_fields`` and the builder
+``iphc.compress_udp`` patched to decline every datagram, so every forward,
+delivery and origination takes the decode path.  These patches are test
+seams; the stack has no switch for them.  Both must give the same result,
+the same counters at every node (IP stack, netif, adaptation, packet
+buffer, UDP, CoAP endpoints) and, with every channel on, the same trace
+records, span trees and metrics.  The unpatched runs must have originated
+every UDP datagram on the wire and, over BLE, relayed every forwarded
+datagram and delivered every local UDP datagram on the wire; the declined
+runs, none.  802.15.4 forwards and delivers on the decode path.
 """
 
 import dataclasses
@@ -22,7 +26,7 @@ import pytest
 from repro.coap.endpoint import CoapEndpoint
 from repro.exp.config import ExperimentConfig
 from repro.exp.runner import ExperimentRunner
-from repro.net.netif import BleNetif
+from repro.net.ip import Ipv6Stack
 from repro.net.udp import UdpStack
 from repro.sixlowpan import iphc
 from tests.integration.test_observation_neutral import WORKLOADS
@@ -37,12 +41,18 @@ RUNS = {
     for seed in (1, 7)
 }
 RUNS["churn25"] = dataclasses.replace(CHURN_25, trace=False, trace_layers="")
+LINE4_CONFIG = ExperimentConfig.from_yaml(Path(LINE4).read_text())
 #: The 3-hop line with confirmable requests over a lossy channel: CoAP
 #: retransmits (64 times at seed 3) and RTTs reach seconds, so the
 #: consumer receives copies of one request and producers late ACKs.
 RUNS["line4-con-lossy"] = dataclasses.replace(
-    ExperimentConfig.from_yaml(Path(LINE4).read_text()),
-    confirmable=True, base_ber=1e-3, duration_s=30.0,
+    LINE4_CONFIG, confirmable=True, base_ber=1e-3, duration_s=30.0
+)
+#: The line over 802.15.4: originations leave on the wire, one frame each
+#: at 39 B; at 500 B the requests are fragmented, and CON retransmits them.
+RUNS["line4-154"] = dataclasses.replace(LINE4_CONFIG, link_layer="802154")
+RUNS["line4-154-500-con"] = dataclasses.replace(
+    LINE4_CONFIG, link_layer="802154", payload_len=500, confirmable=True, duration_s=30.0
 )
 
 #: Every channel on; the layers whose records a forward makes.
@@ -58,24 +68,26 @@ def counters(obj):
 
 
 def run(config, monkeypatch, decline):
-    """The run's observable outputs, and its census: forwards, wire relays,
-    and local UDP datagrams delivered on the wire and decoded."""
-    census = dict(relayed=0, on_wire=0, decoded=0)
+    """The run's observable outputs, and its census: forwards and those
+    relayed on the wire, local UDP datagrams delivered on the wire and
+    decoded, and UDP datagrams sent and those originated on the wire."""
+    census = dict(relayed=0, on_wire=0, decoded=0, originated_on_wire=0)
     endpoints = []
     with monkeypatch.context() as patch:
         if decline:
             patch.setattr(iphc, "wire_fields", lambda data: None)
-        send_wire = BleNetif.send_wire
+            patch.setattr(iphc, "compress_udp", lambda *fields: None)
+        relay = Ipv6Stack.relay
 
         def counted(self, *args):
-            sent = send_wire(self, *args)
-            census["relayed"] += sent
-            return sent
+            before = self.forwarded
+            relay(self, *args)
+            census["relayed"] += self.forwarded - before
 
         def tally(method, key):
-            def tallied(self, arg):
+            def tallied(self, *args):
                 census[key] += 1
-                return method(self, arg)
+                return method(self, *args)
 
             return tallied
 
@@ -85,7 +97,10 @@ def run(config, monkeypatch, decline):
             init(self, *args, **kwargs)
             endpoints.append(self)
 
-        patch.setattr(BleNetif, "send_wire", counted)
+        patch.setattr(Ipv6Stack, "relay", counted)
+        patch.setattr(
+            Ipv6Stack, "send_wire", tally(Ipv6Stack.send_wire, "originated_on_wire")
+        )
         patch.setattr(UdpStack, "_on_wire", tally(UdpStack._on_wire, "on_wire"))
         patch.setattr(UdpStack, "_on_packet", tally(UdpStack._on_packet, "decoded"))
         patch.setattr(CoapEndpoint, "__init__", recorded)
@@ -104,6 +119,7 @@ def run(config, monkeypatch, decline):
         "endpoints": [(ep.node.node_id, counters(ep)) for ep in endpoints],
     }
     census["forwarded"] = sum(node.ip.forwarded for node in nodes)
+    census["udp_sent"] = sum(node.udp.tx_datagrams for node in nodes)
     census["retransmissions"] = sum(ep.retransmissions for ep in endpoints)
     return seen, census
 
@@ -114,10 +130,19 @@ def test_wire_path_matches_the_decode_path(name, monkeypatch):
         config = dataclasses.replace(RUNS[name], **channels)
         wire, census = run(config, monkeypatch, decline=False)
         decoded, declined = run(config, monkeypatch, decline=True)
-        assert census["forwarded"] > 0 and census["relayed"] == census["forwarded"]
-        assert declined["relayed"] == 0 and declined["forwarded"] == census["forwarded"]
-        assert census["on_wire"] > 0 and census["decoded"] == 0
-        assert declined["on_wire"] == 0 and declined["decoded"] == census["on_wire"]
+        assert census["udp_sent"] > 0
+        assert census["originated_on_wire"] == census["udp_sent"]
+        assert declined["originated_on_wire"] == 0
+        assert declined["udp_sent"] == census["udp_sent"]
+        assert census["forwarded"] > 0 and declined["forwarded"] == census["forwarded"]
+        if config.link_layer == "802154":  # forwards and delivers decoded
+            assert census["relayed"] == census["on_wire"] == 0
+            assert census["decoded"] == declined["decoded"] > 0
+        else:
+            assert census["relayed"] == census["forwarded"]
+            assert census["on_wire"] > 0 and census["decoded"] == 0
+            assert declined["on_wire"] == 0 and declined["decoded"] == census["on_wire"]
+        assert declined["relayed"] == 0
         assert (census["retransmissions"] > 0) == config.confirmable
         assert wire["counters"] == decoded["counters"]
         assert wire["endpoints"] == decoded["endpoints"]

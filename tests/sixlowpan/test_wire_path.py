@@ -9,6 +9,7 @@ must be declined and decode as before.
 """
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -180,6 +181,73 @@ def test_accepted_bytes_are_what_compress_emits(wire, data):
     assert fields == (packet.dst.packed, packet.hop_limit, packet.total_len)
     assert compress(packet, iid, None) == with_hop_limit(wire, packet.hop_limit)
     assert_relay_exact(with_hop_limit(wire, packet.hop_limit), packet, data)
+
+
+# -- origination: the builder is compress ----------------------------------------
+
+#: Hop limits on both sides of each HLIM code, and the ends of the byte.
+HOP_LIMITS = (0, 1, 2, 63, 64, 65, 254, 255)
+
+
+def assert_built_exact(src, dst, hop_limit, sport, dport, checksum, data, iids):
+    """``compress_udp`` of the fields is ``compress`` of their packet for
+    every pair of link IIDs, and None exactly where ``wire_fields``
+    declines what ``compress`` emits."""
+    udp = bytearray(UdpDatagram(sport, dport, data).encode(src, dst))
+    if checksum is not None:
+        udp[6:8] = checksum.to_bytes(2, "big")
+    packet = Ipv6Packet(src, dst, bytes(udp), hop_limit=hop_limit)
+    built = iphc.compress_udp(
+        src.packed + dst.packed, hop_limit, sport, dport, int.from_bytes(udp[6:8], "big"), data
+    )
+    for a, b in iids:
+        wire = compress(packet, a, b)
+        if built is None:
+            assert wire_fields(wire) is None
+        else:
+            assert built == wire
+    if built is not None:
+        assert wire_fields(built) == (dst.packed, hop_limit, 48 + len(data))
+    return built
+
+
+@given(
+    src=ADDRESSES,
+    dst=ADDRESSES,
+    hop_limit=st.one_of(st.sampled_from(HOP_LIMITS), st.integers(0, 255)),
+    sport=PORTS,
+    dport=PORTS,
+    checksum=st.one_of(st.none(), st.sampled_from([0, 0xFFFF]), st.integers(0, 0xFFFF)),
+    data=st.binary(max_size=300),
+    iids=st.lists(
+        st.tuples(*[st.none() | st.binary(min_size=8, max_size=8)] * 2), min_size=1, max_size=3
+    ),
+)
+@settings(max_examples=500, deadline=None)
+def test_built_origination_is_what_compress_emits(
+    src, dst, hop_limit, sport, dport, checksum, data, iids
+):
+    iids += [(src.iid, dst.iid)]  # the IIDs that elide link-local addresses
+    assert_built_exact(src, dst, hop_limit, sport, dport, checksum, data, iids)
+
+
+def test_built_origination_over_port_classes_hop_limits_and_addresses():
+    """Every NHC port mode, every hop limit near an HLIM code, data of odd
+    and even lengths, and mesh, link-local and multicast addresses."""
+    mesh, other = Ipv6Address.mesh_local(3), Ipv6Address.mesh_local(0)
+    port_modes = {
+        (5683, 5683): 0b00, (5683, 0xF012): 0b01, (0xF012, 5683): 0b10, (0xF0B1, 0xF0B2): 0b11
+    }
+    pairs = [(mesh, other), (LINK_LOCAL, other), (mesh, LINK_LOCAL), (mesh, ALL_NODES)]
+    cases = itertools.product(port_modes, HOP_LIMITS, (0, 1, 38, 39, 300), pairs)
+    for (sport, dport), hop_limit, size, (src, dst) in cases:
+        data = bytes(i & 0xFF for i in range(size))
+        iids = [(None, None), (src.iid, dst.iid)]
+        wire = assert_built_exact(src, dst, hop_limit, sport, dport, None, data, iids)
+        assert (wire is None) == (LINK_LOCAL in (src, dst) or dst == ALL_NODES)
+        if wire is not None:
+            nhc = 34 if hop_limit in (1, 64, 255) else 35
+            assert wire[nhc] & 0b11 == port_modes[sport, dport]
 
 
 # -- the hop limit's coding -------------------------------------------------------
