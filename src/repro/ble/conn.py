@@ -27,7 +27,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
 
 from repro.ble.chanmap import ChannelMap
 from repro.ble.config import ConnParams, CsaVariant, SchedulerPolicy
@@ -65,6 +65,15 @@ class DisconnectReason(enum.Enum):
 #: Duration of one minimal (empty <-> empty) packet exchange at LE 1M:
 #: 80 us + T_IFS + 80 us.
 MIN_EXCHANGE_NS: int = ble_air_time_ns(0) + T_IFS_NS + ble_air_time_ns(0)
+
+# Enum members the per-event and per-packet code compares against, bound
+# once: on CPython 3.11 every ``EnumClass.MEMBER`` read goes through the
+# enum metaclass's attribute hook, about ten times a module global's cost.
+_COORDINATOR = Role.COORDINATOR
+_SUBORDINATE = Role.SUBORDINATE
+_DATA_CONT = Llid.DATA_CONT
+_CTRL = Llid.CTRL
+_ALTERNATE = SchedulerPolicy.ALTERNATE
 
 
 @dataclass
@@ -230,13 +239,13 @@ class Endpoint:
         # Acceptance: new sequence number means new data.
         if pdu.sn == self.nesn:
             self.nesn ^= 1
-            if pdu.payload or pdu.llid is not Llid.DATA_CONT:  # not is_empty
+            if pdu.payload or pdu.llid is not _DATA_CONT:  # not is_empty
                 self.stats.rx_data_unique += 1
-                if pdu.llid is Llid.CTRL:
+                if pdu.llid is _CTRL:
                     self.conn._handle_ctrl(self, pdu)
                 elif self.on_rx_pdu is not None:
                     self.on_rx_pdu(pdu)
-        elif pdu.payload or pdu.llid is not Llid.DATA_CONT:
+        elif pdu.payload or pdu.llid is not _DATA_CONT:
             self.stats.rx_data_dup += 1
 
     def drain_queue(self) -> None:
@@ -335,22 +344,13 @@ class Connection:
         )
         self._widening_base = subordinate.config.window_widening_base_ns
         self._sub_clock = subordinate.clock
-        # Channel -> PER of an empty packet, for the idle event: with no
-        # bursts configured it is time-invariant, so it survives across
-        # events until the interference model's change stamp moves.
-        self._per_memo: Dict[int, float] = {}
-        self._per_memo_stamp: Tuple[int, int, int] = (-2, -2, -2)
         self._air = ble_air_time_table(self.phy)
         self._interval_true = coordinator.clock.local_duration_to_true(
             params.interval_ns
         )
         self._timeout_ns = params.effective_supervision_timeout_ns()
-        self._coord_alternate = (
-            coordinator.config.scheduler_policy is SchedulerPolicy.ALTERNATE
-        )
-        self._sub_alternate = (
-            subordinate.config.scheduler_policy is SchedulerPolicy.ALTERNATE
-        )
+        self._coord_alternate = coordinator.config.scheduler_policy is _ALTERNATE
+        self._sub_alternate = subordinate.config.scheduler_policy is _ALTERNATE
         self._idle_eligible = self._idle_eligibility()
         self._window_proven = self._window_always_hits()
         self._sub_latency_credit = 0
@@ -363,7 +363,7 @@ class Connection:
 
         coordinator.attach_connection(self, self._coord_activity)
         subordinate.attach_connection(self, self._sub_activity)
-        self._timer = sim.at(anchor0_true, self._run_event)
+        self._timer = sim.recurring(anchor0_true, self._run_event)
         self.coord.last_rx_valid = anchor0_true
         self.sub.last_rx_valid = anchor0_true
         if TRACE.enabled:
@@ -483,7 +483,7 @@ class Connection:
             interval = self._interval_true
             periods = (after_ns - anchor) // interval + 1
             anchor += periods * interval
-        if role is Role.SUBORDINATE:
+        if role is _SUBORDINATE:
             # The subordinate opens its window early by the widening (the
             # arithmetic of _run_event's window check); approximating with
             # the current widening is enough for budget queries.
@@ -497,7 +497,7 @@ class Connection:
         self, controller: "BleController", activity: _ConnActivity, t0: int
     ) -> bool:
         """ALTERNATE policy: yield to a more-starved co-located activity."""
-        if controller.config.scheduler_policy is not SchedulerPolicy.ALTERNATE:
+        if controller.config.scheduler_policy is not _ALTERNATE:
             return False
         demand_t, demand_a = controller.scheduler.next_demand_after(
             t0, exclude=activity
@@ -536,13 +536,13 @@ class Connection:
         return end
 
     def _idle_eligibility(self) -> bool:
-        """The per-connection half of the idle event's selection.
+        """The per-connection half of the served event's selection.
 
         True when neither end runs the ALTERNATE policy, the subordinate
         has no latency and a CRC error ends the event: then an event whose
-        radios are free, whose window hits and whose queues are empty has
-        nothing to decide but the loss draws.  Computed when the connection
-        is built and at each parameter update.
+        radios are free and whose window hits has nothing to decide but
+        the exchange.  Computed when the connection is built and at each
+        parameter update.
         """
         return (
             not self._coord_alternate
@@ -609,22 +609,27 @@ class Connection:
             return self._chan_block[offset]
         return csa.channel_for_event(counter, chan_map)
 
-    def _run_event(self) -> None:
+    def _run_event(self) -> Optional[int]:
         """Execute one connection event (the composite transaction).
 
-        An idle event -- nothing queued at either end, both radios free,
-        the subordinate's window hit, tracing and spans off, the stock loss
-        sampler and a connection eligible by :meth:`_idle_eligibility` --
-        plays its one empty <-> empty exchange inline (DESIGN §11); every
-        other event runs the general arbitration and :meth:`_exchange_loop`.
-        On a connection whose window provably hits
+        Returns the next anchor, at which the kernel fires this recurring
+        timer again, or None once the connection has closed.
+
+        A *served* event -- a connection eligible by
+        :meth:`_idle_eligibility`, the subordinate's window hit, both radios
+        free at the anchor and tracing off -- has nothing to decide: the
+        coordinator runs and the subordinate listens.  Every other event
+        asks :meth:`_arbitrate`.  A served event with nothing queued at
+        either end, spans off and the stock loss sampler plays its one
+        empty <-> empty exchange inline and, when neither packet is lost,
+        ends there (DESIGN §11); every other exchange runs
+        :meth:`_exchange_loop`.  On a connection whose window provably hits
         (:meth:`_window_always_hits`) a dark run predicts the anchor only
         where its value is used.
         """
         if not self.open:
-            return
-        sim = self.sim
-        now = sim._now  # kernel time is frozen for the whole event
+            return None
+        now = self.sim._now  # kernel time is frozen for the whole event
         trace_on = TRACE.enabled
         t0 = self.anchor_true
         coord, sub = self.coord, self.sub
@@ -646,230 +651,172 @@ class Connection:
         # widening and check the proof on every event.
         if self._window_proven and not trace_on:
             window_hit = True
+            widening: Optional[int] = None
         else:
             pred, widening = self._sub_window()
             window_hit = pred - widening <= t0 <= pred + widening
 
-        medium = self.medium
-        if (
+        served = (
             self._idle_eligible
             and window_hit
-            and not coord.tx_queue
-            and not sub.tx_queue
             and t0 >= csched._busy_until
             and t0 >= ssched._busy_until
-            and not (trace_on or SPANS.enabled)
-            and "packet_lost" not in medium.__dict__
-            and type(medium).packet_lost is BleMedium.packet_lost
-        ):
-            # --- the idle event: one empty <-> empty exchange ---------------
-            # What the loop would do with both queues empty: the pinned
-            # empties' SN/NESN/MD bits, the resync, last_rx_valid, the link
-            # and medium counters, and one rng draw per packet when PER > 0.
-            # Both packets share one channel and length, and kernel time is
-            # frozen, so they share one PER.  Bursts make it time-dependent;
-            # without them it is memoized across events for as long as the
-            # interference model's own change stamp is current and unchanged.
-            interf = medium.interference
-            if interf.bursts:
-                per = interf.packet_error_rate(channel, 10, now)
-            else:
-                memo = self._per_memo
-                stamp = interf._chan_stamp
+            and not trace_on
+        )
+        if served:
+            coord_runs = sub_listens = True
+        else:
+            coord_runs, sub_listens = self._arbitrate(
+                t0, channel, window_hit, widening
+            )
+
+        event_end = t0
+        if coord_runs and sub_listens:
+            medium = self.medium
+            done = False
+            if (
+                served
+                and not coord.tx_queue
+                and not sub.tx_queue
+                and not SPANS.enabled
+                and "packet_lost" not in medium.__dict__
+                and type(medium).packet_lost is BleMedium.packet_lost
+            ):
+                # --- the idle event: one empty <-> empty exchange -----------
+                # What the loop would do with both queues empty: the pinned
+                # empties' SN/NESN/MD bits, the resync, last_rx_valid, the
+                # link and medium counters, and one rng draw per packet when
+                # PER > 0.  Both packets share one channel and length, and
+                # kernel time is frozen, so they share one PER, read from the
+                # medium's loss table as BleMedium.packet_lost reads it.
+                interf = medium.interference
+                per: Optional[float] = None
                 if (
-                    stamp != self._per_memo_stamp
-                    or stamp[0] != id(interf.jammed_channels)
-                    or stamp[1] != len(interf.channel_per)
+                    not interf.bursts
+                    and interf._loss_jammed is interf.jammed_channels
+                    and interf._loss_n_per == len(interf.channel_per)
                 ):
-                    memo.clear()
-                per = memo.get(channel)
+                    per = interf._loss.get((10, channel))
                 if per is None:
                     per = interf.packet_error_rate(channel, 10, now)
-                    memo[channel] = per
-                    self._per_memo_stamp = interf._chan_stamp
-            air = self._air[0]
-            event_row = coord.stats.per_channel_events[channel]
-            event_row[0] += 1
-            pdu = coord._outstanding
-            if pdu is None:
-                pdu = coord._empty_pdu
-                pdu.sn = coord.sn
-                coord._outstanding = pdu
-            pdu.nesn = coord.nesn
-            pdu.md = False
-            coord.stats.tx_empty += 1
-            medium.packets_sampled += 1
-            end = t0 + air
-            if per > 0.0 and medium.rng.random() < per:
-                medium.packets_lost += 1
-                coord.stats.events_crc_abort += 1
-                event_row[1] += 1
-            else:
-                self._sync_true = t0
-                self._sync_counter = self.event_counter
-                sub.last_rx_valid = end
-                if pdu.nesn != sub.sn:
-                    sub.sn ^= 1
-                    sub._outstanding = None
-                if pdu.sn == sub.nesn:
-                    sub.nesn ^= 1
-                sub.stats.events_active += 1
-
-                pdu = sub._outstanding
+                air = self._air[0]
+                event_row = coord.stats.per_channel_events[channel]
+                event_row[0] += 1
+                pdu = coord._outstanding
                 if pdu is None:
-                    pdu = sub._empty_pdu
-                    pdu.sn = sub.sn
-                    sub._outstanding = pdu
-                pdu.nesn = sub.nesn
+                    pdu = coord._empty_pdu
+                    pdu.sn = coord.sn
+                    coord._outstanding = pdu
+                pdu.nesn = coord.nesn
                 pdu.md = False
-                sub.stats.tx_empty += 1
+                coord.stats.tx_empty += 1
                 medium.packets_sampled += 1
-                end += T_IFS_NS + air
+                end = t0 + air
                 if per > 0.0 and medium.rng.random() < per:
                     medium.packets_lost += 1
-                    sub.stats.events_crc_abort += 1
+                    coord.stats.events_crc_abort += 1
                     event_row[1] += 1
                 else:
-                    coord.last_rx_valid = end
-                    if pdu.nesn != coord.sn:
-                        coord.sn ^= 1
-                        coord._outstanding = None
-                    if pdu.sn == coord.nesn:
-                        coord.nesn ^= 1
-                    coord.stats.events_active += 1
-            # Inlined RadioScheduler.claim (both radios were free at t0)
-            # and note_conn_event (energy accounting), once per end.
+                    self._sync_true = t0
+                    self._sync_counter = self.event_counter
+                    sub.last_rx_valid = end
+                    if pdu.nesn != sub.sn:
+                        sub.sn ^= 1
+                        sub._outstanding = None
+                    if pdu.sn == sub.nesn:
+                        sub.nesn ^= 1
+                    sub.stats.events_active += 1
+
+                    pdu = sub._outstanding
+                    if pdu is None:
+                        pdu = sub._empty_pdu
+                        pdu.sn = sub.sn
+                        sub._outstanding = pdu
+                    pdu.nesn = sub.nesn
+                    pdu.md = False
+                    sub.stats.tx_empty += 1
+                    medium.packets_sampled += 1
+                    end += T_IFS_NS + air
+                    if per > 0.0 and medium.rng.random() < per:
+                        medium.packets_lost += 1
+                        sub.stats.events_crc_abort += 1
+                        event_row[1] += 1
+                    else:
+                        coord.last_rx_valid = end
+                        if pdu.nesn != coord.sn:
+                            coord.sn ^= 1
+                            coord._outstanding = None
+                        if pdu.sn == coord.nesn:
+                            coord.nesn ^= 1
+                        coord.stats.events_active += 1
+                        # Nothing in the tail can act: both last_rx_valid
+                        # are after now, tracing is off, and no control
+                        # procedure is pending (only an exchange loop's
+                        # tail sees one set).
+                        done = True
+            else:
+                end = self._exchange_loop(t0, channel, interval_true)
+            if trace_on or t0 < csched._busy_until or t0 < ssched._busy_until:
+                # claim() traces the claim, and an overlap needs its
+                # diagnostic raise: radio exclusivity must keep firing.
+                csched.claim(self._coord_activity, t0, end)
+                ssched.claim(self._sub_activity, t0, end)
+            else:
+                # Inlined RadioScheduler.claim fast path (tracing off;
+                # an exchange ends at or after t0).
+                dur = end - t0
+                csched._busy_until = end
+                csched.busy_ns_total += dur
+                csched.claims += 1
+                self._coord_activity.consec_skips = 0
+                ssched._busy_until = end
+                ssched.busy_ns_total += dur
+                ssched.claims += 1
+                self._sub_activity.consec_skips = 0
+            # Inlined note_conn_event x2 (energy accounting).
             dur = end - t0
-            csched._busy_until = end
-            csched.busy_ns_total += dur
-            csched.claims += 1
-            self._coord_activity.consec_skips = 0
-            ssched._busy_until = end
-            ssched.busy_ns_total += dur
-            ssched.claims += 1
-            self._sub_activity.consec_skips = 0
             coord_ctrl.conn_events_coord += 1
             coord_ctrl.conn_event_ns += dur
             sub_ctrl.conn_events_sub += 1
             sub_ctrl.conn_event_ns += dur
+            if done:
+                self.event_counter += 1
+                self.anchor_true = anchor = t0 + interval_true
+                return anchor
             event_end = end
-        else:
-            # --- every other event: arbitration, then the exchange loop -----
-            # Subordinate latency: may it sleep through this event?
-            latency_skip = False
-            if self.params.latency > 0 and not sub.tx_queue:
-                if self._sub_latency_credit > 0:
-                    self._sub_latency_credit -= 1
-                    latency_skip = True
-                else:
-                    self._sub_latency_credit = self.params.latency
-
-            # Radio arbitration on both nodes.  is_free() inlined
-            # (`at_ns >= _busy_until`): two calls per event.
-            coord_free = t0 >= csched._busy_until
-            sub_free = t0 >= ssched._busy_until
-            # The ALTERNATE check is hoisted to a per-connection flag so the
-            # default EARLIEST_WINS policy never pays a _policy_yield call.
-            coord_yield = (
-                coord_free
-                and self._coord_alternate
-                and self._policy_yield(coord_ctrl, self._coord_activity, t0)
-            )
-            sub_yield = (
-                sub_free
-                and self._sub_alternate
-                and self._policy_yield(sub_ctrl, self._sub_activity, t0)
-            )
-
-            coord_runs = coord_free and not coord_yield
-            sub_listens = (
-                sub_free and not sub_yield and window_hit and not latency_skip
-            )
-
+        elif coord_runs:
+            # TX into the void: one unanswered packet, then the event
+            # closes.
+            spans_on = SPANS.enabled
+            retx = (trace_on or spans_on) and coord._outstanding is not None
+            pdu = coord.build_tx_pdu()
             if trace_on:
-                TRACE.emit(
-                    t0, "ble", "conn_event",
-                    conn=self.conn_id, event=self.event_counter, anchor=t0,
-                    channel=channel, interval_ns=self.params.interval_ns,
-                    widening=widening, window_hit=window_hit,
-                    coord_runs=coord_runs, sub_listens=sub_listens,
-                )
+                coord._trace_tx(pdu, t0, retx)
+            dur = ble_air_time_ns(len(pdu.payload), self.phy)
+            if spans_on:
+                tag = pdu.tag
+                if type(tag) is tuple and tag[0] == "kframe":
+                    # Nobody listened: on-air but lost for span purposes.
+                    SPANS.ll_tx(
+                        tag[2], t0, t0 + dur, len(pdu.payload),
+                        True, retx, t0, interval_true,
+                    )
+            if not pdu.is_empty:
+                coord.stats.per_channel[channel][0] += 1
+            end = t0 + dur + T_IFS_NS + ble_air_time_ns(0, self.phy)
+            csched.claim(self._coord_activity, t0, end)
+            coord_ctrl.note_conn_event(_COORDINATOR, end - t0)
+            event_end = end
+        elif sub_listens:
+            # Subordinate listens but the coordinator never transmits.
+            pred, widening = self._sub_window()
+            listen_end = min(pred + widening, t0 + interval_true // 2)
+            ssched.claim(self._sub_activity, t0, max(t0, listen_end))
+            sub_ctrl.note_conn_event(_SUBORDINATE, max(0, listen_end - t0))
+            event_end = max(t0, listen_end)
 
-            if not coord_free:
-                coord.stats.events_skipped_radio += 1
-                csched.deny(self._coord_activity)
-            elif coord_yield:
-                coord.stats.events_skipped_policy += 1
-                csched.deny(self._coord_activity)
-            if not sub_free:
-                sub.stats.events_skipped_radio += 1
-                ssched.deny(self._sub_activity)
-            elif sub_yield:
-                sub.stats.events_skipped_policy += 1
-                ssched.deny(self._sub_activity)
-            elif not window_hit:
-                sub.stats.events_missed_window += 1
-
-            event_end = t0
-            if coord_runs and sub_listens:
-                end = self._exchange_loop(t0, channel, interval_true)
-                if trace_on or t0 < csched._busy_until or t0 < ssched._busy_until:
-                    # claim() traces the claim, and an overlap needs its
-                    # diagnostic raise: radio exclusivity must keep firing.
-                    csched.claim(self._coord_activity, t0, end)
-                    ssched.claim(self._sub_activity, t0, end)
-                else:
-                    # Inlined RadioScheduler.claim fast path (tracing off;
-                    # the exchange loop guarantees end >= t0).
-                    dur = end - t0
-                    csched._busy_until = end
-                    csched.busy_ns_total += dur
-                    csched.claims += 1
-                    self._coord_activity.consec_skips = 0
-                    ssched._busy_until = end
-                    ssched.busy_ns_total += dur
-                    ssched.claims += 1
-                    self._sub_activity.consec_skips = 0
-                # Inlined note_conn_event x2 (energy accounting).
-                dur = end - t0
-                coord_ctrl.conn_events_coord += 1
-                coord_ctrl.conn_event_ns += dur
-                sub_ctrl.conn_events_sub += 1
-                sub_ctrl.conn_event_ns += dur
-                event_end = end
-            elif coord_runs:
-                # TX into the void: one unanswered packet, then the event
-                # closes.
-                spans_on = SPANS.enabled
-                retx = (trace_on or spans_on) and coord._outstanding is not None
-                pdu = coord.build_tx_pdu()
-                if trace_on:
-                    coord._trace_tx(pdu, t0, retx)
-                dur = ble_air_time_ns(len(pdu.payload), self.phy)
-                if spans_on:
-                    tag = pdu.tag
-                    if type(tag) is tuple and tag[0] == "kframe":
-                        # Nobody listened: on-air but lost for span purposes.
-                        SPANS.ll_tx(
-                            tag[2], t0, t0 + dur, len(pdu.payload),
-                            True, retx, t0, interval_true,
-                        )
-                if not pdu.is_empty:
-                    coord.stats.per_channel[channel][0] += 1
-                end = t0 + dur + T_IFS_NS + ble_air_time_ns(0, self.phy)
-                csched.claim(self._coord_activity, t0, end)
-                coord_ctrl.note_conn_event(Role.COORDINATOR, end - t0)
-                event_end = end
-            elif sub_listens:
-                # Subordinate listens but the coordinator never transmits.
-                pred, widening = self._sub_window()
-                listen_end = min(pred + widening, t0 + interval_true // 2)
-                ssched.claim(self._sub_activity, t0, max(t0, listen_end))
-                sub_ctrl.note_conn_event(Role.SUBORDINATE, max(0, listen_end - t0))
-                event_end = max(t0, listen_end)
-
-            if not self.open:
-                return  # torn down by a control procedure during the event
+        if not self.open:
+            return None  # torn down by a control procedure during the event
 
         # --- supervision timeout (both sides judge independently) ----------
         timeout = self._timeout_ns
@@ -886,7 +833,7 @@ class Connection:
             or now - sub.last_rx_valid >= timeout
         ):
             self.close(DisconnectReason.SUPERVISION_TIMEOUT)
-            return
+            return None
 
         # --- apply pending control procedures at the event boundary --------
         if self._pending_chan_map is not None:
@@ -912,15 +859,77 @@ class Connection:
             self._sync_true = t0 + interval_true
             self._sync_counter = self.event_counter + 1
 
-        # --- schedule the next event ----------------------------------------
+        # --- the next event --------------------------------------------------
         self.event_counter += 1
-        self.anchor_true = t0 + interval_true
-        timer = self._timer
-        if timer is not None:
-            # The handle that fired this event is ours to reuse (rearm).
-            self._timer = sim.rearm(timer, self.anchor_true)
-        else:
-            self._timer = sim.at(self.anchor_true, self._run_event)
+        self.anchor_true = anchor = t0 + interval_true
+        return anchor
+
+    def _arbitrate(
+        self, t0: int, channel: int, window_hit: bool, widening: Optional[int]
+    ) -> Tuple[bool, bool]:
+        """Whether the coordinator runs and the subordinate listens, for an
+        event that is not served (see :meth:`_run_event`).
+
+        Decides subordinate latency, radio arbitration on both nodes and
+        the ALTERNATE policy, emits the ``conn_event`` record and counts
+        the skips.
+        """
+        coord, sub = self.coord, self.sub
+        csched = coord.controller.scheduler
+        ssched = sub.controller.scheduler
+        # Subordinate latency: may it sleep through this event?
+        latency_skip = False
+        if self.params.latency > 0 and not sub.tx_queue:
+            if self._sub_latency_credit > 0:
+                self._sub_latency_credit -= 1
+                latency_skip = True
+            else:
+                self._sub_latency_credit = self.params.latency
+
+        # Radio arbitration on both nodes.  is_free() inlined
+        # (`at_ns >= _busy_until`): two calls per event.
+        coord_free = t0 >= csched._busy_until
+        sub_free = t0 >= ssched._busy_until
+        # The ALTERNATE check is hoisted to a per-connection flag so the
+        # default EARLIEST_WINS policy never pays a _policy_yield call.
+        coord_yield = (
+            coord_free
+            and self._coord_alternate
+            and self._policy_yield(coord.controller, self._coord_activity, t0)
+        )
+        sub_yield = (
+            sub_free
+            and self._sub_alternate
+            and self._policy_yield(sub.controller, self._sub_activity, t0)
+        )
+
+        coord_runs = coord_free and not coord_yield
+        sub_listens = sub_free and not sub_yield and window_hit and not latency_skip
+
+        if TRACE.enabled:
+            TRACE.emit(
+                t0, "ble", "conn_event",
+                conn=self.conn_id, event=self.event_counter, anchor=t0,
+                channel=channel, interval_ns=self.params.interval_ns,
+                widening=widening, window_hit=window_hit,
+                coord_runs=coord_runs, sub_listens=sub_listens,
+            )
+
+        if not coord_free:
+            coord.stats.events_skipped_radio += 1
+            csched.deny(self._coord_activity)
+        elif coord_yield:
+            coord.stats.events_skipped_policy += 1
+            csched.deny(self._coord_activity)
+        if not sub_free:
+            sub.stats.events_skipped_radio += 1
+            ssched.deny(self._sub_activity)
+        elif sub_yield:
+            sub.stats.events_skipped_policy += 1
+            ssched.deny(self._sub_activity)
+        elif not window_hit:
+            sub.stats.events_missed_window += 1
+        return coord_runs, sub_listens
 
     def _exchange_loop(self, t0: int, channel: int, interval_true: int) -> int:
         """Play out the packet exchanges of one event; returns its end time.
@@ -942,7 +951,6 @@ class Connection:
         air = self._air
         abort_on_crc = coord.controller.config.abort_event_on_crc_error
         packet_lost = self.medium.packet_lost
-        llid_cont = Llid.DATA_CONT
         coord_chan_row = coord.stats.per_channel[channel]
         sub_chan_row = sub.stats.per_channel[channel]
         t = t0
@@ -962,7 +970,7 @@ class Connection:
             pdu_c = coord.build_tx_pdu()
             if trace_on:
                 coord._trace_tx(pdu_c, t, retx_c)
-            if pdu_c.payload or pdu_c.llid is not llid_cont:  # not is_empty
+            if pdu_c.payload or pdu_c.llid is not _DATA_CONT:  # not is_empty
                 coord_chan_row[0] += 1
             len_c = len(pdu_c.payload)
             lost_c = packet_lost(channel, len_c + 10)
@@ -1010,7 +1018,7 @@ class Connection:
             pdu_s = sub.build_tx_pdu()
             if trace_on:
                 sub._trace_tx(pdu_s, t, retx_s)
-            if pdu_s.payload or pdu_s.llid is not llid_cont:  # not is_empty
+            if pdu_s.payload or pdu_s.llid is not _DATA_CONT:  # not is_empty
                 sub_chan_row[0] += 1
             len_s = len(pdu_s.payload)
             lost_s = packet_lost(channel, len_s + 10)

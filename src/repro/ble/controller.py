@@ -23,6 +23,9 @@ from repro.phy.medium import BleMedium
 from repro.sim.clock import DriftingClock
 from repro.sim.kernel import Simulator
 
+#: Bound once: an enum member read off its class is slow on CPython 3.11.
+_COORDINATOR = Role.COORDINATOR
+
 
 class BleController:
     """One node's BLE stack below L2CAP.
@@ -135,7 +138,7 @@ class BleController:
 
     def note_conn_event(self, role: Role, duration_ns: int) -> None:
         """Record one participated connection event (energy input, §5.4)."""
-        if role is Role.COORDINATOR:
+        if role is _COORDINATOR:
             self.conn_events_coord += 1
         else:
             self.conn_events_sub += 1

@@ -24,6 +24,10 @@ class Llid(enum.IntEnum):
     CTRL = 0b11
 
 
+#: Bound once: an enum member read off its class is slow on CPython 3.11.
+_DATA_CONT = Llid.DATA_CONT
+
+
 @dataclass(slots=True)
 class DataPdu:
     """One data channel PDU queued for transfer on a connection.
@@ -46,7 +50,7 @@ class DataPdu:
     @property
     def is_empty(self) -> bool:
         """True for the empty PDUs exchanged by idle connections (§2.2)."""
-        return len(self.payload) == 0 and self.llid is Llid.DATA_CONT
+        return len(self.payload) == 0 and self.llid is _DATA_CONT
 
     def __len__(self) -> int:
         return len(self.payload)

@@ -44,6 +44,13 @@ ResourceHandler = Callable[[bytes, Ipv6Address], Optional[bytes]]
 #: ``on_response(message, rtt_ns)`` for request completions.
 ResponseHandler = Callable[[CoapMessage, int], None]
 
+# What the datagram demux compares against, bound once: an enum member read
+# off its class is slow on CPython 3.11.
+_REQUEST_CODES = (CoapCode.GET, CoapCode.POST, CoapCode.PUT, CoapCode.DELETE)
+_REQUEST_TYPES = (CoapType.CON, CoapType.NON)
+_ACK = CoapType.ACK
+_EMPTY = CoapCode.EMPTY
+
 
 @dataclass(slots=True)
 class _Pending:
@@ -228,8 +235,7 @@ class CoapEndpoint:
             self.decode_errors += 1
             return
         is_request = (
-            message.code in (CoapCode.GET, CoapCode.POST, CoapCode.PUT, CoapCode.DELETE)
-            and message.mtype in (CoapType.CON, CoapType.NON)
+            message.code in _REQUEST_CODES and message.mtype in _REQUEST_TYPES
         )
         if is_request:
             self._serve(message, src, src_port)
@@ -262,7 +268,7 @@ class CoapEndpoint:
 
     def _complete(self, message: CoapMessage) -> None:
         """Match a response/ACK against the pending table."""
-        if message.mtype is CoapType.ACK and message.code is CoapCode.EMPTY:
+        if message.mtype is _ACK and message.code is _EMPTY:
             # empty ACKs carry no token: match by message id
             key = self._key_by_mid.get(message.mid)
         else:

@@ -67,6 +67,7 @@ _NON = COAP_VERSION << 6 | CoapType.NON << 4
 _ACK = COAP_VERSION << 6 | CoapType.ACK << 4
 _GET = int(CoapCode.GET)
 _EMPTY = int(CoapCode.EMPTY)
+_URI_PATH = int(CoapOption.URI_PATH)
 
 
 class CoapDecodeError(ValueError):
@@ -125,7 +126,7 @@ class CoapMessage:
     def uri_path(self) -> str:
         """Join the Uri-Path options into a path string."""
         return "/".join(
-            value.decode() for num, value in self.options if num == CoapOption.URI_PATH
+            value.decode() for num, value in self.options if num == _URI_PATH
         )
 
     @classmethod

@@ -55,6 +55,8 @@ _CREDIT_PACKET = struct.Struct("<HHBBHHH")
 _CONN_REQ = struct.Struct("<HHBBHHHHHH")
 #: header(len,cid) + code,id,len + dcid,mtu,mps,credits,result
 _CONN_RSP = struct.Struct("<HHBBHHHHHH")
+#: Bound once: an enum member read off its class is slow on CPython 3.11.
+_DATA_START = Llid.DATA_START
 
 
 class CocConfig:
@@ -168,7 +170,7 @@ class _CocEnd:
             offset = rec.offset
             frame, is_last = self._build_kframe(rec)
             ok = self.ll_end.send(
-                frame, Llid.DATA_START, ("kframe", self, rec, is_last)
+                frame, _DATA_START, ("kframe", self, rec, is_last)
             )
             if not ok:
                 rec.offset = offset  # the frame is built again once acks free the pool
@@ -353,7 +355,7 @@ class _CocEnd:
             DEFAULT_COC_CID,
             n,
         )
-        if self.ll_end.send(packet, Llid.DATA_START, ("credit",)):
+        if self.ll_end.send(packet, _DATA_START, ("credit",)):
             self._sig_identifier += 1
             self.credits_returned += n
             self._peer_credits += n

@@ -27,6 +27,9 @@ class BlePhyMode(enum.Enum):
     LE_2M = "2M"
 
 
+#: Bound once: an enum member read off its class is slow on CPython 3.11.
+_LE_1M = BlePhyMode.LE_1M
+
 #: Fixed inter frame spacing between packets of a connection event (BT 5.2
 #: Vol 6 Part B §4.1.1): exactly 150 us regardless of PHY.
 T_IFS_NS: int = 150 * USEC
@@ -64,7 +67,7 @@ def ble_air_time_ns(payload_len: int, phy: BlePhyMode = BlePhyMode.LE_1M) -> int
     if payload_len < 0:
         raise ValueError(f"BLE LL payload out of range: {payload_len}")
     try:
-        if phy is BlePhyMode.LE_1M:
+        if phy is _LE_1M:
             return _AIR_TIME_1M[payload_len]
         return _AIR_TIME_2M[payload_len]
     except IndexError:
@@ -79,7 +82,7 @@ def ble_air_time_table(phy: BlePhyMode = BlePhyMode.LE_1M) -> tuple:
     Indexing past 251 raises IndexError, same domain as
     :func:`ble_air_time_ns`.
     """
-    return _AIR_TIME_1M if phy is BlePhyMode.LE_1M else _AIR_TIME_2M
+    return _AIR_TIME_1M if phy is _LE_1M else _AIR_TIME_2M
 
 
 def ble_adv_air_time_ns(payload_len: int) -> int:

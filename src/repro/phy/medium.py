@@ -72,63 +72,54 @@ class InterferenceModel:
     channel_per: Dict[int, float] = field(default_factory=dict)
     jammed_channels: Tuple[int, ...] = ()
     bursts: List[InterferenceBurst] = field(default_factory=list)
-    #: Memo of the BER-derived term per packet length (base_ber is fixed
-    #: for a model's lifetime; this sits on the simulator's hottest path).
-    _ber_memo: Dict[int, float] = field(default_factory=dict, repr=False)
-    #: Per-channel static loss addend (``inf`` marks a jammed channel),
-    #: filled lazily and dropped whenever :meth:`_stamp` changes -- the
-    #: dirty flag that spares the hot path a tuple scan plus dict probe per
-    #: sampled packet.  Bursts stay out of it: they are time-dependent.
-    _chan_addend: Dict[int, float] = field(default_factory=dict, repr=False)
-    _chan_stamp: Tuple[int, int, int] = (-1, -1, -1)
-    #: Bumped by :meth:`invalidate`, so a stamp taken before an in-place
-    #: overwrite never matches one taken after it.
-    _generation: int = field(default=0, repr=False)
-
-    def _stamp(self) -> Tuple[int, int, int]:
-        """Cheap change detector for the static per-channel configuration.
-
-        Catches the mutation patterns used across the repo: replacing the
-        ``jammed_channels`` tuple wholesale and adding keys to
-        ``channel_per``.  Overwriting the *value* of an existing
-        ``channel_per`` key is invisible to it -- call :meth:`invalidate`
-        after doing that.
-        """
-        return (id(self.jammed_channels), len(self.channel_per), self._generation)
+    #: The loss table: the burst-free PER per (on-air length, channel),
+    #: shared by every link on the medium (the simulator's hottest lookup).
+    #: It holds for the jammed tuple and ``channel_per`` length it was
+    #: filled under (``_loss_jammed``, ``_loss_n_per``) and is cleared when
+    #: either moves.  Overwriting the *value* of an existing ``channel_per``
+    #: key is invisible to that check -- call :meth:`invalidate` after it.
+    #: Readers that bypass :meth:`packet_error_rate` make the same check.
+    _loss: Dict[Tuple[int, int], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _loss_jammed: Optional[Tuple[int, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _loss_n_per: int = field(default=-1, init=False, repr=False, compare=False)
 
     def invalidate(self) -> None:
-        """Drop the per-channel caches after an in-place value overwrite:
-        this model's own, and (through the stamp) every link's PER memo."""
-        self._generation += 1
-        self._chan_addend.clear()
-        self._chan_stamp = (-1, -1, -1)
+        """Clear the loss table after an in-place ``channel_per`` overwrite."""
+        self._loss.clear()
 
     def packet_error_rate(self, channel: int, nbytes: int, now_ns: int) -> float:
         """Total loss probability for one packet of ``nbytes`` on ``channel``."""
-        stamp = self._chan_stamp
-        if (
-            stamp[0] != id(self.jammed_channels)
-            or stamp[1] != len(self.channel_per)
-        ):
-            self._chan_addend.clear()
-            self._chan_stamp = self._stamp()
-        addend = self._chan_addend.get(channel)
-        if addend is None:
-            if channel in self.jammed_channels:
-                addend = float("inf")
-            else:
-                addend = self.channel_per.get(channel, 0.0)
-            self._chan_addend[channel] = addend
-        per = self._ber_memo.get(nbytes)
-        if per is None:
-            per = 1.0 - (1.0 - self.base_ber) ** (8 * max(nbytes, 1))
-            self._ber_memo[nbytes] = per
-        per += addend
         if self.bursts:
+            per = self._static_per(channel, nbytes)
             for burst in self.bursts:
                 if burst.active(now_ns, channel):
                     per += burst.per
-        return min(per, 1.0)
+            return min(per, 1.0)
+        if (
+            self._loss_jammed is not self.jammed_channels
+            or self._loss_n_per != len(self.channel_per)
+        ):
+            self._loss.clear()
+            self._loss_jammed = self.jammed_channels
+            self._loss_n_per = len(self.channel_per)
+        key = (nbytes, channel)
+        per = self._loss.get(key)
+        if per is None:
+            per = self._loss[key] = min(self._static_per(channel, nbytes), 1.0)
+        return per
+
+    def _static_per(self, channel: int, nbytes: int) -> float:
+        """The bit-error and per-channel terms, unclamped (``inf`` on a
+        jammed channel)."""
+        if channel in self.jammed_channels:
+            addend = float("inf")
+        else:
+            addend = self.channel_per.get(channel, 0.0)
+        return 1.0 - (1.0 - self.base_ber) ** (8 * max(nbytes, 1)) + addend
 
 
 class BleMedium:
@@ -172,8 +163,8 @@ class BleMedium:
         #: The same scanners keyed by controller address (the spatial
         #: delivery path looks listeners up per neighbor address).
         self._scanners_by_addr: Dict[int, List[Scanner]] = {}
-        # usable_channels memo: (query, interference stamp) -> result.
-        self._usable_key: Optional[Tuple[Tuple[int, ...], Tuple[int, int]]] = None
+        # usable_channels memo: (query, jammed set) -> result.
+        self._usable_key: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
         self._usable: List[int] = []
 
     # -- node registry ----------------------------------------------------
@@ -292,9 +283,20 @@ class BleMedium:
         """Sample whether one packet on ``channel`` is corrupted on air.
 
         ``nbytes`` is its whole LE 1M on-air size, framing included, so
-        its air time is ``nbytes`` x 8 us.
+        its air time is ``nbytes`` x 8 us.  Without bursts a current loss
+        table answers directly; anything else asks
+        :meth:`InterferenceModel.packet_error_rate`.
         """
-        per = self.interference.packet_error_rate(channel, nbytes, self.sim.now)
+        interf = self.interference
+        per: Optional[float] = None
+        if (
+            not interf.bursts
+            and interf._loss_jammed is interf.jammed_channels
+            and interf._loss_n_per == len(interf.channel_per)
+        ):
+            per = interf._loss.get((nbytes, channel))
+        if per is None:
+            per = interf.packet_error_rate(channel, nbytes, self.sim._now)
         self.packets_sampled += 1
         self.payload_bytes_sampled += nbytes - BLE_1M_OVERHEAD_BYTES
         if per <= 0.0:
@@ -315,12 +317,12 @@ class BleMedium:
 
         Mirrors the paper's static exclusion of channel 22 from all nodes'
         channel maps (§4.2) -- adaptive channel hopping is future work there
-        and here.  The result is memoized against the interference model's
-        change stamp, so repeated queries with an unchanged jammed set skip
-        the rebuild (dirty-flag invalidation, not time-based).
+        and here.  The result is memoized against the query and the jammed
+        set, so repeated queries with an unchanged jammed set skip the
+        rebuild.
         """
         query = tuple(channels)
-        key = (query, self.interference._stamp())
+        key = (query, self.interference.jammed_channels)
         if key == self._usable_key:
             return list(self._usable)
         jammed = set(self.interference.jammed_channels)

@@ -14,15 +14,16 @@ DESIGN.md, "One-heap kernel").
 Cancellation is lazy (a flag checked at pop time) but counted, so
 :meth:`Simulator.pending` is O(1) and the heap is compacted once cancelled
 timers outnumber live ones -- long runs that cancel many timers (24 h
-supervision-heavy scenarios) stay bounded in memory.  Hot reschedule sites
-reuse their own just-fired timer via :meth:`Simulator.rearm` instead of
-allocating a new one.
+supervision-heavy scenarios) stay bounded in memory.  A site that
+reschedules itself every event (a connection's anchor) schedules once with
+:meth:`Simulator.recurring`: its callback returns the next time, and the
+dispatch loop queues the same timer again.
 
-Handle contract: a timer that fired and is then passed to
-:meth:`Simulator.rearm` is live again under the same object.  Only the
-rearming caller may keep that handle; anyone else who held it must have
-dropped it when it fired.  Every other handle keeps naming its own timer:
-cancelling one that already fired or was cancelled has no effect.
+Handle contract: a recurring timer stays live under the same object until
+its callback returns None, or it is cancelled; its owner may keep the
+handle, and cancelling it (from inside its own callback too) ends it.
+Every other handle keeps naming its own timer: cancelling one that already
+fired or was cancelled has no effect.
 """
 
 from __future__ import annotations
@@ -47,12 +48,16 @@ class SimulationError(RuntimeError):
 class Timer:
     """A handle for one scheduled callback.
 
-    Timers are returned by :meth:`Simulator.at` / :meth:`Simulator.after` and
-    can be cancelled before they fire.  A cancelled timer stays queued but is
-    skipped by the event loop (lazy deletion).
+    Timers are returned by :meth:`Simulator.at` / :meth:`Simulator.after` /
+    :meth:`Simulator.recurring` and can be cancelled before they fire.  A
+    cancelled timer stays queued but is skipped by the event loop (lazy
+    deletion).
     """
 
-    __slots__ = ("when", "seq", "callback", "args", "cancelled", "queued", "sim")
+    __slots__ = (
+        "when", "seq", "callback", "args", "cancelled", "queued", "recurring",
+        "sim",
+    )
 
     def __init__(
         self,
@@ -69,6 +74,9 @@ class Timer:
         self.cancelled = False
         #: True while the timer sits in the kernel's heap.
         self.queued = True
+        #: Queued again at the time its callback returns (see
+        #: :meth:`Simulator.recurring`).
+        self.recurring = False
         self.sim = sim
 
     def cancel(self) -> None:
@@ -136,27 +144,19 @@ class Simulator:
             raise SimulationError(f"negative delay {delay}ns")
         return self.at(self._now + int(delay), callback, *args)
 
-    def rearm(self, timer: Timer, when: int) -> Timer:
-        """Reschedule a timer that already fired, reusing its object.
+    def recurring(self, when: int, callback: Callable[..., Any], *args: Any) -> Timer:
+        """Schedule ``callback(*args)`` at ``when``, and again at each time
+        it returns.
 
-        The fast path for sites that reschedule themselves every event
-        (connection anchors): the caller owns the handle, knows it just
-        fired, and keeps the same callback and args.  A timer that is still
-        queued (e.g. cancelled but not yet popped) falls back to a fresh
-        :meth:`at` allocation.
+        After the callback returns a time (integer ns), the dispatch loop
+        queues the same :class:`Timer` at that time, with the next sequence
+        number (after every timer the callback scheduled).  Returning None
+        ends the timer, and so does cancelling it, even from inside its own
+        callback.  A returned time before ``now`` raises
+        :class:`SimulationError`, as :meth:`at` does.
         """
-        if timer.queued:
-            return self.at(when, timer.callback, *timer.args)
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={when}ns, already at t={self._now}ns"
-            )
-        timer.when = when = int(when)
-        timer.seq = seq = self._seq
-        self._seq = seq + 1
-        timer.cancelled = False
-        timer.queued = True
-        heappush(self._heap, (when, seq, timer))
+        timer = self.at(when, callback, *args)
+        timer.recurring = True
         return timer
 
     def _note_cancel(self) -> None:
@@ -237,8 +237,18 @@ class Simulator:
             heappop(heap)
             timer.queued = False
             self._now = when
-            timer.callback(*timer.args)
+            again = timer.callback(*timer.args)
             self.events_dispatched += 1
+            if again is not None and timer.recurring and not timer.cancelled:
+                if again < when:
+                    raise SimulationError(
+                        f"cannot schedule at t={again}ns, already at t={when}ns"
+                    )
+                timer.when = again
+                timer.seq = seq = self._seq
+                self._seq = seq + 1
+                timer.queued = True
+                heappush(heap, (again, seq, timer))
         return self.events_dispatched - dispatched
 
     def _loop_instrumented(self, until: Optional[int]) -> int:
@@ -265,8 +275,18 @@ class Simulator:
                     timer_seq=timer.seq,
                     callback=callback_name(timer.callback),
                 )
-            timer.callback(*timer.args)
+            again = timer.callback(*timer.args)
             self.events_dispatched += 1
+            if again is not None and timer.recurring and not timer.cancelled:
+                if again < when:
+                    raise SimulationError(
+                        f"cannot schedule at t={again}ns, already at t={when}ns"
+                    )
+                timer.when = again
+                timer.seq = seq = self._seq
+                self._seq = seq + 1
+                timer.queued = True
+                heappush(heap, (again, seq, timer))
         return self.events_dispatched - dispatched
 
     # ------------------------------------------------------------------

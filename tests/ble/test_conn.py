@@ -529,3 +529,38 @@ def test_exchange_loop_runs_when_crc_errors_do_not_abort(make_plane, monkeypatch
     loop = count_calls(monkeypatch, conn, "_exchange_loop")
     plane.sim.run(until=1 * SEC)
     assert (len(loop), conn.coord.stats.events_active) == (14, 14)
+
+
+def test_served_events_skip_arbitration(plane, monkeypatch):
+    """A served event (eligible link, window hit, radios free, tracing off)
+    has nothing to arbitrate: with data queued it goes straight to the
+    exchange loop.  Only a traced event asks ``_arbitrate``."""
+    conn = plane.connect(0, 1, params=PARAMS_75MS, anchor0=MSEC)
+    loop = count_calls(monkeypatch, conn, "_exchange_loop")
+    arbitrate = count_calls(monkeypatch, conn, "_arbitrate")
+    conn.send(plane.nodes[1], b"uplink")
+    plane.sim.run(until=500 * MSEC)  # 7 events, one of them with data
+    assert (len(loop), len(arbitrate)) == (1, 0)
+    assert conn.sub.stats.tx_data_acked == 1
+    TRACE.configure(sinks=[])
+    try:
+        conn.send(plane.nodes[1], b"uplink")
+        plane.sim.run(until=1 * SEC)  # 7 more events, all traced
+    finally:
+        TRACE.reset()
+    assert (len(loop), len(arbitrate)) == (8, 7)
+    assert conn.sub.stats.tx_data_acked == 2
+
+
+def test_alternate_policy_events_are_arbitrated(make_plane, monkeypatch):
+    plane = make_plane(
+        config_factory=lambda i: BleConfig(
+            scheduler_policy=SchedulerPolicy.ALTERNATE
+        )
+    )
+    conn = plane.connect(0, 1, params=PARAMS_75MS, anchor0=MSEC)
+    loop = count_calls(monkeypatch, conn, "_exchange_loop")
+    arbitrate = count_calls(monkeypatch, conn, "_arbitrate")
+    plane.sim.run(until=1 * SEC)
+    assert (len(loop), len(arbitrate)) == (14, 14)
+    assert conn.coord.stats.events_active == 14

@@ -205,32 +205,83 @@ def test_compaction_reclaims_cancelled_timers():
     assert sorted(fired) == sorted(h.seq for h in keep)
 
 
-def test_rearm_reuses_timer_object():
+def test_recurring_timer_rearms_the_same_object_after_its_own_timers():
     sim = Simulator()
-    fired = []
-    timer = sim.at(100, fired.append, "a")
-    sim.run(until=200)
-    assert fired == ["a"]
-    again = sim.rearm(timer, 300)
-    assert again is timer  # same object, no allocation
-    sim.run(until=400)
-    assert fired == ["a", "a"]
+    log = []
+    handles = []
 
+    def tick():
+        log.append(("tick", sim.now))
+        # Same-instant timers scheduled by the callback keep their lower
+        # seq: the re-armed timer takes the next one after them.
+        sim.at(sim.now + 100, log.append, ("other", sim.now + 100))
+        handles.append((timer.seq, timer.queued))
+        return sim.now + 100 if sim.now < 300 else None
 
-def test_rearm_in_past_raises():
-    sim = Simulator()
-    timer = sim.at(100, lambda: None)
-    sim.run(until=500)
-    with pytest.raises(SimulationError):
-        sim.rearm(timer, 400)
-
-
-def test_rearm_of_queued_timer_falls_back_to_fresh_schedule():
-    sim = Simulator()
-    fired = []
-    timer = sim.at(100, fired.append, "x")
-    # Still queued: rearm must not corrupt the queued entry.
-    clone = sim.rearm(timer, 200)
-    assert clone is not timer
+    timer = sim.recurring(100, tick)
     sim.run()
-    assert fired == ["x", "x"]
+    assert log == [
+        ("tick", 100), ("other", 200), ("tick", 200), ("other", 300),
+        ("tick", 300), ("other", 400),
+    ]
+    assert [queued for _, queued in handles] == [False, False, False]
+    seqs = [seq for seq, _ in handles]
+    assert seqs == [0, 2, 4]  # each re-arm drew the seq after "other"
+    assert not timer.queued and sim.pending() == 0
+
+
+def test_recurring_timer_ends_when_its_callback_returns_none():
+    sim = Simulator()
+    fired = []
+
+    def tick():
+        fired.append(sim.now)
+        return None
+
+    sim.recurring(10, tick)
+    sim.run()
+    assert fired == [10]
+    assert sim.pending() == 0 and sim.queue_depth() == 0
+
+
+def test_recurring_timer_cancelled_in_its_own_callback_is_not_rearmed():
+    sim = Simulator()
+    fired = []
+
+    def tick():
+        fired.append(sim.now)
+        if sim.now == 200:
+            timer.cancel()
+        return sim.now + 100  # a time, but the timer is cancelled
+
+    timer = sim.recurring(100, tick)
+    sim.run(until=SEC)
+    assert fired == [100, 200]
+    assert sim.pending() == 0 and sim.queue_depth() == 0
+    assert not timer.queued
+
+
+def test_recurring_time_in_past_raises():
+    sim = Simulator()
+    sim.recurring(100, lambda: 50)
+    with pytest.raises(SimulationError):
+        sim.run()
+
+
+def test_outside_cancel_of_a_recurring_timer_is_counted():
+    sim = Simulator()
+    fired = []
+
+    def tick():
+        fired.append(sim.now)
+        return sim.now + 100
+
+    timer = sim.recurring(100, tick)
+    sim.run(until=250)
+    assert fired == [100, 200]
+    assert timer.queued and sim.pending() == 1
+    timer.cancel()  # from outside the callback: the queued entry is counted
+    assert sim.pending() == 0 and sim.queue_depth() == 1
+    sim.run(until=SEC)
+    assert fired == [100, 200]
+    assert sim.queue_depth() == 0

@@ -2,7 +2,7 @@
 
 Dispatch order must stay strictly ``(when, seq)`` -- byte-identical traces
 depend on it.  These property-style tests drive the same randomized
-schedule/cancel/rearm/run workload through :class:`repro.sim.kernel.
+schedule/cancel/recurring/run workload through :class:`repro.sim.kernel.
 Simulator` and through a deliberately naive single-heap kernel, and assert
 the two dispatch logs, clocks, and pending counts never diverge.
 

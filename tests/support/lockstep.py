@@ -9,9 +9,9 @@ diverge.  This module holds the pieces two suites already share:
   kernel (one heap, lazy cancellation, nothing counted or reused), the
   dispatch-order reference for :class:`repro.sim.kernel.Simulator`
   (``tests/sim/test_kernel_reference.py``);
-* :class:`TimerWorkload` -- the randomized schedule/cancel/rearm workload
-  that drives a kernel through same-tick, short and long delays and
-  bounded runs;
+* :class:`TimerWorkload` -- the randomized schedule/cancel/recurring
+  workload that drives a kernel through same-tick, short and long delays
+  and bounded runs;
 * :func:`assert_logs_identical` -- byte-equality with a *useful* failure
   message (first divergence index and both sides' entries), used by the
   spatial-medium differential suite (``tests/phy/
@@ -32,7 +32,7 @@ LONG_NS = 1 << 28
 class RefHandle:
     """Cancellation handle of the reference kernel."""
 
-    __slots__ = ("when", "seq", "callback", "args", "cancelled")
+    __slots__ = ("when", "seq", "callback", "args", "cancelled", "recurring")
 
     def __init__(self, when, seq, callback, args):
         self.when = when
@@ -40,6 +40,7 @@ class RefHandle:
         self.callback = callback
         self.args = args
         self.cancelled = False
+        self.recurring = False
 
     def cancel(self):
         self.cancelled = True
@@ -50,7 +51,7 @@ class ReferenceKernel:
 
     Implements just enough of the :class:`repro.sim.kernel.Simulator`
     surface for the equivalence workloads: ``now``, ``at``, ``after``,
-    ``rearm``, ``run``, ``pending``.
+    ``recurring``, ``run``, ``pending``.
     """
 
     def __init__(self):
@@ -64,17 +65,22 @@ class ReferenceKernel:
 
     def at(self, when, callback, *args):
         assert when >= self._now
-        handle = RefHandle(int(when), self._seq, callback, args)
+        handle = RefHandle(int(when), None, callback, args)
+        self._push(handle)
+        return handle
+
+    def _push(self, handle):
+        handle.seq = self._seq
         self._seq += 1
         heappush(self._heap, (handle.when, handle.seq, handle))
-        return handle
 
     def after(self, delay, callback, *args):
         return self.at(self._now + int(delay), callback, *args)
 
-    def rearm(self, handle, when):
-        # Reference semantics: a rearm is indistinguishable from a fresh at.
-        return self.at(when, handle.callback, *handle.args)
+    def recurring(self, when, callback, *args):
+        handle = self.at(when, callback, *args)
+        handle.recurring = True
+        return handle
 
     def run(self, until=None):
         executed = 0
@@ -88,8 +94,15 @@ class ReferenceKernel:
                 break
             heappop(heap)
             self._now = when
-            handle.callback(*handle.args)
+            again = handle.callback(*handle.args)
             executed += 1
+            # Reference semantics: a recurring timer whose callback returned
+            # a time, and did not cancel it, is scheduled again under a
+            # fresh sequence number, after everything the callback scheduled.
+            if handle.recurring and again is not None and not handle.cancelled:
+                assert again >= self._now
+                handle.when = int(again)
+                self._push(handle)
         if until is not None and self._now < until:
             self._now = until
         return executed
@@ -99,7 +112,7 @@ class ReferenceKernel:
 
 
 class TimerWorkload:
-    """One deterministic schedule/cancel/rearm workload bound to a kernel.
+    """One deterministic schedule/cancel/recurring workload bound to a kernel.
 
     All decisions come from a private ``random.Random(seed)``: as long as
     both kernels dispatch in the same order, both harnesses draw the same
@@ -128,33 +141,46 @@ class TimerWorkload:
         self.next_id = 0
         self.log = []
         self.live = {}  # id -> handle, scheduled but not fired/cancelled
-        self.fired_handles = []  # candidates for rearm
 
     def schedule(self, when):
-        rng = self.rng
-        if self.fired_handles and rng.random() < 0.4:
-            # Rearm reuses the fired timer object: same callback, same item
-            # id, so the entry fires (and logs) again under its old id on
-            # both kernels in lockstep.
-            self.sim.rearm(self.fired_handles.pop(), when)
-            return
+        recurring = self.rng.random() < 0.4
         if self.next_id >= self.max_items:
             return
         item_id = self.next_id
         self.next_id += 1
-        self.live[item_id] = self.sim.at(when, self.fire, item_id)
+        if recurring:
+            # A recurring timer fires (and logs) again under its item id at
+            # each time its callback returns, on both kernels in lockstep.
+            self.live[item_id] = self.sim.recurring(when, self.tick, item_id)
+        else:
+            self.live[item_id] = self.sim.at(when, self.fire, item_id)
 
     def fire(self, item_id):
         self.log.append((self.sim.now, item_id))
-        handle = self.live.pop(item_id, None)
-        if handle is not None:
-            self.fired_handles.append(handle)
+        self.live.pop(item_id)
         rng = self.rng
         for _ in range(rng.randrange(3)):
             self.schedule(self.sim.now + rng.choice(self.OFFSETS))
         if self.live and rng.random() < 0.25:
             victim = rng.choice(sorted(self.live))
             self.live.pop(victim).cancel()
+
+    def tick(self, item_id):
+        """A recurring timer's callback: it ends (returns None), is
+        cancelled in its own callback while returning a time anyway, or
+        returns its next time and stays live (so it may be cancelled from
+        outside)."""
+        handle = self.live[item_id]
+        self.fire(item_id)
+        rng = self.rng
+        draw = rng.random()
+        if draw < 0.3:
+            return None
+        if draw < 0.4:
+            handle.cancel()
+        else:
+            self.live[item_id] = handle
+        return self.sim.now + rng.choice(self.OFFSETS)
 
     def play(self):
         """Phases of root scheduling and bounded runs, then run to empty."""
