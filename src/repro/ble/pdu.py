@@ -79,8 +79,3 @@ class AdvPdu:
     advertiser_addr: int
     initiator_addr: Optional[int] = None
     payload: bytes = field(default=b"", repr=False)
-
-    @property
-    def air_payload_len(self) -> int:
-        """AdvData length used for air-time computation."""
-        return len(self.payload)

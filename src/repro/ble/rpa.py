@@ -67,7 +67,3 @@ class IdentityResolver:
                 node=self.owner.name, identity=ident,
                 old=previous, new=current,
             )
-
-    def current_addr(self, identity: int) -> int:
-        """The last observed on-air address of ``identity`` (or itself)."""
-        return self._known.get(identity, identity)

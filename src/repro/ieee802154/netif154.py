@@ -1,9 +1,12 @@
 """6LoWPAN interface over the 802.15.4 MAC.
 
-The same IPHC adaptation as the BLE netif for frame-sized datagrams; larger
-datagrams take the RFC 4944 fragmentation path (FRAG1/FRAGN + reassembly)
-that the paper's workload deliberately avoids (§4.3 footnote) -- and whose
-fragility under loss `benchmarks/test_ext_fragmentation.py` measures.
+Like the BLE netif it carries bytes only: the IP stack compresses each
+datagram and takes each received one (DESIGN §12), so a frame-sized
+datagram crosses 802.15.4 as it does BLE.  A larger one is decompressed
+here only to take the RFC 4944 fragmentation path (FRAG1/FRAGN +
+reassembly) that the paper's workload deliberately avoids (§4.3 footnote)
+-- and whose fragility under loss `benchmarks/test_ext_fragmentation.py`
+measures.
 
 Packet-buffer accounting mirrors the BLE path: bytes are held from ``send``
 until the MAC reports each frame acknowledged or dropped.
@@ -17,9 +20,8 @@ from repro.ieee802154.mac import Frame154, Mac154
 from repro.net.pktbuf import PacketBuffer
 from repro.phy.frames import IEEE802154_MAX_PSDU
 from repro.sixlowpan import frag
-from repro.sixlowpan.adapt import BleAdaptation
 from repro.sixlowpan.iphc import UNCOMPRESSED_IPV6_DISPATCH, decompress
-from repro.sixlowpan.ipv6 import Ipv6Packet
+from repro.sixlowpan.ipv6 import Ipv6Address, Ipv6Packet
 from repro.spans.hub import SPANS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,9 +39,8 @@ class Netif154:
     def __init__(self, mac: Mac154, pktbuf: PacketBuffer) -> None:
         self.mac = mac
         self.pktbuf = pktbuf
-        self.adaptation = BleAdaptation()  # IPHC is identical over 802.15.4
-        # IID of this node, derived once: the MAC's short address is fixed.
-        self._iid = BleAdaptation.iid_for_node(mac.addr)
+        #: IID of this node, derived once: the MAC's short address is fixed.
+        self.iid = Ipv6Address.iid_from_node_id(mac.addr)
         self.ip: Optional["Ipv6Stack"] = None
         self.reassembler = frag.Reassembler(mac.sim, self._on_reassembled)
         self._next_tag = mac.rng.randrange(0, 0x10000)
@@ -61,28 +62,14 @@ class Netif154:
         """This interface's short address."""
         return self.mac.addr
 
-    def send(self, packet: Ipv6Packet, next_hop_ll: int) -> bool:
-        """Compress (or fragment) and queue one packet to ``next_hop_ll``."""
-        wire = self.adaptation.to_link(
-            packet, self._iid, BleAdaptation.iid_for_node(next_hop_ll)
-        )
+    def send(self, wire: bytes, ip_len: int, next_hop_ll: int) -> bool:
+        """Queue ``wire``, a compressed datagram whose packet is ``ip_len``
+        bytes, to ``next_hop_ll``: as one frame when it fits, else
+        decompressed with both link IIDs and fragmented."""
         if len(wire) <= FRAME_BUDGET:
             return self._send_frame(wire, next_hop_ll)
+        packet = decompress(wire, self.iid, Ipv6Address.iid_from_node_id(next_hop_ll))
         return self._send_fragmented(packet, next_hop_ll)
-
-    def send_wire(self, wire: bytes, ip_len: int, next_hop_ll: int) -> bool:
-        """:meth:`send` for a datagram compressed as every link would
-        compress it (the wire path, DESIGN §12), whose packet is ``ip_len``
-        bytes.  A datagram over the frame budget is decompressed and
-        fragmented; with IPHC off it is decompressed and sent as a packet.
-        """
-        adaptation = self.adaptation
-        if not adaptation.use_iphc:
-            return self.send(decompress(wire), next_hop_ll)
-        adaptation.count_down(ip_len, len(wire))
-        if len(wire) <= FRAME_BUDGET:
-            return self._send_frame(wire, next_hop_ll)
-        return self._send_fragmented(decompress(wire), next_hop_ll)
 
     def _send_frame(self, wire: bytes, next_hop_ll: int) -> bool:
         """Charge ``wire`` to the packet buffer and queue it as one frame."""
@@ -105,7 +92,7 @@ class Netif154:
     def _send_fragmented(self, packet: Ipv6Packet, next_hop_ll: int) -> bool:
         """RFC 4944 path: carry the datagram uncompressed in fragments."""
         raw = bytes([UNCOMPRESSED_IPV6_DISPATCH]) + packet.encode()
-        if len(raw) > 0x7FF or len(raw) > 1281:
+        if len(raw) > 1281:
             self.drops_too_big += 1
             return False
         tag = self._next_tag
@@ -152,27 +139,20 @@ class Netif154:
         self._deliver(datagram, sender)
 
     def _deliver(self, wire: bytes, sender_ll: int) -> None:
-        if SPANS.enabled:
-            key = ("154", sender_ll, self.ll_addr, wire)
-            span_prev = SPANS.rx_enter(key)
-            try:
-                SPANS.hop_delivered()
-                self._deliver_inner(wire, sender_ll)
-            finally:
-                SPANS.ctx_restore(span_prev)
-        else:
-            self._deliver_inner(wire, sender_ll)
-
-    def _deliver_inner(self, wire: bytes, sender_ll: int) -> None:
-        try:
-            packet = self.adaptation.from_link(
-                wire, BleAdaptation.iid_for_node(sender_ll), self._iid
-            )
-        except ValueError:
-            self.rx_decode_errors += 1
-            if SPANS.enabled:
-                SPANS.drop("decode")
+        """Hand a received datagram to the IP stack, in its hop's span."""
+        ip = self.ip
+        if ip is None:
             return
+        if not SPANS.enabled:
+            ip.from_link(wire, self, sender_ll)
+            return
+        span_prev = SPANS.rx_enter(("154", sender_ll, self.ll_addr, wire))
+        try:
+            SPANS.hop_delivered()
+            ip.from_link(wire, self, sender_ll)
+        finally:
+            SPANS.ctx_restore(span_prev)
+
+    def rx_counted(self, sdu: bytes, sender_ll: int) -> None:
+        """Count an SDU the IP stack takes."""
         self.rx_packets += 1
-        if self.ip is not None:
-            self.ip.receive(packet, self)

@@ -4,27 +4,48 @@ Every node runs as a 6LoWPAN router (§4.2): packets not addressed to the
 node are forwarded along statically configured routes.  Losses are counted
 by cause -- no route, no neighbour, link down, buffer full -- so experiment
 analysis can attribute them the way the paper does.
+
+The stack is also the one 6LoWPAN boundary (DESIGN §12): it compresses a
+packet for its next hop's link just before the netif gets it, and it takes
+every SDU a link received, relaying or delivering it as it came when
+:func:`~repro.sixlowpan.iphc.wire_fields` accepts it and decompressing it
+otherwise.  A netif carries bytes only.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Protocol, Tuple, Union
 
 from repro.net.fib import ForwardingTable
 from repro.net.nib import NeighborCache
-from repro.sixlowpan.iphc import decompress, with_hop_limit
+from repro.sixlowpan import iphc
 from repro.sixlowpan.ipv6 import Ipv6Address, Ipv6Packet, PROTO_UDP, derived_node_id
 from repro.spans.hub import SPANS
 from repro.trace.tracer import TRACE
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.netif import BleNetif
 
 #: An upper layer's entry for a decoded packet.
 PacketHandler = Callable[[Ipv6Packet], None]
 #: An upper layer's entry for a datagram as it came: the compressed bytes
 #: :func:`~repro.sixlowpan.iphc.wire_fields` accepts.
 WireHandler = Callable[[bytes], None]
+
+
+class Netif(Protocol):
+    """What the stack uses of an interface, BLE's or 802.15.4's: ``send``
+    queues a compressed datagram whose packet is ``ip_len`` bytes, and
+    ``rx_counted`` counts a received SDU the stack takes."""
+
+    #: The IID this node's link-layer address derives (RFC 7668 §3.2.2).
+    iid: bytes
+    ip: Optional[Ipv6Stack]
+    rx_decode_errors: int
+
+    @property
+    def ll_addr(self) -> int: ...
+
+    def send(self, wire: bytes, ip_len: int, next_hop_ll: int) -> bool: ...
+
+    def rx_counted(self, sdu: bytes, sender_ll: int) -> None: ...
 
 
 def _addr_ref(addr: bytes) -> Union[int, str]:
@@ -53,7 +74,7 @@ class Ipv6Stack:
         self.own_addresses = {self.link_local.packed, self.mesh_local.packed}
         self.nib = NeighborCache(nib_entries)
         self.fib = ForwardingTable()
-        self.netifs: List[BleNetif] = []
+        self.netifs: List[Netif] = []
         #: Upper-layer demux: protocol number -> its packet entry and its
         #: wire entry (None when it takes packets only).
         self._protocols: Dict[int, Tuple[PacketHandler, Optional[WireHandler]]] = {}
@@ -69,8 +90,8 @@ class Ipv6Stack:
 
     # -- wiring --------------------------------------------------------------
 
-    def add_netif(self, netif: BleNetif) -> None:
-        """Attach an interface (it reports received packets back here)."""
+    def add_netif(self, netif: Netif) -> None:
+        """Attach an interface (it hands received SDUs to :meth:`from_link`)."""
         netif.ip = self
         self.netifs.append(netif)
 
@@ -84,7 +105,7 @@ class Ipv6Stack:
         """
         self._protocols[proto] = (handler, wire)
 
-    def neighbor_up(self, ll_addr: int, netif: BleNetif) -> None:
+    def neighbor_up(self, ll_addr: int, netif: Netif) -> None:
         """A link to ``ll_addr`` came up: install its derived addresses."""
         self.nib.add(Ipv6Address.link_local(ll_addr), ll_addr, netif)
         self.nib.add(Ipv6Address.mesh_local(ll_addr), ll_addr, netif)
@@ -111,10 +132,38 @@ class Ipv6Stack:
                 if fanout is not None:
                     sent += fanout(packet)
             return sent > 0
-        return self._route(packet)
+        return self._route(dst, packet.total_len, packet)
 
-    def receive(self, packet: Ipv6Packet, netif: BleNetif) -> None:
-        """Handle a packet arriving on ``netif``."""
+    def from_link(self, sdu: bytes, netif: Netif, sender_ll: int) -> None:
+        """Take an SDU ``netif`` received from the neighbour at ``sender_ll``.
+
+        The one place a datagram picks the wire or the decode path (DESIGN
+        §12): one ``wire_fields`` accepts is relayed when it is for another
+        node and delivered as it came when it is for this one; any other is
+        decompressed with both link IIDs and handed to :meth:`receive`.
+        The netif counts the SDU first; one that does not decode counts as
+        a decode error and goes no further.
+        """
+        fields = iphc.wire_fields(sdu)
+        if fields is not None:
+            netif.rx_counted(sdu, sender_ll)
+            if fields[0] in self.own_addresses:
+                self.deliver_wire(sdu)
+            else:
+                self.relay(sdu, *fields)
+            return
+        try:
+            packet = iphc.decompress(sdu, Ipv6Address.iid_from_node_id(sender_ll), netif.iid)
+        except ValueError:
+            netif.rx_decode_errors += 1
+            if SPANS.enabled:
+                SPANS.drop("decode")
+            return
+        netif.rx_counted(sdu, sender_ll)
+        self.receive(packet)
+
+    def receive(self, packet: Ipv6Packet) -> None:
+        """Handle a decoded packet that arrived on a link."""
         dst = packet.dst.packed
         if dst in self.own_addresses or dst[0] == 0xFF:
             self._deliver(packet)
@@ -125,7 +174,7 @@ class Ipv6Stack:
             self._drop(dst, "hop-limit")
             return
         packet.hop_limit -= 1
-        if self._route(packet):
+        if self._route(dst, packet.total_len, packet):
             self._forwarded(dst, packet.hop_limit)
 
     def relay(self, wire: bytes, dst: bytes, hop_limit: int, ip_len: int) -> None:
@@ -142,7 +191,7 @@ class Ipv6Stack:
             self._drop(dst, "hop-limit")
             return
         hop_limit -= 1
-        if self._route_wire(with_hop_limit(wire, hop_limit), dst, ip_len):
+        if self._route(dst, ip_len, iphc.with_hop_limit(wire, hop_limit)):
             self._forwarded(dst, hop_limit)
 
     def send_wire(self, wire: bytes, dst: bytes, ip_len: int) -> bool:
@@ -158,7 +207,7 @@ class Ipv6Stack:
         if dst in self.own_addresses:
             self.deliver_wire(wire)
             return True
-        return self._route_wire(wire, dst, ip_len)
+        return self._route(dst, ip_len, wire)
 
     def deliver_wire(self, wire: bytes) -> None:
         """Deliver a compressed datagram for this node as it came.
@@ -172,7 +221,7 @@ class Ipv6Stack:
         registered = self._protocols.get(PROTO_UDP)
         entry = registered[1] if registered is not None else None
         if entry is None:
-            self._deliver(decompress(wire))
+            self._deliver(iphc.decompress(wire))
             return
         self._delivered(PROTO_UDP)
         entry(wire)
@@ -216,7 +265,7 @@ class Ipv6Stack:
                 node=self.node_id, cause=cause, dst=_addr_ref(dst),
             )
 
-    def _next_hop(self, dst: bytes) -> Optional[Tuple[int, BleNetif]]:
+    def _next_hop(self, dst: bytes) -> Optional[Tuple[int, Netif]]:
         """The neighbour and interface towards ``dst``; a miss is dropped."""
         entry = self.nib.resolve_packed(dst)
         if entry is None:
@@ -231,27 +280,17 @@ class Ipv6Stack:
                 self._drop(dst, "no-neighbor")
         return entry
 
-    def _route(self, packet: Ipv6Packet) -> bool:
-        """Pick the next hop and hand the packet to its interface."""
-        dst = packet.dst.packed
+    def _route(self, dst: bytes, ip_len: int, datagram: Union[bytes, Ipv6Packet]) -> bool:
+        """Pick the next hop towards ``dst`` and hand it the datagram, whose
+        packet is ``ip_len`` bytes: compressed bytes go as they are, a packet
+        is compressed for that link first."""
         hop = self._next_hop(dst)
         if hop is None:
             return False
         ll_addr, netif = hop
-        if not netif.send(packet, ll_addr):
-            self.drops_link += 1
-            self._drop(dst, "link")
-            return False
-        return True
-
-    def _route_wire(self, wire: bytes, dst: bytes, ip_len: int) -> bool:
-        """:meth:`_route` for a compressed datagram to ``dst`` whose packet
-        is ``ip_len`` bytes: the relay's and origination's way out."""
-        hop = self._next_hop(dst)
-        if hop is None:
-            return False
-        ll_addr, netif = hop
-        if not netif.send_wire(wire, ip_len, ll_addr):
+        if isinstance(datagram, Ipv6Packet):
+            datagram = iphc.compress(datagram, netif.iid, Ipv6Address.iid_from_node_id(ll_addr))
+        if not netif.send(datagram, ip_len, ll_addr):
             self.drops_link += 1
             self._drop(dst, "link")
             return False

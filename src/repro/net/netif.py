@@ -1,15 +1,17 @@
 """The BLE network interface (the paper's ``nimble_netif``, §3).
 
-One :class:`BleNetif` per node bridges the IP stack and the BLE controller:
+One :class:`BleNetif` per node bridges the IP stack and the BLE controller,
+and carries bytes only: the stack compresses and decompresses (DESIGN §12).
 
 * on connection open it attaches an L2CAP CoC to the link, installs
   neighbour-cache entries for the peer (RFC 7668 derives the IID from the
-  device address, no address resolution needed), and starts forwarding;
-* outbound packets are IPHC-compressed (a relayed datagram already is,
-  DESIGN §12), charged against the GNRC packet buffer, and handed to the
-  CoC; the buffer bytes are released only when the SDU is acknowledged on
-  the link layer -- so a stalled link holds buffer space, which is
-  precisely how the paper's overload losses arise (§5.2);
+  device address, no address resolution needed), and hands every SDU the
+  channel receives to the stack (``Ipv6Stack.from_link``);
+* outbound datagrams, already compressed, are charged against the GNRC
+  packet buffer and handed to the CoC; the buffer bytes are released only
+  when the SDU is acknowledged on the link layer -- so a stalled link holds
+  buffer space, which is precisely how the paper's overload losses arise
+  (§5.2);
 * on connection close all held buffer bytes are released and the neighbour
   entries are withdrawn.
 """
@@ -23,8 +25,7 @@ from repro.ble.controller import BleController
 from repro.l2cap import CocConfig, L2capCoc
 from repro.net.pktbuf import PacketBuffer
 from repro.sixlowpan import iphc
-from repro.sixlowpan.adapt import BleAdaptation
-from repro.sixlowpan.ipv6 import Ipv6Packet
+from repro.sixlowpan.ipv6 import Ipv6Address, Ipv6Packet
 from repro.spans.hub import SPANS
 from repro.trace.tracer import TRACE
 
@@ -55,15 +56,13 @@ class _Link:
 
     :param conn: the connection.
     :param end: this node's end of the connection's IPSP channel.
-    :param peer_iid: the RFC 7668 IID of the peer's identity.
     """
 
-    __slots__ = ("conn", "end", "peer_iid", "held")
+    __slots__ = ("conn", "end", "held")
 
-    def __init__(self, conn: Connection, end: _CocEnd, peer_iid: bytes) -> None:
+    def __init__(self, conn: Connection, end: _CocEnd) -> None:
         self.conn = conn
         self.end = end
-        self.peer_iid = peer_iid
         #: Packet-buffer bytes of SDUs queued on the link and not yet
         #: acknowledged.
         self.held = 0
@@ -86,9 +85,8 @@ class BleNetif:
         self.controller = controller
         self.pktbuf = pktbuf
         self.coc_config = coc_config
-        self.adaptation = BleAdaptation()
-        # RFC 7668 IID of this node, derived once: the identity never changes.
-        self._iid = BleAdaptation.iid_for_node(controller.identity)
+        #: RFC 7668 IID of this node, derived once: the identity never changes.
+        self.iid = Ipv6Address.iid_from_node_id(controller.identity)
         #: Set by :meth:`repro.net.ip.Ipv6Stack.add_netif`.
         self.ip: Optional["Ipv6Stack"] = None
         #: Peer identity -> the links to it, in the order they opened (the
@@ -123,15 +121,15 @@ class BleNetif:
         coc.accept_psm(IPSP_PSM)
         end = coc.end_of(self.controller)
         peer_ll = conn.peer_of(self.controller).identity
-        peer_iid = BleAdaptation.iid_for_node(peer_ll)
-        end.on_sdu = lambda sdu: self._on_rx_sdu(sdu, peer_ll, peer_iid)
         end.on_sdu_sent = self._on_sdu_sent
-        self._links.setdefault(peer_ll, []).append(_Link(conn, end, peer_iid))
+        self._links.setdefault(peer_ll, []).append(_Link(conn, end))
         # RFC 7668: the coordinator (6LN/central) initiates the IPSP channel
         if self.controller.role_of(conn) is Role.COORDINATOR:
             coc.open_channel(self.controller, IPSP_PSM)
-        if self.ip is not None:
-            self.ip.neighbor_up(peer_ll, self)
+        ip = self.ip
+        if ip is not None:
+            end.on_sdu = lambda sdu: ip.from_link(sdu, self, peer_ll)
+            ip.neighbor_up(peer_ll, self)
 
     def _on_conn_close(self, conn: Connection, reason: DisconnectReason) -> None:
         peer_ll = conn.peer_of(self.controller).identity
@@ -152,47 +150,22 @@ class BleNetif:
 
     # -- data path ----------------------------------------------------------
 
-    def send(self, packet: Ipv6Packet, next_hop_ll: int) -> bool:
-        """Queue ``packet`` towards the neighbour at ``next_hop_ll``.
+    def send(self, wire: bytes, ip_len: int, next_hop_ll: int) -> bool:
+        """Queue ``wire``, a compressed datagram whose packet is ``ip_len``
+        bytes, on the first open link to ``next_hop_ll`` (the connection
+        ``controller.connection_to`` finds), charged to the packet buffer.
 
-        :returns: False when the link is down or the packet buffer is full
-            (the packet is dropped and counted either way).
+        :returns: False when no link is open or the packet buffer is full
+            (the datagram is dropped and counted either way).
         """
-        link = self._link_to(next_hop_ll)
-        if link is None:
-            return False
-        wire = self.adaptation.to_link(packet, self._iid, link.peer_iid)
-        return self._queue(link, wire, packet.total_len, next_hop_ll)
-
-    def send_wire(self, wire: bytes, ip_len: int, next_hop_ll: int) -> bool:
-        """:meth:`send` for a datagram compressed as this link would compress
-        it (the wire path, DESIGN §12: relayed or originated), whose packet
-        is ``ip_len`` bytes.
-
-        With IPHC off the datagram is decompressed and sent as a packet.
-        """
-        adaptation = self.adaptation
-        if not adaptation.use_iphc:
-            return self.send(iphc.decompress(wire), next_hop_ll)
-        link = self._link_to(next_hop_ll)
-        if link is None:
-            return False
-        adaptation.count_down(ip_len, len(wire))
-        return self._queue(link, wire, ip_len, next_hop_ll)
-
-    def _link_to(self, peer_ll: int) -> Optional[_Link]:
-        """The first open link to ``peer_ll`` (the connection
-        ``controller.connection_to`` finds); a miss is dropped."""
-        for link in self._links.get(peer_ll, ()):
+        for link in self._links.get(next_hop_ll, ()):
             if link.conn.open:
-                return link
-        self.drops_no_link += 1
-        if SPANS.enabled:
-            SPANS.drop("no-link")
-        return None
-
-    def _queue(self, link: _Link, wire: bytes, ip_len: int, peer_ll: int) -> bool:
-        """Charge ``wire`` to the packet buffer and queue it on ``link``."""
+                break
+        else:
+            self.drops_no_link += 1
+            if SPANS.enabled:
+                SPANS.drop("no-link")
+            return False
         if not self.pktbuf.try_alloc(len(wire)):
             self.drops_pktbuf += 1
             if SPANS.enabled:
@@ -201,7 +174,7 @@ class BleNetif:
         if TRACE.enabled:
             TRACE.emit(
                 self.controller.sim.now, "sixlo", "tx",
-                node=self.ll_addr, peer=peer_ll,
+                node=self.ll_addr, peer=next_hop_ll,
                 in_len=ip_len, out_len=len(wire), data=wire,
             )
         link.held += len(wire)
@@ -210,13 +183,18 @@ class BleNetif:
         return True
 
     def send_multicast(self, packet: Ipv6Packet) -> int:
-        """Unicast one copy per live connection (RFC 7668 §3.2.3 mapping).
+        """Unicast one copy per live connection (RFC 7668 §3.2.3 mapping),
+        each compressed for its link.
 
         :returns: the number of copies actually queued.
         """
         sent = 0
         for conn in list(self.controller.connections):
-            if conn.open and self.send(packet, conn.peer_of(self.controller).identity):
+            if not conn.open:
+                continue
+            peer_ll = conn.peer_of(self.controller).identity
+            wire = iphc.compress(packet, self.iid, Ipv6Address.iid_from_node_id(peer_ll))
+            if self.send(wire, packet.total_len, peer_ll):
                 sent += 1
         return sent
 
@@ -228,37 +206,11 @@ class BleNetif:
         link.held -= nbytes
         self.pktbuf.free(nbytes)
 
-    def _on_rx_sdu(self, sdu: bytes, peer_ll: int, peer_iid: bytes) -> None:
-        """Push an inbound SDU up to the IP stack.
-
-        A datagram ``wire_fields`` accepts goes to the stack as it came
-        (the wire path, DESIGN §12): relayed when it is for another node,
-        delivered when it is for this one.  Every other SDU is decompressed
-        first.  Both are counted and traced alike.
-        """
-        ip = self.ip
-        fields = iphc.wire_fields(sdu)
-        if ip is not None and fields is not None:
-            self.adaptation.packets_up += 1  # what ``from_link`` counts
-            self._rx_counted(sdu, peer_ll)
-            if fields[0] in ip.own_addresses:
-                ip.deliver_wire(sdu)
-            else:
-                ip.relay(sdu, *fields)
-            return
-        try:
-            packet = self.adaptation.from_link(sdu, peer_iid, self._iid)
-        except ValueError:
-            self.rx_decode_errors += 1
-            return
-        self._rx_counted(sdu, peer_ll)
-        if ip is not None:
-            ip.receive(packet, self)
-
-    def _rx_counted(self, sdu: bytes, peer_ll: int) -> None:
+    def rx_counted(self, sdu: bytes, sender_ll: int) -> None:
+        """Count and record (``sixlo.rx``) an SDU the IP stack takes."""
         self.rx_packets += 1
         if TRACE.enabled:
             TRACE.emit(
                 self.controller.sim.now, "sixlo", "rx",
-                node=self.ll_addr, peer=peer_ll, len=len(sdu), data=sdu,
+                node=self.ll_addr, peer=sender_ll, len=len(sdu), data=sdu,
             )

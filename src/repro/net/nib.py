@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 from repro.sixlowpan.ipv6 import Ipv6Address
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.netif import BleNetif
+    from repro.net.ip import Netif
 
 
 class NeighborCache:
@@ -27,11 +27,11 @@ class NeighborCache:
 
     def __init__(self, max_entries: int = 32) -> None:
         self.max_entries = max_entries
-        self._entries: Dict[bytes, Tuple[int, "BleNetif"]] = {}
+        self._entries: Dict[bytes, Tuple[int, "Netif"]] = {}
         #: Insertions rejected because the table was full.
         self.full_rejections = 0
 
-    def add(self, addr: Ipv6Address, ll_addr: int, netif: "BleNetif") -> bool:
+    def add(self, addr: Ipv6Address, ll_addr: int, netif: "Netif") -> bool:
         """Install or refresh a neighbour entry.
 
         :returns: False when the table is full and ``addr`` is new.
@@ -53,11 +53,11 @@ class NeighborCache:
         for addr in stale:
             del self._entries[addr]
 
-    def resolve(self, addr: Ipv6Address) -> Optional[Tuple[int, "BleNetif"]]:
+    def resolve(self, addr: Ipv6Address) -> Optional[Tuple[int, "Netif"]]:
         """(link-layer address, interface) for ``addr``, or ``None``."""
         return self._entries.get(addr.packed)
 
-    def resolve_packed(self, addr: bytes) -> Optional[Tuple[int, "BleNetif"]]:
+    def resolve_packed(self, addr: bytes) -> Optional[Tuple[int, "Netif"]]:
         """:meth:`resolve` for the address's 16 packed bytes."""
         return self._entries.get(addr)
 

@@ -3,17 +3,17 @@
 IP packets traverse BLE links as 6LoWPAN-compressed datagrams inside L2CAP
 SDUs.  Unlike IEEE 802.15.4-based 6LoWPAN there is **no fragmentation
 header** -- L2CAP segmentation handles large datagrams (RFC 7668 §3.2) --
-so the adaptation layer is exactly: IPHC header compression on the way
-down, decompression on the way up.
+so the adaptation is exactly IPHC header compression on the way down and
+decompression on the way up, which the IP stack does for every link
+(``Ipv6Stack._route`` and ``Ipv6Stack.from_link``, DESIGN §12).
 
 * :mod:`repro.sixlowpan.ipv6` -- addresses, IPv6/UDP headers, checksums,
 * :mod:`repro.sixlowpan.iphc` -- the RFC 6282 IPHC + NHC-UDP codec,
-* :mod:`repro.sixlowpan.adapt` -- the RFC 7668 glue used by the netif.
+* :mod:`repro.sixlowpan.frag` -- RFC 4944 fragmentation, for 802.15.4.
 """
 
 from repro.sixlowpan.ipv6 import Ipv6Address, Ipv6Packet, UdpDatagram
 from repro.sixlowpan.iphc import compress, decompress
-from repro.sixlowpan.adapt import BleAdaptation
 
 __all__ = [
     "Ipv6Address",
@@ -21,5 +21,4 @@ __all__ = [
     "UdpDatagram",
     "compress",
     "decompress",
-    "BleAdaptation",
 ]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.net.ip import Ipv6Stack
 from repro.net.udp import UdpStack
+from repro.sixlowpan.iphc import decompress
 from repro.sixlowpan.ipv6 import Ipv6Address, Ipv6Packet, PROTO_UDP
 
 
@@ -14,11 +15,13 @@ class FakeNetif:
         self.sent = []
         self.up = up
         self.ip = None
+        self.iid = Ipv6Address.iid_from_node_id(1)
 
-    def send(self, packet, next_hop_ll):
+    def send(self, wire, ip_len, next_hop_ll):
         if not self.up:
             return False
-        self.sent.append((packet, next_hop_ll))
+        self.sent.append((decompress(wire, self.iid, Ipv6Address.iid_from_node_id(next_hop_ll)),
+                          next_hop_ll))
         return True
 
 
@@ -35,7 +38,7 @@ class TestIpForwarding:
         got = []
         ip.register_protocol(PROTO_UDP, got.append)
         pkt = Ipv6Packet(src=Ipv6Address.mesh_local(2), dst=ip.mesh_local)
-        ip.receive(pkt, None)
+        ip.receive(pkt)
         assert got == [pkt]
         assert ip.delivered == 1
 
@@ -48,7 +51,7 @@ class TestIpForwarding:
             dst=Ipv6Address.mesh_local(9),
             hop_limit=10,
         )
-        ip.receive(pkt, None)
+        ip.receive(pkt)
         assert ip.forwarded == 1
         sent_pkt, ll = netif.sent[0]
         assert ll == 3
@@ -63,7 +66,7 @@ class TestIpForwarding:
             dst=Ipv6Address.mesh_local(9),
             hop_limit=1,
         )
-        ip.receive(pkt, None)
+        ip.receive(pkt)
         assert ip.drops_hop_limit == 1
         assert netif.sent == []
 
@@ -117,7 +120,7 @@ class TestIpForwarding:
         pkt = Ipv6Packet(
             src=Ipv6Address.mesh_local(2), dst=ip.mesh_local, next_header=58
         )
-        ip.receive(pkt, None)
+        ip.receive(pkt)
         assert ip.drops_no_handler == 1
 
 
@@ -161,5 +164,5 @@ class TestUdp:
         raw = bytearray(UdpDatagram(1, 5, b"data").encode(src, ip.mesh_local))
         raw[-1] ^= 0xFF
         pkt = Ipv6Packet(src=src, dst=ip.mesh_local, payload=bytes(raw))
-        ip.receive(pkt, None)
+        ip.receive(pkt)
         assert udp.rx_checksum_errors == 1

@@ -4,10 +4,14 @@ import pytest
 
 from repro.ble.config import ConnParams
 from repro.ble.conn import Connection, DisconnectReason
+from repro.ieee802154 import CsmaNetwork
 from repro.net.netif import coc_of
 from repro.sim.units import MSEC, SEC
 from repro.sixlowpan.ipv6 import Ipv6Address, Ipv6Packet, UdpDatagram
 from repro.testbed.topology import BleNetwork
+from repro.trace.sinks import RingBufferSink
+from repro.trace.tracer import TRACE
+from tests.support import send_packet
 
 
 def linked_net():
@@ -29,7 +33,7 @@ def test_send_compresses_and_delivers():
     net = linked_net()
     got = []
     net.nodes[0].udp.bind(5683, lambda p, src, sport: got.append(p))
-    assert net.nodes[1].netif.send(make_packet(1, 0), next_hop_ll=0)
+    assert send_packet(net.nodes[1].netif, make_packet(1, 0), 0)
     net.run(3 * SEC)
     assert len(got) == 1
     assert net.nodes[1].netif.tx_packets == 1
@@ -38,7 +42,7 @@ def test_send_compresses_and_delivers():
 
 def test_send_without_link_counted():
     net = BleNetwork(2, seed=52, ppms=[0.0, 0.0])  # no edges configured
-    assert not net.nodes[1].netif.send(make_packet(1, 0), next_hop_ll=0)
+    assert not send_packet(net.nodes[1].netif, make_packet(1, 0), 0)
     assert net.nodes[1].netif.drops_no_link == 1
 
 
@@ -46,7 +50,7 @@ def test_pktbuf_charged_until_ll_ack():
     net = linked_net()
     netif = net.nodes[1].netif
     used_before = net.nodes[1].pktbuf.used
-    assert netif.send(make_packet(1, 0), next_hop_ll=0)
+    assert send_packet(netif, make_packet(1, 0), 0)
     assert net.nodes[1].pktbuf.used > used_before  # held while in flight
     net.run(3 * SEC)
     assert net.nodes[1].pktbuf.used == used_before  # released on LL ack
@@ -57,7 +61,7 @@ def test_pktbuf_exhaustion_drops():
     net.apply_edges([(0, 1)])
     net.run(2 * SEC)
     netif = net.nodes[1].netif
-    sent = sum(netif.send(make_packet(1, 0), next_hop_ll=0) for _ in range(5))
+    sent = sum(send_packet(netif, make_packet(1, 0), 0) for _ in range(5))
     assert sent < 5
     assert netif.drops_pktbuf > 0
 
@@ -69,7 +73,7 @@ def test_conn_close_releases_held_bytes():
     netif = net.nodes[1].netif
     # queue packets, then kill the link before they can be acknowledged
     for _ in range(3):
-        assert netif.send(make_packet(1, 0), next_hop_ll=0)
+        assert send_packet(netif, make_packet(1, 0), 0)
     assert net.nodes[1].pktbuf.used > 0
     conn = net.nodes[1].controller.connection_to(0)
     conn.close(DisconnectReason.SUPERVISION_TIMEOUT)
@@ -91,23 +95,48 @@ def test_neighbor_entries_follow_link_state():
 
 
 def test_rx_decode_errors_counted():
-    net = linked_net()
-    conn = net.nodes[1].controller.connection_to(0)
-    from repro.net.netif import coc_of
-
-    coc = coc_of(conn)
-    coc.send(net.nodes[1].controller, b"\x00\x00garbage-not-iphc")
-    net.run(3 * SEC)
-    assert net.nodes[0].netif.rx_decode_errors == 1
+    """An SDU that does not decode counts a decode error on either link,
+    reaches no handler and counts no received packet; over BLE it is not
+    recorded as ``sixlo.rx`` either."""
+    garbage = b"\x00\x00garbage-not-iphc"
+    ble = linked_net()
+    csma = CsmaNetwork(2, seed=91)
+    csma.apply_edges([(0, 1)])
+    got = []
+    for net in (ble, csma):
+        net.nodes[0].udp.bind(5683, lambda *call: got.append(call))
+    ring = RingBufferSink()
+    TRACE.configure(sinks=[ring], layers=["sixlo"])
+    try:
+        coc_of(ble.nodes[1].controller.connection_to(0)).send(ble.nodes[1].controller, garbage)
+        ble.run(3 * SEC)
+        assert csma.nodes[1].netif.send(garbage, len(garbage), next_hop_ll=0)
+        csma.run(1 * SEC)
+    finally:
+        TRACE.reset()
+    for net in (ble, csma):
+        receiver = net.nodes[0]
+        assert receiver.netif.rx_decode_errors == 1
+        assert receiver.netif.rx_packets == 0
+        assert receiver.ip.delivered == 0
+    assert got == []
+    assert ring.records() == []  # no sixlo.rx
 
 
 def test_compression_stats_accumulate():
+    """The stack compresses a packet for its next hop's link: the netif
+    queues and records (``sixlo.tx``) fewer bytes than the packet has."""
     net = linked_net()
-    netif = net.nodes[1].netif
-    netif.send(make_packet(1, 0), next_hop_ll=0)
-    assert netif.adaptation.packets_down == 1
-    assert netif.adaptation.bytes_in == 100
-    assert netif.adaptation.bytes_out < 100  # IPHC saves a few bytes
+    ring = RingBufferSink()
+    TRACE.configure(sinks=[ring], layers=["sixlo"])
+    try:
+        assert net.nodes[1].ip.send(make_packet(1, 0))
+    finally:
+        TRACE.reset()
+    (tx,) = [dict(r.fields) for r in ring.records()]
+    assert tx["in_len"] == 100
+    assert tx["out_len"] < 100  # IPHC saves a few bytes
+    assert net.nodes[1].netif.tx_packets == 1
 
 
 @pytest.mark.parametrize("closed_first", [0, 1])
@@ -134,7 +163,7 @@ def test_send_takes_the_link_connection_to_finds(first_coordinator, closed_first
         controller = net.nodes[src].controller
         ends = [coc_of(conn).end_of(controller) for conn in conns]
         queued = [len(end.tx_sdus) for end in ends]
-        sent = net.nodes[src].netif.send(make_packet(src, 1 - src), next_hop_ll=1 - src)
+        sent = send_packet(net.nodes[src].netif, make_packet(src, 1 - src), 1 - src)
         grown = [conn for conn, end, n in zip(conns, ends, queued) if len(end.tx_sdus) > n]
         return sent, grown
 

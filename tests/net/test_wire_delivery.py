@@ -12,9 +12,9 @@ wire entry, and none at all, are served by the decode path.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net import ip as ip_module
 from repro.net.ip import Ipv6Stack
 from repro.net.udp import UdpStack
+from repro.sixlowpan import iphc
 from repro.sixlowpan.iphc import compress, decompress, wire_fields
 from repro.sixlowpan.ipv6 import Ipv6Address, Ipv6Packet, PROTO_UDP, UdpDatagram
 from repro.trace.sinks import RingBufferSink
@@ -93,9 +93,9 @@ def refuse(*args):
 def test_wire_entry_matches_the_decode_path(wires):
     wire_side, decode_side = Side(), Side()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ip_module, "decompress", refuse)
+        patch.setattr(iphc, "decompress", refuse)
         wire_records = traced(wire_side.ip.deliver_wire, wires)
-    decode_records = traced(lambda w: decode_side.ip.receive(decompress(w), None), wires)
+    decode_records = traced(lambda w: decode_side.ip.receive(decompress(w)), wires)
     assert wire_side.calls == decode_side.calls
     assert wire_side.counts() == decode_side.counts()
     assert wire_records == decode_records
@@ -142,7 +142,7 @@ def test_no_udp_registration_drops_like_the_decode_path():
     wire = compress(Ipv6Packet(src, dst, UdpDatagram(7, 5683, b"x").encode(src, dst)))
     wire_side, decode_side = Side(register=False), Side(register=False)
     wire_records = traced(wire_side.ip.deliver_wire, [wire])
-    decode_records = traced(lambda w: decode_side.ip.receive(decompress(w), None), [wire])
+    decode_records = traced(lambda w: decode_side.ip.receive(decompress(w)), [wire])
     assert wire_side.ip.drops_no_handler == decode_side.ip.drops_no_handler == 1
     assert wire_records == decode_records
     assert [(layer, kind) for layer, kind, _ in wire_records] == [("ip", "drop")]

@@ -5,9 +5,9 @@ A UDP datagram between two routable addresses leaves as the bytes
 with the builder declined it is built as a packet and goes through
 ``Ipv6Stack.send``.  For each way a send can end -- delivered to the node
 itself, dropped for no route, no neighbour, a link that is down or a full
-packet buffer, sent with IPHC off, and over 802.15.4 in one frame or in
-fragments -- both must give the same return value, counters, trace records
-and bytes handed to the link.  A port, hop limit or length out of range is
+packet buffer, and over 802.15.4 in one frame or in fragments -- both must
+give the same return value, counters, trace records and bytes handed to
+the link.  A port, hop limit or length out of range is
 refused before anything is counted, on either path.
 """
 
@@ -80,12 +80,6 @@ def pktbuf_full(net):
     return node, dst
 
 
-def iphc_off(net):
-    node, dst = to_root(net)
-    node.netif.adaptation.use_iphc = False
-    return node, dst
-
-
 CASES = {
     "ble-sent": (ble_pair, to_root, PAPER),
     "ble-loopback": (ble_pair, loopback, PAPER),
@@ -93,11 +87,9 @@ CASES = {
     "ble-no-neighbor": (ble_pair, no_neighbor, PAPER),
     "ble-link-down": (ble_pair, link_down, PAPER),
     "ble-pktbuf-full": (ble_pair, pktbuf_full, PAPER),
-    "ble-iphc-off": (ble_pair, iphc_off, PAPER),
     "154-one-frame": (csma_pair, to_root, PAPER),
     "154-fragmented": (csma_pair, to_root, LARGE),
     "154-pktbuf-full": (csma_pair, pktbuf_full, PAPER),
-    "154-iphc-off": (csma_pair, iphc_off, PAPER),
 }
 
 
@@ -124,7 +116,7 @@ def send_once(monkeypatch, case, decline):
             "sent": sent,
             "counters": [
                 counters(obj)
-                for obj in (node.ip, node.netif, node.netif.adaptation, node.pktbuf, node.udp)
+                for obj in (node.ip, node.netif, node.pktbuf, node.udp)
             ],
             "records": [(r.layer, r.kind, r.fields) for r in ring.records()],
             "link": [args for _, args in sdus + frames],
@@ -147,15 +139,13 @@ def test_the_cases_end_as_named(monkeypatch):
     ends = {}
     for case in CASES:
         seen, _ = send_once(monkeypatch, case, decline=False)
-        ip, netif, _, _, udp = seen["counters"]
+        ip, netif, _, udp = seen["counters"]
         ends[case] = (
             seen["sent"], len(seen["received"]),
             ip["drops_no_route"], ip["drops_no_neighbor"], ip["drops_link"],
             netif.get("drops_no_link"), netif["drops_pktbuf"],
             len(seen["link"]), udp["tx_datagrams"],
         )
-        if case.endswith("iphc-off"):
-            assert seen["link"][0][-1][0] == iphc.UNCOMPRESSED_IPV6_DISPATCH
     assert ends == {
         "ble-sent": (True, 0, 0, 0, 0, 0, 0, 1, 1),
         "ble-loopback": (True, 1, 0, 0, 0, 0, 0, 0, 1),
@@ -163,11 +153,9 @@ def test_the_cases_end_as_named(monkeypatch):
         "ble-no-neighbor": (False, 0, 0, 1, 0, 0, 0, 0, 1),
         "ble-link-down": (False, 0, 0, 0, 1, 1, 0, 0, 1),
         "ble-pktbuf-full": (False, 0, 0, 0, 1, 0, 1, 0, 1),
-        "ble-iphc-off": (True, 0, 0, 0, 0, 0, 0, 1, 1),
         "154-one-frame": (True, 0, 0, 0, 0, None, 0, 1, 1),
         "154-fragmented": (True, 0, 0, 0, 0, None, 0, 6, 1),
         "154-pktbuf-full": (False, 0, 0, 0, 1, None, 1, 0, 1),
-        "154-iphc-off": (True, 0, 0, 0, 0, None, 0, 1, 1),
     }
 
 
@@ -196,7 +184,7 @@ def test_out_of_range_fields_are_refused_before_counting(
     received = []
     node.udp.bind(5683, lambda *call: received.append(call))
     dst = node.mesh_local if to_self else net.nodes[0].mesh_local
-    stack = (node.ip, node.netif, node.netif.adaptation, node.udp)
+    stack = (node.ip, node.netif, node.udp)
     before = [counters(obj) for obj in stack]
     args = dict(payload=PAPER, dst=dst, dst_port=5683, src_port=5683, hop_limit=64)
     with pytest.raises(ValueError, match=message):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.sim import Simulator
 from repro.sim.units import SEC
 from repro.sixlowpan import frag
+from tests.support import send_packet
 
 
 class TestFragmenting:
@@ -134,7 +135,7 @@ class TestNetifIntegration:
         net = self.make_net()
         got = []
         net.nodes[0].udp.bind(5683, lambda p, src, sport: got.append(len(p)))
-        assert net.nodes[1].netif.send(self.make_big_packet(400), next_hop_ll=0)
+        assert send_packet(net.nodes[1].netif, self.make_big_packet(400), 0)
         net.run(5 * SEC)
         assert got == [400]
         assert net.nodes[1].netif.tx_fragmented_datagrams == 1
@@ -142,12 +143,12 @@ class TestNetifIntegration:
 
     def test_pktbuf_freed_after_fragmented_send(self):
         net = self.make_net()
-        net.nodes[1].netif.send(self.make_big_packet(400), next_hop_ll=0)
+        send_packet(net.nodes[1].netif, self.make_big_packet(400), 0)
         net.run(5 * SEC)
         assert net.nodes[1].pktbuf.used == 0
 
     def test_beyond_mtu_still_refused(self):
         net = self.make_net()
         huge = self.make_big_packet(1260)  # 1308-byte IPv6 datagram
-        assert not net.nodes[1].netif.send(huge, next_hop_ll=0)
+        assert not send_packet(net.nodes[1].netif, huge, 0)
         assert net.nodes[1].netif.drops_too_big == 1

@@ -165,6 +165,13 @@ class TestErrors:
         wire = bytes([0x41]) + pkt.encode()
         assert decompress(wire) == pkt
 
+    @pytest.mark.parametrize("hop_limit", [-1, 256])
+    def test_out_of_range_hop_limit_raises(self, hop_limit):
+        pkt = udp_packet(Ipv6Address.link_local(1), Ipv6Address.link_local(2))
+        pkt.hop_limit = hop_limit
+        with pytest.raises(ValueError, match="hop limit out of range"):
+            compress(pkt, IID1, IID2)
+
 
 @st.composite
 def arbitrary_packets(draw):

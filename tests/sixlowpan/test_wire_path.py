@@ -30,6 +30,7 @@ from repro.sixlowpan.ipv6 import Ipv6Address, Ipv6Packet, PROTO_UDP, UdpDatagram
 from repro.testbed.topology import BleNetwork
 from tests.sixlowpan.test_iphc import arbitrary_packets
 from tests.sixlowpan.test_property_roundtrip import _packet
+from tests.support import send_packet
 
 
 def relayable(packet):
@@ -420,42 +421,10 @@ def test_hop_limit_one_is_dropped_before_l2cap(monkeypatch):
     relays = spy(monkeypatch, Ipv6Stack, "relay")
     sdus = spy(monkeypatch, _CocEnd, "send_sdu")
     router = net.nodes[1]
-    assert net.nodes[2].netif.send(forwarded(hop_limit=1), next_hop_ll=1)
+    assert send_packet(net.nodes[2].netif, forwarded(hop_limit=1), 1)
     net.run(net.sim.now + 2 * SEC)
     assert [self for self, _ in relays] == [router.ip]  # the wire path took it
     assert router.ip.drops_hop_limit == 1
     assert router.ip.forwarded == 0
     assert router.netif.tx_packets == 0
-    assert router.netif.adaptation.packets_down == 0
     assert [end.ll_end.controller for end, _ in sdus] == [net.nodes[2].controller]
-
-
-def test_outgoing_netif_without_iphc_sends_the_decoded_packet(monkeypatch):
-    """Relaying into an interface with IPHC off sends what the decode path
-    sends there: the packet behind the uncompressed dispatch."""
-
-    def forward_once(decline):
-        with monkeypatch.context() as patch:
-            if decline:
-                patch.setattr(iphc, "wire_fields", lambda data: None)
-            net = line3()
-            router = net.nodes[1]
-            router.netif.adaptation.use_iphc = False
-            relays = spy(patch, Ipv6Stack, "relay")
-            sdus = spy(patch, _CocEnd, "send_sdu")
-            got = []
-            net.nodes[0].udp.bind(5683, lambda payload, src, sport: got.append(payload))
-            assert net.nodes[2].netif.send(forwarded(), next_hop_ll=1)
-            net.run(net.sim.now + 2 * SEC)
-        counters = [
-            {k: v for k, v in vars(obj).items() if isinstance(v, int)}
-            for obj in (router.ip, router.netif, router.netif.adaptation, router.pktbuf)
-        ]
-        return len(relays), [args[0] for _, args in sdus], counters, got
-
-    relayed, sent, counters, got = forward_once(decline=False)
-    assert relayed == 1
-    assert sent[1][0] == iphc.UNCOMPRESSED_IPV6_DISPATCH
-    assert Ipv6Packet.decode(sent[1][1:]).hop_limit == 63
-    assert got == [BASE.payload[8:]]
-    assert forward_once(decline=True) == (0, sent, counters, got)
